@@ -405,8 +405,8 @@ def _plus_branch_phase(x0: float) -> Tuple[SmoothPhase, Callable[[float], comple
     plus, _ = airy_wkb_branches(x0)
     phase = SmoothPhase(
         s=plus.S,
-        s1=lambda x: math.sqrt(x),
-        s2=lambda x: 0.5 / math.sqrt(x),
+        s1=np.sqrt,
+        s2=lambda x: 0.5 / np.sqrt(x),
         s3=lambda x: -0.25 * x ** -1.5,
     )
     return phase, plus.A
@@ -438,6 +438,9 @@ def cmd_wigner(cfg: RunConfig) -> int:
         raise ConfigError("sigma_samples", str(e)) from None
 
     phase, amp = _plus_branch_phase(cfg.x0)
+    w_semi = semiclassical_wigner_uniform(
+        phase, amp, xs[:, None], np.abs(ks)[None, :], cfg.epsilon
+    )
     branches = wigner_branches(cfg.x0)
     rows = []
     for i, x in enumerate(map(float, xs)):
@@ -445,10 +448,8 @@ def cmd_wigner(cfg: RunConfig) -> int:
             region = classify_region(x, k)
             report = stationary_points(branches[0] if k >= 0 else branches[1], x, k)
             n_real = sum(1 for pt in report.points if pt.is_real)
-            w_semi = semiclassical_wigner_uniform(
-                phase, amp, x, abs(k), cfg.epsilon
-            )
             we = float(w_exact[i, j])
+            ws = float(w_semi[i, j])
             rows.append(
                 (
                     x,
@@ -458,9 +459,9 @@ def cmd_wigner(cfg: RunConfig) -> int:
                     we,
                     float(w_comb[i, j]),
                     float(grid.values[i, j]),
-                    w_semi,
+                    ws,
                     float(grid.values[i, j]) - we,
-                    w_semi - we,
+                    ws - we,
                 )
             )
     header = (

@@ -20,8 +20,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .specfun import AccuracyPolicy, DEFAULT_POLICY
-
 __all__ = [
     "RefractionProfile1D",
     "RayPath",
@@ -160,7 +158,6 @@ def integrate_hamiltonian(
     x0: float,
     k0: float,
     t_end: float,
-    step_policy: AccuracyPolicy = DEFAULT_POLICY,
     n_samples: Optional[int] = None,
 ) -> RayPath:
     """Integrate the ray system dx/dt = k, dk/dt = (eta^2)'/2, dS/dt = eta^2.
@@ -170,9 +167,9 @@ def integrate_hamiltonian(
     rays at x0(1 +- 1e-5) launched on-shell, so J reflects the on-shell
     ray family the amplitude theory uses.
 
-    Returns a RayPath sampled densely enough for cubic interpolation at
-    the policy's abs_tol; `truncated` is set if the path left the profile
-    domain before t_end.
+    Returns a RayPath sampled at n_samples times (by default about 50 per
+    unit of t, at least 129); `truncated` is set if the path left the
+    profile domain before t_end.
     """
     eta2 = profile.eta_squared
     h0 = 0.5 * (k0 * k0 - eta2(x0))

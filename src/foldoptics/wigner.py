@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .specfun import airy
 
@@ -48,6 +47,12 @@ _DOMAIN_WINDOW_SHRINK = 0.95
 # Below this (scale-relative) chord length the uniform formula switches to
 # the coalescence expansion; the matched pair is numerically 0/0 there.
 _CHORD_COALESCENCE_TOL = 1e-5
+
+# Chord solver: scan nodes across the bracket, then at most this many
+# halvings, which take a scan cell down to adjacent doubles for any chord
+# above the coalescence tolerance.
+_SCAN_NODES = 257
+_BISECTION_STEPS = 64
 
 _TRUNCATION_RULES = ("support_limited", "domain_limited")
 
@@ -242,61 +247,101 @@ def wigner_exact_airy(x, k, epsilon: float, x0: float):
 
 
 def chord_points(
-    S_prime: Callable[[float], float],
-    x: float,
-    k: float,
-    bracket: Tuple[float, float],
-) -> Optional[float]:
+    S_prime: Callable, x, k, bracket: Tuple
+) -> Union[float, np.ndarray, None]:
     """Positive solution sigma0 of S'(x+sigma) + S'(x-sigma) = 2k.
 
-    Scans the bracket for a sign change, bisects, then Newton-polishes to
-    1e-12.  Returns 0.0 when the chord degenerates to the tangent point
-    (k = S'(x)) and None when no real chord exists.
+    Batched scan + bisection, array in/array out: x, k and the bracket
+    ends broadcast together.  The scan steps through _SCAN_NODES
+    equispaced nodes of the bracket, evaluating S' over all points once
+    per node (so memory stays O(points)), and keeps each point's first
+    sign change; vectorised bisection then shrinks that cell to adjacent
+    doubles and keeps the end with the smaller residual.  The result is 0
+    where the chord degenerates to the tangent point (k = S'(x)) and no
+    root where the bracket holds no sign change.  Scalar inputs give a
+    float, 0.0 or None; array inputs give an array with NaN for no root.
     """
+    inputs = (x, k, np.maximum(bracket[0], 0.0), bracket[1])
+    # [()] turns 0-d arrays into numpy scalars, whose arithmetic is cheaper
+    x, k, lo, hi = (
+        v[()] for v in np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in inputs))
+    )
 
-    def f(sigma: float) -> float:
+    def f(sigma):
         return S_prime(x + sigma) + S_prime(x - sigma) - 2.0 * k
 
-    if f(0.0) == 0.0:
-        return 0.0
-    lo = max(bracket[0], 0.0)
-    hi = bracket[1]
-    if hi <= lo:
+    f0 = f(0.0)
+    if np.any((hi <= lo) & (f0 != 0.0)):
         raise ValueError("bracket must contain a positive interval")
-    grid = np.linspace(lo, hi, 257)
-    fv = np.array([f(s) for s in grid])
-    idx = np.nonzero(fv[:-1] * fv[1:] <= 0.0)[0]
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    if fv[i] == 0.0:
-        root = float(grid[i])
-    else:
-        root = brentq(f, grid[i], grid[i + 1], xtol=1e-13)
-    h = 1e-7 * max(abs(root), 1.0)
-    for _ in range(3):
-        df = (f(root + h) - f(root - h)) / (2.0 * h)
-        if df == 0.0:
+    step = (hi - lo) / (_SCAN_NODES - 1)
+
+    # first sign change over the scan nodes: the cell [a, b] with f(a), f(b)
+    found = np.zeros(np.shape(x), dtype=bool)[()]
+    a = b = s_prev = lo
+    fa = fb = f_prev = f(lo)
+    for j in range(1, _SCAN_NODES):
+        s_j = hi if j == _SCAN_NODES - 1 else j * step + lo
+        f_j = f(s_j)
+        hit = f_prev * f_j <= 0.0
+        if hit.any():
+            hit = hit & ~found
+            a, fa = np.where(hit, s_prev, a), np.where(hit, f_prev, fa)
+            b, fb = np.where(hit, s_j, b), np.where(hit, f_j, fb)
+            found = found | hit
+            if found.all():
+                break
+        s_prev, f_prev = s_j, f_j
+
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (a + b)
+        live = (mid > a) & (mid < b)
+        if not live.any():
             break
-        step = f(root) / df
-        if not math.isfinite(step) or abs(step) > h / 1e-3:
-            break
-        root -= step
-    return float(max(root, 0.0))
+        fm = f(mid)
+        upper = live & (fa * fm > 0.0)
+        lower = live & ~upper
+        a, fa = np.where(upper, mid, a), np.where(upper, fm, fa)
+        b, fb = np.where(lower, mid, b), np.where(lower, fm, fb)
+
+    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    root = np.where(f0 == 0.0, 0.0, np.where(found, root, np.nan))
+    if root.ndim == 0:
+        return None if np.isnan(root) else float(root)
+    return root
 
 
-def _chord_amplitude(A: Callable[[float], complex], x: float, sigma: float) -> float:
-    return float(np.real(A(x + sigma) * np.conj(A(x - sigma))))
+def _chord_amplitude(A: Callable, x, sigma):
+    return np.real(A(x + sigma) * np.conj(A(x - sigma)))
+
+
+def _fold_inputs(S: SmoothPhase, x, k, epsilon: float, bracket):
+    """Broadcast (x, k), refuse eps <= 0 and S''' = 0, and solve the chords
+    (NaN where there is none) over the default or given bracket."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    s3 = S.s3(x)
+    if np.any(s3 == 0.0):
+        raise ValueError("degenerate fold: S'''(x) = 0")
+    if bracket is None:
+        bracket = (0.0, _DOMAIN_WINDOW_SHRINK * x)
+    sigma0 = np.asarray(chord_points(S.s1, x, k, bracket), dtype=float)
+    return x, k, s3, sigma0
+
+
+def _as_output(out):
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def semiclassical_wigner_local(
     S: SmoothPhase,
-    A: Callable[[float], complex],
-    x: float,
-    k: float,
+    A: Callable,
+    x,
+    k,
     epsilon: float,
-    bracket: Optional[Tuple[float, float]] = None,
-) -> float:
+    bracket: Optional[Tuple] = None,
+):
     """Berry's local approximation near the manifold k = S'(x):
 
     (2^{2/3}/eps^{2/3}) (2/|S'''|)^{1/3} D(sigma0, x)
@@ -306,35 +351,30 @@ def semiclassical_wigner_local(
     (or at 0 when the chord is absent or degenerate).  The cube root is
     the real signed one, so both signs of S''' give oscillation on the
     correct side.
+
+    Batched scan + bisection chords and one Airy call, array in/array
+    out: x and k broadcast; scalars give a float.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    s3 = S.s3(x)
-    if s3 == 0.0:
-        raise ValueError("degenerate fold: S'''(x) = 0")
-    if bracket is None:
-        bracket = (0.0, _DOMAIN_WINDOW_SHRINK * x)
-    sigma0 = chord_points(S.s1, x, k, bracket)
-    if sigma0 is None:
-        sigma0 = 0.0
+    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon, bracket)
+    sigma0 = np.where(np.isnan(sigma0), 0.0, sigma0)
     scale = (2.0 / epsilon) ** (2.0 / 3.0)
     alpha = k - S.s1(x)
-    return (
+    return _as_output(
         scale
-        * (2.0 / abs(s3)) ** (1.0 / 3.0)
+        * (2.0 / np.abs(s3)) ** (1.0 / 3.0)
         * _chord_amplitude(A, x, sigma0)
-        * float(airy(-scale * np.cbrt(2.0 / s3) * alpha).ai)
+        * airy(-scale * np.cbrt(2.0 / s3) * alpha).ai
     )
 
 
 def semiclassical_wigner_uniform(
     S: SmoothPhase,
-    A: Callable[[float], complex],
-    x: float,
-    k: float,
+    A: Callable,
+    x,
+    k,
     epsilon: float,
-    bracket: Optional[Tuple[float, float]] = None,
-) -> float:
+    bracket: Optional[Tuple] = None,
+):
     """Uniform chord-based approximation 2 A0 eps^{-2/3} Ai(-eps^{-2/3} xi).
 
     With a genuine chord sigma0 the cubic data come from the chord phase
@@ -346,32 +386,29 @@ def semiclassical_wigner_uniform(
     at (or beyond) coalescence the fold expansion takes over:
 
         xi = 2 cbrt(1/S''') (k - S'(x)),  A0 = |A(x)|^2 |S'''|^{-1/3}.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    s3 = S.s3(x)
-    if s3 == 0.0:
-        raise ValueError("degenerate fold: S'''(x) = 0")
-    if bracket is None:
-        bracket = (0.0, _DOMAIN_WINDOW_SHRINK * x)
-    sigma0 = chord_points(S.s1, x, k, bracket)
 
-    use_fold = sigma0 is None or sigma0 <= _CHORD_COALESCENCE_TOL * max(abs(x), 1.0)
-    if not use_fold:
-        F0 = S.s(x + sigma0) - S.s(x - sigma0) - 2.0 * k * sigma0
-        F2 = S.s2(x + sigma0) - S.s2(x - sigma0)
-        if F0 <= 0.0 or F2 == 0.0:
-            use_fold = True
-    if use_fold:
-        xi = 2.0 * float(np.cbrt(1.0 / s3)) * (k - S.s1(x))
-        a0 = abs(A(x)) ** 2 * abs(s3) ** (-1.0 / 3.0)
-    else:
-        xi = (1.5 * F0) ** (2.0 / 3.0)
-        a0 = math.sqrt(2.0) * xi**0.25 * _chord_amplitude(A, x, sigma0) / math.sqrt(
-            abs(F2)
-        )
-    return (
-        2.0 * a0 * epsilon ** (-2.0 / 3.0) * float(airy(-(epsilon ** (-2.0 / 3.0)) * xi).ai)
+    Batched scan + bisection chords and one Airy call, array in/array
+    out: x and k broadcast, the chord-vs-fold choice is a mask, and
+    scalars give a float.
+    """
+    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon, bracket)
+    chord = sigma0 > _CHORD_COALESCENCE_TOL * np.maximum(np.abs(x), 1.0)
+    s = np.where(chord, sigma0, 0.0)
+    F0 = S.s(x + s) - S.s(x - s) - 2.0 * k * s
+    F2 = S.s2(x + s) - S.s2(x - s)
+    chord = chord & (F0 > 0.0) & (F2 != 0.0)
+    # fold cells get stand-in values so the chord formulas stay finite there
+    xi_chord = (1.5 * np.where(chord, F0, 1.0)) ** (2.0 / 3.0)
+    a0_chord = (
+        math.sqrt(2.0)
+        * xi_chord**0.25
+        * _chord_amplitude(A, x, s)
+        / np.sqrt(np.abs(np.where(chord, F2, 1.0)))
+    )
+    xi = np.where(chord, xi_chord, 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x)))
+    a0 = np.where(chord, a0_chord, np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0))
+    return _as_output(
+        2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy(-(epsilon ** (-2.0 / 3.0)) * xi).ai
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -231,6 +232,26 @@ def test_chord_absent_outside_region():
     assert chord_points(S.s1, 1.0, 0.5, (0.0, 0.999)) is None
 
 
+def test_vectorised_chord_matches_closed_form():
+    # For S' = sqrt(x) the chord is sigma0 = 2k sqrt(x - k^2), real for
+    # x/2 < k^2 < x; the default bracket (0, 0.95x) holds it only for
+    # k^2 > 0.656x, so x/2 < k^2 < 0.656x must report no chord.
+    x = np.linspace(0.1, 1.9, 64)[:, None]
+    k = np.linspace(0.0, 1.6, 97)[None, :]
+    hi = 0.95 * x  # the semiclassical functions' default bracket
+    sigma0 = chord_points(np.sqrt, x, k, (0.0, hi))
+    assert sigma0.shape == (64, 97)
+    real = (k**2 > x / 2) & (k**2 < x)
+    closed = np.where(real, 2.0 * k * np.sqrt(np.where(real, x - k**2, 0.0)), np.inf)
+    inside = closed < hi
+    assert inside.sum() > 600
+    assert np.max(np.abs(sigma0[inside] - closed[inside])) <= 1e-12
+    assert np.all(np.isnan(sigma0[~inside]))
+    beyond = real & (k**2 < 0.656 * x)
+    assert beyond.sum() > 300
+    assert not np.any(beyond & inside)
+
+
 def test_local_exact_on_manifold():
     S, A = airy_plus_phase()
     x = 1.0
@@ -276,6 +297,21 @@ def test_uniform_on_manifold_limit():
     x = 1.44
     w_u = semiclassical_wigner_uniform(S, A, x, math.sqrt(x), EPS)
     assert w_u == pytest.approx(wigner_exact_airy(x, math.sqrt(x), EPS, X0), rel=1e-12)
+
+
+def test_uniform_array_matches_scalar_calls():
+    # the CLI's default grid: x0 = 2, eps = 0.05, 64 x 64, k folded to |k|
+    S, A = airy_plus_phase()
+    S = dataclasses.replace(S, s1=np.sqrt)
+    xs = np.linspace(0.1, 1.9, 64)
+    ks = np.abs(np.linspace(-1.6, 1.6, 64))
+    w = semiclassical_wigner_uniform(S, A, xs[:, None], ks[None, :], EPS)
+    scalar = np.array(
+        [[semiclassical_wigner_uniform(S, A, x, k, EPS) for k in ks] for x in xs]
+    )
+    peak = np.max(np.abs(wigner_exact_airy(xs[:, None], ks[None, :], EPS, X0)))
+    assert w.shape == (64, 64)
+    assert np.max(np.abs(w - scalar)) <= 1e-11 * peak
 
 
 def test_degenerate_fold_rejected():
