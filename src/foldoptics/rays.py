@@ -353,7 +353,8 @@ def find_caustic(
         return (y[2] - y[4]) / (2.0 * delta)
 
     ts = np.linspace(0.0, t_end, n_scan + 1)
-    js = np.array([jac(t) for t in ts])
+    y = sol.sol(ts)
+    js = (y[2] - y[4]) / (2.0 * delta)
     roots = []
     for i in range(n_scan):
         if js[i] == 0.0:

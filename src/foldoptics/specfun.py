@@ -1,11 +1,16 @@
 """Airy functions and the closed-form oscillatory integrals built on them.
 
-The Airy pair (Ai, Bi) and first derivatives are evaluated from scratch:
-a Maclaurin series summed in extended precision near the origin, and the
-standard large-argument asymptotic expansions beyond a switch radius.  The
-module also provides two exact integral identities used throughout the
-phase-space code: the full-line integral of Ai over a quadratic argument
-(which produces Ai^2) and the half-line Fourier integral of a power.
+The Airy pair (Ai, Bi) and first derivatives come from scipy.special.airy
+in the central band |z| <= switch radius, and beyond it from the standard
+large-argument asymptotic expansions (DLMF 9.7), summed here by Horner's
+rule, which are several times faster than scipy there at the same
+accuracy.  Against mpmath at 30 digits the largest relative error on
+[-100, 30] is 1e-13, relative to the modulus sqrt(Ai^2 + Bi^2) on z < 0;
+scipy's share of that was checked on scipy 1.17.1 only, against the
+declared floor scipy >= 1.10.  The module also provides two exact
+integral identities used throughout the phase-space code: the full-line
+integral of Ai over a quadratic argument (which produces Ai^2) and the
+half-line Fourier integral of a power.
 
 Everything here is real-argument only.  The downstream semiclassical code
 never needs complex Airy arguments.
@@ -17,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "AccuracyPolicy",
@@ -26,22 +32,6 @@ __all__ = [
     "airy_square_integral",
     "fourier_power_integral",
 ]
-
-# Series constants c1 = Ai(0) = 3^{-2/3}/Gamma(2/3) and c2 = -Ai'(0) =
-# 3^{-1/3}/Gamma(1/3), parsed at full extended precision.  The positive-z
-# cancellation in c1*f - c2*g amplifies any error in these by ~e^{2 zeta},
-# so they must be good to the last long-double bit.
-_LD = np.longdouble
-_C1 = _LD("0.3550280538878172392600631860041831763980")  # Ai(0)
-_C2 = _LD("0.2588194037928067984051835601892039634791")  # -Ai'(0)
-_SQRT3 = np.sqrt(_LD(3.0))
-
-# The Maclaurin series for Ai at z > 0 cancels like exp(2*zeta),
-# zeta = (2/3) z^{3/2}, so even the 80-bit accumulator runs out of digits
-# near z ~ 6.5 and the exponential asymptotics must take over earlier on
-# the positive side than on the negative side (where cancellation only
-# grows like exp(zeta) and the oscillatory expansion is the weaker one).
-_POSITIVE_SERIES_MAX = 6.3
 
 _N_ASYMPTOTIC_TERMS = 46
 
@@ -71,8 +61,8 @@ class AccuracyPolicy:
     allowed to assume when it compares two quantities (for example when
     deciding that an amplitude combination vanishes identically).
     series_asymptotic_switch is the |z| radius beyond which the Airy
-    evaluation leaves the Maclaurin series.  On the positive axis the
-    series is abandoned at min(switch, 6.3) regardless, see module notes.
+    evaluation leaves scipy.special.airy for the asymptotic expansions,
+    on both sides of the origin.
     """
 
     abs_tol: float = 1e-12
@@ -99,79 +89,47 @@ class AiryValues:
     bi_prime: np.ndarray
 
 
-def _series(z):
-    """Maclaurin evaluation in long double; valid for any z, accurate while
-    the terms do not overwhelm the 80-bit accumulator."""
-    z = z.astype(_LD)
-    z3 = z * z * z
-    # Term recurrences for f, g, f', g' (classical ascending series).
-    c = np.ones_like(z)  # f terms
-    d = z.copy()  # g terms
-    e = 0.5 * z * z  # f' terms
-    h = np.ones_like(z)  # g' terms
-    f, g, fp, gp = c.copy(), d.copy(), e.copy(), h.copy()
-    for k in range(250):
-        c = c * z3 / ((3 * k + 2) * (3 * k + 3))
-        d = d * z3 / ((3 * k + 3) * (3 * k + 4))
-        e = e * z3 / ((3 * k + 3) * (3 * k + 5))
-        h = h * z3 / ((3 * k + 1) * (3 * k + 3))
-        f += c
-        g += d
-        fp += e
-        gp += h
-        if max(
-            np.max(np.abs(c)), np.max(np.abs(d)), np.max(np.abs(e)), np.max(np.abs(h))
-        ) < _LD(1e-26):
-            break
-    ai = _C1 * f - _C2 * g
-    bi = _SQRT3 * (_C1 * f + _C2 * g)
-    aip = _C1 * fp - _C2 * gp
-    bip = _SQRT3 * (_C1 * fp + _C2 * gp)
-    return (
-        ai.astype(np.float64),
-        aip.astype(np.float64),
-        bi.astype(np.float64),
-        bip.astype(np.float64),
-    )
+def _even_odd(zeta, sign, coeffs):
+    """(E, O) with E = sum_k coeffs[2k] w^k and O = sum_k coeffs[2k+1] w^k / zeta,
+    w = sign/zeta^2, each summed in one Horner pass.  With sign = +1,
+    E - O and E + O are the series in -1/zeta and +1/zeta of the
+    exponential expansions; with sign = -1, E and O are the even and odd
+    parts of the oscillatory ones.
 
-
-def _optimally_truncated(zeta, coeffs, signs):
-    """Sum coeffs[k] * signs^k * zeta^{-k} stopping, per element, just before
-    the terms start growing (the usual super-asymptotic truncation)."""
-    total = np.full_like(zeta, coeffs[0])
-    term = np.ones_like(zeta)
-    prev_mag = np.full_like(zeta, np.inf)
-    active = np.ones(zeta.shape, dtype=bool)
-    for k in range(1, len(coeffs)):
-        term = term * signs / zeta
-        new = coeffs[k] * term
-        mag = np.abs(new)
-        grow = mag >= prev_mag
-        active &= ~grow
-        if not active.any():
-            break
-        total[active] += new[active]
-        prev_mag[active] = mag[active]
-    return total
+    The term count is fixed per call from the smallest zeta present,
+    n = min(46, floor(2 zeta_min)), and at least 2 so that both parts have
+    a term: the terms shrink until k ~ 2 zeta, so this is the optimal
+    truncation for the worst point, and every larger zeta is truncated no
+    later than its own optimum.
+    """
+    n = min(_N_ASYMPTOTIC_TERMS, max(2, int(2.0 * zeta.min())))
+    inv = 1.0 / zeta
+    w = sign * inv * inv
+    parts = []
+    for tail in (coeffs[0:n:2][::-1], coeffs[1:n:2][::-1]):
+        acc = np.full_like(zeta, tail[0])
+        for c in tail[1:]:
+            acc = acc * w + c
+        parts.append(acc)
+    return parts[0], parts[1] * inv
 
 
 def _asymptotic_positive(z):
     zeta = (2.0 / 3.0) * z ** 1.5
     root4 = z ** 0.25
-    s_ai = _optimally_truncated(zeta, _U, -1.0)
-    s_aip = _optimally_truncated(zeta, _V, -1.0)
-    s_bi = _optimally_truncated(zeta, _U, 1.0)
-    s_bip = _optimally_truncated(zeta, _V, 1.0)
+    # the Ai series alternates (-1/zeta), the Bi series does not (+1/zeta)
+    ue, uo = _even_odd(zeta, 1.0, _U)
+    ve, vo = _even_odd(zeta, 1.0, _V)
     expm = np.exp(-zeta)
     sqrt_pi = math.sqrt(math.pi)
-    ai = expm / (2.0 * sqrt_pi * root4) * s_ai
-    aip = -root4 * expm / (2.0 * sqrt_pi) * s_aip
+    ai = expm / (2.0 * sqrt_pi * root4) * (ue - uo)
+    aip = -root4 * expm / (2.0 * sqrt_pi) * (ve - vo)
     # Bi legitimately exceeds float range beyond z ~ 104; inf is the
     # honest saturation value there
     with np.errstate(over="ignore"):
         expp = np.exp(zeta)
-        bi = expp / (sqrt_pi * root4) * s_bi
-        bip = root4 * expp / sqrt_pi * s_bip
+        bi = expp / (sqrt_pi * root4) * (ue + uo)
+        bip = root4 * expp / sqrt_pi * (ve + vo)
     return ai, aip, bi, bip
 
 
@@ -181,11 +139,8 @@ def _asymptotic_negative(z):
     root4 = t ** 0.25
     chi = zeta - 0.25 * math.pi
     # Even/odd splits of the u and v sequences feed the oscillatory forms.
-    zeta2 = zeta * zeta
-    p = _optimally_truncated(zeta2, _U[0::2], -1.0)
-    q = _optimally_truncated(zeta2, _U[1::2], -1.0) / zeta
-    r = _optimally_truncated(zeta2, _V[0::2], -1.0)
-    s = _optimally_truncated(zeta2, _V[1::2], -1.0) / zeta
+    p, q = _even_odd(zeta, -1.0, _U)
+    r, s = _even_odd(zeta, -1.0, _V)
     sqrt_pi = math.sqrt(math.pi)
     cos_chi = np.cos(chi)
     sin_chi = np.sin(chi)
@@ -199,11 +154,10 @@ def _asymptotic_negative(z):
 def airy(z, policy: AccuracyPolicy | None = None) -> AiryValues:
     """Evaluate Ai, Ai', Bi, Bi' at real z (scalar or array).
 
-    Maclaurin series inside the policy switch radius (extended-precision
-    accumulation), asymptotic expansions outside.  Relative accuracy is
-    ~1e-12 on [-10, 6] and never worse than the policy rel_tol guarantee
-    of 1e-9 (the weakest band is 6.2 < z < 6.9, where series cancellation
-    and the asymptotic truncation floor meet).
+    scipy.special.airy inside the policy switch radius, the asymptotic
+    expansions outside.  Relative error against mpmath is at most 1e-13 on
+    [-100, 30] (relative to the modulus sqrt(Ai^2 + Bi^2) on z < 0), well
+    inside the policy rel_tol guarantee of 1e-9.
     """
     if policy is None:
         policy = DEFAULT_POLICY
@@ -212,18 +166,12 @@ def airy(z, policy: AccuracyPolicy | None = None) -> AiryValues:
         raise ValueError("airy requires finite real arguments")
     flat = np.atleast_1d(z_arr).ravel()
 
-    neg_switch = policy.series_asymptotic_switch
-    pos_switch = min(policy.series_asymptotic_switch, _POSITIVE_SERIES_MAX)
-
+    switch = policy.series_asymptotic_switch
     out = [np.empty(flat.shape) for _ in range(4)]
-    ser = (flat >= -neg_switch) & (flat <= pos_switch)
-    pos = flat > pos_switch
-    neg = flat < -neg_switch
-
     for mask, evaluator in (
-        (ser, _series),
-        (pos, _asymptotic_positive),
-        (neg, _asymptotic_negative),
+        (np.abs(flat) <= switch, special.airy),
+        (flat > switch, _asymptotic_positive),
+        (flat < -switch, _asymptotic_negative),
     ):
         if mask.any():
             vals = evaluator(flat[mask])

@@ -36,6 +36,38 @@ def test_airy_against_reference_table(airy_table):
         assert rel.max() < 1e-10, f"{field}: max rel dev {rel.max():.3e}"
 
 
+def test_airy_against_mpmath_wide_range():
+    # Covers what the frozen table misses (5 < z <= 30 and z < -10) and
+    # both sides of the default band switch.  On the oscillatory side the
+    # error is taken relative to the modulus sqrt(Ai^2 + Bi^2) (and its
+    # derivative analogue), so the zeros of Ai and Bi do not dominate.
+    import mpmath
+
+    z = np.concatenate(
+        [np.linspace(-100.0, 30.0, 261), [-7.8 - 1e-9, -7.8, 6.3, 7.8, 7.8 + 1e-9]]
+    )
+    with mpmath.workdps(30):
+        ref = np.array(
+            [
+                [float(f(mpmath.mpf(float(t)), d)) for f, d in
+                 ((mpmath.airyai, 0), (mpmath.airyai, 1),
+                  (mpmath.airybi, 0), (mpmath.airybi, 1))]
+                for t in z
+            ]
+        )
+    v = airy(z)
+    got = np.stack([v.ai, v.ai_prime, v.bi, v.bi_prime], axis=1)
+    modulus = np.hypot(ref[:, 0], ref[:, 2])
+    modulus_prime = np.hypot(ref[:, 1], ref[:, 3])
+    scale = np.abs(ref)
+    neg = z < 0
+    for col, m in ((0, modulus), (1, modulus_prime), (2, modulus), (3, modulus_prime)):
+        scale[neg, col] = np.maximum(scale[neg, col], m[neg])
+    rel = np.abs(got - ref) / scale
+    worst = rel.max(axis=0)
+    assert worst.max() < 1e-12, f"max rel dev (Ai, Ai', Bi, Bi') = {worst}"
+
+
 def test_airy_scalar_returns_floats():
     v = airy(1.0)
     assert isinstance(v.ai, float)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import airy as airy_ai
 
 from foldoptics.wigner import (
     PhaseSpaceGrid,
@@ -312,6 +313,30 @@ def test_uniform_array_matches_scalar_calls():
     peak = np.max(np.abs(wigner_exact_airy(xs[:, None], ks[None, :], EPS, X0)))
     assert w.shape == (64, 64)
     assert np.max(np.abs(w - scalar)) <= 1e-11 * peak
+
+
+def test_uniform_falls_back_to_fold_for_nonpositive_chord_area():
+    # The mirrored (minus-branch) phase has real chords for k < 0, but its
+    # chord area F(sigma0) is negative, so the chord formula's xi = (3/2 F)^{2/3}
+    # has no real value there and the fold expansion must take over.
+    S, A = airy_plus_phase()
+    mirrored = SmoothPhase(
+        s=lambda x: -S.s(x),
+        s1=lambda x: -np.sqrt(x),
+        s2=lambda x: -S.s2(x),
+        s3=lambda x: -S.s3(x),
+    )
+    x = np.array([1.0, 1.0, 1.2])
+    k = np.array([-0.9, -0.95, -1.0])
+    sigma0 = chord_points(mirrored.s1, x, k, (0.0, 0.95 * x))
+    assert np.all(sigma0 > 1e-3)
+    w = semiclassical_wigner_uniform(mirrored, A, x, k, EPS)
+    s3 = mirrored.s3(x)
+    xi = 2.0 * np.cbrt(1.0 / s3) * (k - mirrored.s1(x))
+    a0 = np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0)
+    fold = 2.0 * a0 * EPS ** (-2.0 / 3.0) * airy_ai(-(EPS ** (-2.0 / 3.0)) * xi)[0]
+    assert np.all(np.isfinite(w))
+    np.testing.assert_allclose(w, fold, rtol=1e-12)
 
 
 def test_degenerate_fold_rejected():
