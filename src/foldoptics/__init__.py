@@ -63,6 +63,7 @@ from .surgery import (
     RegionLabel,
     SingularCurvatureWarning,
     StationaryPointReport,
+    StationaryTable,
     WignerBranchIntegral,
     classify_region,
     combined_wkb_wigner,
@@ -72,6 +73,7 @@ from .surgery import (
     liouville_residual,
     offdiagonal_asymptotics,
     stationary_points,
+    stationary_table,
     stationary_wigner_residual,
     wigner_branches,
     wigner_phase_eval,

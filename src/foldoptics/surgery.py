@@ -11,6 +11,13 @@ space.  This module carries that classification table, the regional
 asymptotics, the recombined closed form, its moment identities, and the
 residual stencils for the transport equation the limit object solves.
 
+The classification table has one array core, `stationary_table`: it
+takes broadcast branch indices and (x, k) and returns region codes, the
+number of real points, and up to two points per cell with their
+curvatures, NaN-padded, after one vectorised pass that polishes the real
+points and checks every point against the phase gradient.
+`classify_region` and `stationary_points` are scalar views of it.
+
 Unfolding-parameter and sign conventions, frozen once:
 
     branch 1 (+,+)   phase F1, stationary for k > 0, alpha = k - sqrt(x)
@@ -27,6 +34,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -43,10 +51,12 @@ __all__ = [
     "SingularCurvatureWarning",
     "WignerBranchIntegral",
     "StationaryPointReport",
+    "StationaryTable",
     "wigner_branches",
     "classify_region",
     "wigner_phase_eval",
     "stationary_points",
+    "stationary_table",
     "diagonal_asymptotics",
     "offdiagonal_asymptotics",
     "combined_wkb_wigner",
@@ -65,6 +75,10 @@ _ROOT_TOL = 1e-10
 _DIAGONAL = (1, 2)
 _OFFDIAGONAL = (3, 4)
 
+# (sign of sqrt(x + sigma), sign of sqrt(x - sigma)) in F_sigma of branches
+# 1..4; every phase derivative of a branch follows from its pair
+_SIGNS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+
 
 class RegionLabel(enum.Enum):
     EXTERIOR = "Exterior"
@@ -72,6 +86,29 @@ class RegionLabel(enum.Enum):
     BETWEEN = "Between"
     ON_CONJUGATE = "OnConjugate"
     INTERIOR = "Interior"
+
+
+# region codes of the array core: positions in RegionLabel
+_REGIONS = tuple(RegionLabel)
+_EXTERIOR, _ON_MANIFOLD, _BETWEEN, _ON_CONJUGATE, _INTERIOR = range(len(_REGIONS))
+
+# table cell per (diagonal branch?, region code)
+_CELLS = {
+    True: (
+        "imaginary conjugate pair, simple",
+        "sigma = 0, double (fold point)",
+        "real pair +/-sigma0, simple",
+        "real pair at the window edge, curvature diverges",
+        "none",
+    ),
+    False: (
+        "none",
+        "none",
+        "none",
+        "window-edge point, curvature diverges",
+        "single real point, simple",
+    ),
+}
 
 
 class NoStationaryPointWarning(UserWarning):
@@ -109,9 +146,28 @@ class StationaryPointReport:
     table_cell: str
 
 
+def _phase(a, b, sigma, x, k):
+    cubic = a * (x + sigma) ** 1.5 - b * (x - sigma) ** 1.5
+    return (2.0 / 3.0) * cubic - 2.0 * k * sigma
+
+
+def _phase_s(a, b, sigma, x, k):
+    # also the complex-capable gradient of the residual check
+    return a * np.sqrt(x + sigma) + b * np.sqrt(x - sigma) - 2.0 * k
+
+
+def _phase_ss(a, b, sigma, x, k):
+    return 0.5 * (a * (x + sigma) ** -0.5 - b * (x - sigma) ** -0.5)
+
+
+def _phase_sss(a, b, sigma, x, k):
+    return -0.25 * (a * (x + sigma) ** -1.5 + b * (x - sigma) ** -1.5)
+
+
 def wigner_branches(x0: float) -> Tuple[WignerBranchIntegral, ...]:
     """The four branch integrals of the squared two-phase field with
-    source abscissa x0, in index order 1..4."""
+    source abscissa x0, in index order 1..4.  The phase callables take
+    scalars or broadcasting arrays."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     amp = 0.25 / math.sqrt(x0)
@@ -125,77 +181,30 @@ def wigner_branches(x0: float) -> Tuple[WignerBranchIntegral, ...]:
     def d_minus_plus(sigma, x):
         return 1j * d_diag(sigma, x)
 
-    def f1(sigma, x, k):
-        return (2.0 / 3.0) * ((x + sigma) ** 1.5 - (x - sigma) ** 1.5) - 2.0 * k * sigma
+    amplitudes = (d_diag, d_diag, d_plus_minus, d_minus_plus)
+    phases = (_phase, _phase_s, _phase_ss, _phase_sss)
+    return tuple(
+        WignerBranchIntegral(index, d, *(partial(f, *signs) for f in phases))
+        for index, (d, signs) in enumerate(zip(amplitudes, _SIGNS), start=1)
+    )
 
-    def f1_s(sigma, x, k):
-        return math.sqrt(x + sigma) + math.sqrt(x - sigma) - 2.0 * k
 
-    def f1_ss(sigma, x, k):
-        return 0.5 * ((x + sigma) ** -0.5 - (x - sigma) ** -0.5)
-
-    def f1_sss(sigma, x, k):
-        return -0.25 * ((x + sigma) ** -1.5 + (x - sigma) ** -1.5)
-
-    def f2(sigma, x, k):
-        return -f1(sigma, x, -k)
-
-    def f2_s(sigma, x, k):
-        return -f1_s(sigma, x, -k)
-
-    def f2_ss(sigma, x, k):
-        return -f1_ss(sigma, x, k)
-
-    def f2_sss(sigma, x, k):
-        return -f1_sss(sigma, x, k)
-
-    def f3(sigma, x, k):
-        return (2.0 / 3.0) * ((x + sigma) ** 1.5 + (x - sigma) ** 1.5) - 2.0 * k * sigma
-
-    def f3_s(sigma, x, k):
-        return math.sqrt(x + sigma) - math.sqrt(x - sigma) - 2.0 * k
-
-    def f3_ss(sigma, x, k):
-        return 0.5 * ((x + sigma) ** -0.5 + (x - sigma) ** -0.5)
-
-    def f3_sss(sigma, x, k):
-        return -0.25 * ((x + sigma) ** -1.5 - (x - sigma) ** -1.5)
-
-    def f4(sigma, x, k):
-        return -f3(sigma, x, -k)
-
-    def f4_s(sigma, x, k):
-        return -f3_s(sigma, x, -k)
-
-    def f4_ss(sigma, x, k):
-        return -f3_ss(sigma, x, k)
-
-    def f4_sss(sigma, x, k):
-        return -f3_sss(sigma, x, k)
-
-    return (
-        WignerBranchIntegral(1, d_diag, f1, f1_s, f1_ss, f1_sss),
-        WignerBranchIntegral(2, d_diag, f2, f2_s, f2_ss, f2_sss),
-        WignerBranchIntegral(3, d_plus_minus, f3, f3_s, f3_ss, f3_sss),
-        WignerBranchIntegral(4, d_minus_plus, f4, f4_s, f4_ss, f4_sss),
+def _region_codes(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    if np.any(x <= 0.0):
+        raise ValueError("region classification is defined in the illuminated zone x > 0")
+    tol = REGION_TOL * np.maximum(1.0, np.abs(x))
+    kk = k * k
+    return np.select(
+        [np.abs(x - kk) <= tol, x < kk, np.abs(x - 2.0 * kk) <= tol, x < 2.0 * kk],
+        [_ON_MANIFOLD, _EXTERIOR, _ON_CONJUGATE, _BETWEEN],
+        _INTERIOR,
     )
 
 
 def classify_region(x: float, k: float) -> RegionLabel:
     """Place (x, k) relative to the parabolas x = k^2 and x = 2 k^2."""
-    if x <= 0.0:
-        raise ValueError("region classification is defined in the illuminated zone x > 0")
-    tol = REGION_TOL * max(1.0, abs(x))
-    kk = k * k
-    if abs(x - kk) <= tol:
-        return RegionLabel.ON_MANIFOLD
-    if x < kk:
-        return RegionLabel.EXTERIOR
-    if abs(x - 2.0 * kk) <= tol:
-        return RegionLabel.ON_CONJUGATE
-    if x < 2.0 * kk:
-        return RegionLabel.BETWEEN
-    return RegionLabel.INTERIOR
+    code = _region_codes(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    return _REGIONS[int(code)]
 
 
 def wigner_phase_eval(
@@ -214,126 +223,142 @@ def wigner_phase_eval(
     )
 
 
-def _phase_gradient(index: int, sigma: complex, x: float, k: float) -> complex:
-    # complex-capable F_sigma, used as the independent residual check
-    sp = cmath.sqrt(x + sigma)
-    sm = cmath.sqrt(x - sigma)
-    if index == 1:
-        return sp + sm - 2.0 * k
-    if index == 2:
-        return -sp - sm - 2.0 * k
-    if index == 3:
-        return sp - sm - 2.0 * k
-    return -sp + sm - 2.0 * k
+def _diagonal_sign_ok(index, k):
+    # the diagonal pairs live on k > 0 (branch 1) and k < 0 (branch 2)
+    return np.where(index == 1, k > 0.0, k < 0.0)
 
 
-def _verified(
-    w: WignerBranchIntegral, x: float, k: float, point: StationaryPoint
-) -> StationaryPoint:
-    scale = max(1.0, math.sqrt(x) + abs(k))
-    loc = complex(point.location)
-    if (
-        point.is_real
-        and point.multiplicity == "simple"
-        and math.isfinite(point.second_derivative)
-        and abs(loc.real) < x
-    ):
-        polished = loc.real - w.F_sigma(loc.real, x, k) / point.second_derivative
-        if abs(polished) < x and abs(polished - loc.real) < 1e-6 * scale:
-            loc = complex(polished)
-    residual = abs(_phase_gradient(w.index, loc, x, k))
-    if residual > _ROOT_TOL * scale:
+def _half_chord(x, k):
+    # 2|k| sqrt|x - k^2|: the real points +/-sigma0 between the parabolas
+    # and sigma_s inside them, and the imaginary pair outside the manifold
+    return 2.0 * np.abs(k) * np.sqrt(np.abs(x - k * k))
+
+
+@dataclass(frozen=True)
+class StationaryTable:
+    """Stationary sets of the branch integrals over broadcast (index, x, k).
+
+    region holds codes into RegionLabel (in definition order) and n_real
+    the number of real points per cell.  locations (complex) and
+    curvatures carry each cell's points in two slots along a trailing
+    axis, NaN in unused slots.  A curvature of 0 marks the double fold
+    point, +/-inf the window-edge points on the conjugate parabola, and
+    an imaginary point carries the magnitude of its purely imaginary
+    curvature.
+    """
+
+    region: np.ndarray
+    n_real: np.ndarray
+    locations: np.ndarray
+    curvatures: np.ndarray
+
+
+def _closed_forms(index, a, x, k, region):
+    """Unverified points and curvatures of the table, two slots per cell;
+    a is the sign of sqrt(x + sigma) in F_sigma of each branch."""
+    diagonal = index <= 2
+    # row of the table below: region code on branches 1/2, 5 + code on
+    # branches 3/4, and 10 for a diagonal branch with the wrong sign of k
+    row = np.where(
+        diagonal, np.where(_diagonal_sign_ok(index, k), region, 10), 5 + region
+    )
+    kk = k * k
+    # sqrt|x - k^2| / |2 k^2 - x| is the curvature magnitude at every
+    # simple point off the conjugate parabola (where it diverges, and where
+    # 2 k^2 - x can be 0)
+    gap = np.where(region == _ON_CONJUGATE, 1.0, 2.0 * kk - x)
+    c = np.sqrt(np.abs(x - kk)) / gap
+    chord = _half_chord(x, k)
+    # the closed form can round past the window edge, where no root lies
+    sigma0 = np.minimum(chord, x)
+    edge = a * math.inf
+    nan = np.nan
+    none = (nan, nan, nan, nan)
+    # (slot-0 point, slot-1 point, slot-0 curvature, slot-1 curvature)
+    table = (
+        (1j * chord, -1j * chord, c, c),  # F1/F2 Exterior: imaginary pair
+        (0.0, nan, 0.0, nan),  # F1/F2 OnManifold: double fold point
+        (sigma0, -sigma0, -a * c, a * c),  # F1/F2 Between: real pair
+        (x, -x, -edge, edge),  # F1/F2 OnConjugate: window-edge pair
+        none,  # F1/F2 Interior
+        none,  # F3/F4 Exterior
+        none,  # F3/F4 OnManifold
+        none,  # F3/F4 Between
+        (a * np.copysign(x, k), nan, edge, nan),  # F3/F4 OnConjugate
+        (a * np.copysign(sigma0, k), nan, -a * c, nan),  # F3/F4 Interior
+        none,  # F1/F2 with the wrong sign of k
+    )
+    slots = [np.choose(row, column) for column in zip(*table)]
+    return np.stack(slots[:2], axis=-1).astype(complex), np.stack(slots[2:], axis=-1)
+
+
+def stationary_table(index, x, k) -> StationaryTable:
+    """Closed-form stationary sets of branches `index` at (x, k), array
+    in/array out, each point re-verified against the phase gradient.
+
+    Real simple points are polished by one Newton step; then every point
+    must satisfy |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|), widened for
+    real simple points by |F_sigmasigma| * spacing(sigma), the residual
+    that rounding sigma to a double alone can leave where the curvature
+    is large (next to the conjugate parabola).  The first failing point,
+    in broadcast order, raises RuntimeError.
+    """
+    index, x, k = np.broadcast_arrays(
+        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    )
+    if not np.all((index == 1) | (index == 2) | (index == 3) | (index == 4)):
+        raise ValueError("branch index must be 1, 2, 3 or 4")
+    region = _region_codes(x, k)
+    a = np.where((index == 1) | (index == 3), 1.0, -1.0)
+    b = np.where((index == 1) | (index == 4), 1.0, -1.0)
+    loc, curv = _closed_forms(index, a, x, k, region)
+
+    # the NaN of empty slots makes every comparison below False
+    a, b, x, k = (v[..., None] for v in (a, b, x, k))
+    scale = np.maximum(1.0, np.sqrt(x) + np.abs(k))
+    sigma = loc.real
+    real = (loc.imag == 0.0) & ~np.isnan(sigma)
+    simple = real & np.isfinite(curv) & (curv != 0.0)
+    polished = sigma - _phase_s(a, b, sigma, x, k) / np.where(simple, curv, 1.0)
+    polish = (
+        simple
+        & (np.abs(sigma) < x)
+        & (np.abs(polished) < x)
+        & (np.abs(polished - sigma) < 1e-6 * scale)
+    )
+    loc = np.where(polish, polished, loc)
+
+    residual = np.abs(_phase_s(a, b, loc, x, k))
+    rounding = np.where(simple, np.abs(curv), 0.0) * np.spacing(np.abs(loc.real))
+    failed = residual > _ROOT_TOL * scale + rounding
+    if failed.any():
+        at = np.unravel_index(np.argmax(failed), failed.shape)
         raise RuntimeError(
-            f"stationary point {loc} of branch {w.index} fails the gradient "
-            f"check: |F_sigma| = {residual:.3e}"
+            f"stationary point {complex(loc[at])} of branch {int(index[at[:-1]])} "
+            f"fails the gradient check: |F_sigma| = {residual[at]:.3e}"
         )
-    if point.is_real and loc != complex(point.location):
-        return StationaryPoint(loc, point.multiplicity, point.second_derivative)
-    return point
-
-
-def _report(
-    w: WignerBranchIntegral,
-    region: RegionLabel,
-    raw: Tuple[StationaryPoint, ...],
-    x: float,
-    k: float,
-    cell: str,
-) -> StationaryPointReport:
-    pts = tuple(_verified(w, x, k, p) for p in raw)
-    return StationaryPointReport(region, pts, f"F{w.index} @ {region.value}: {cell}")
-
-
-def _diagonal_points(
-    w: WignerBranchIntegral, x: float, k: float, region: RegionLabel
-) -> StationaryPointReport:
-    sign_ok = k > 0.0 if w.index == 1 else k < 0.0
-    if not sign_ok:
-        return StationaryPointReport(
-            region, (), f"F{w.index} @ {region.value}: none (wrong-sign k)"
-        )
-    if region is RegionLabel.EXTERIOR:
-        b = math.sqrt(k * k - x)
-        # curvature is purely imaginary off the axis; the field stores its
-        # magnitude sqrt(k^2-x)/(2k^2-x)
-        mag = b / (2.0 * k * k - x)
-        pts = (
-            StationaryPoint(2j * abs(k) * b, "simple", mag),
-            StationaryPoint(-2j * abs(k) * b, "simple", mag),
-        )
-        return _report(w, region, pts, x, k, "imaginary conjugate pair, simple")
-    if region is RegionLabel.ON_MANIFOLD:
-        pts = (StationaryPoint(0j, "double", 0.0),)
-        return _report(w, region, pts, x, k, "sigma = 0, double (fold point)")
-    if region is RegionLabel.BETWEEN:
-        sigma0 = 2.0 * abs(k) * math.sqrt(x - k * k)
-        pts = (
-            StationaryPoint(complex(sigma0), "simple", w.F_sigmasigma(sigma0, x, k)),
-            StationaryPoint(complex(-sigma0), "simple", w.F_sigmasigma(-sigma0, x, k)),
-        )
-        return _report(w, region, pts, x, k, "real pair +/-sigma0, simple")
-    if region is RegionLabel.ON_CONJUGATE:
-        top = -math.inf if w.index == 1 else math.inf
-        pts = (
-            StationaryPoint(complex(x), "simple", top),
-            StationaryPoint(complex(-x), "simple", -top),
-        )
-        return _report(
-            w, region, pts, x, k, "real pair at the window edge, curvature diverges"
-        )
-    return StationaryPointReport(region, (), f"F{w.index} @ {region.value}: none")
-
-
-def _offdiagonal_points(
-    w: WignerBranchIntegral, x: float, k: float, region: RegionLabel
-) -> StationaryPointReport:
-    orient = 1.0 if w.index == 3 else -1.0
-    if region is RegionLabel.INTERIOR:
-        sigma_s = orient * math.copysign(1.0, k) * 2.0 * abs(k) * math.sqrt(x - k * k)
-        if k == 0.0:
-            sigma_s = 0.0
-        pts = (
-            StationaryPoint(complex(sigma_s), "simple", w.F_sigmasigma(sigma_s, x, k)),
-        )
-        return _report(w, region, pts, x, k, "single real point, simple")
-    if region is RegionLabel.ON_CONJUGATE:
-        sigma_s = orient * math.copysign(x, k)
-        pts = (StationaryPoint(complex(sigma_s), "simple", orient * math.inf),)
-        return _report(
-            w, region, pts, x, k, "window-edge point, curvature diverges"
-        )
-    return StationaryPointReport(region, (), f"F{w.index} @ {region.value}: none")
+    n_real = np.count_nonzero(real, axis=-1)
+    return StationaryTable(region, n_real, loc, curv)
 
 
 def stationary_points(
     w: WignerBranchIntegral, x: float, k: float
 ) -> StationaryPointReport:
-    """Closed-form stationary set of branch w at (x, k), each real point
-    re-verified against the phase gradient."""
-    region = classify_region(x, k)
-    if w.index in _DIAGONAL:
-        return _diagonal_points(w, x, k, region)
-    return _offdiagonal_points(w, x, k, region)
+    """Closed-form stationary set of branch w at (x, k), each point
+    re-verified against the phase gradient; a scalar view of
+    stationary_table."""
+    table = stationary_table(w.index, x, k)
+    region = _REGIONS[int(table.region)]
+    points = tuple(
+        StationaryPoint(complex(loc), "double" if c == 0.0 else "simple", float(c))
+        for loc, c in zip(table.locations, table.curvatures)
+        if not np.isnan(loc)
+    )
+    if w.index in _DIAGONAL and not _diagonal_sign_ok(w.index, k):
+        cell = "none (wrong-sign k)"
+    else:
+        cell = _CELLS[w.index in _DIAGONAL][int(table.region)]
+    return StationaryPointReport(region, points, f"F{w.index} @ {region.value}: {cell}")
 
 
 def diagonal_asymptotics(
@@ -356,8 +381,7 @@ def diagonal_asymptotics(
             "diagonal Airy asymptotics hold strictly inside the conjugate "
             "parabola (x < 2 k^2)"
         )
-    sign_ok = k > 0.0 if index == 1 else k < 0.0
-    if not sign_ok:
+    if not _diagonal_sign_ok(index, k):
         warnings.warn(
             f"branch {index} has no stationary points for this sign of k; "
             "its contribution is 0",

@@ -246,6 +246,25 @@ def wigner_exact_airy(x, k, epsilon: float, x0: float):
     return out
 
 
+def bisect_brackets(f: Callable, a, b, fa, fb):
+    """Vectorised bisection of the cells [a, b], where f(a) = fa and
+    f(b) = fb have opposite signs (or one is 0).  Runs at most
+    _BISECTION_STEPS halvings, stopping once every cell is down to
+    adjacent doubles, and returns the end of each cell with the smaller
+    |f|.  f is called on whole arrays of midpoints."""
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (a + b)
+        live = (mid > a) & (mid < b)
+        if not live.any():
+            break
+        fm = f(mid)
+        upper = live & (fa * fm > 0.0)
+        lower = live & ~upper
+        a, fa = np.where(upper, mid, a), np.where(upper, fm, fa)
+        b, fb = np.where(lower, mid, b), np.where(lower, fm, fb)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+
+
 def chord_points(
     S_prime: Callable, x, k, bracket: Tuple
 ) -> Union[float, np.ndarray, None]:
@@ -292,18 +311,7 @@ def chord_points(
                 break
         s_prev, f_prev = s_j, f_j
 
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (a + b)
-        live = (mid > a) & (mid < b)
-        if not live.any():
-            break
-        fm = f(mid)
-        upper = live & (fa * fm > 0.0)
-        lower = live & ~upper
-        a, fa = np.where(upper, mid, a), np.where(upper, fm, fa)
-        b, fb = np.where(lower, mid, b), np.where(lower, fm, fb)
-
-    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    root = bisect_brackets(f, a, b, fa, fb)
     root = np.where(f0 == 0.0, 0.0, np.where(found, root, np.nan))
     if root.ndim == 0:
         return None if np.isnan(root) else float(root)

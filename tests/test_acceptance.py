@@ -9,12 +9,14 @@ ship with the test suite (6 and 11) add those legs here.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from foldoptics import cli, surgery
 from foldoptics.cli import (
     band_comparison_metric,
     check_band_wignerization,
@@ -77,9 +79,35 @@ def test_criterion_04_k_moments():
 
 
 def test_criterion_05_stationary_point_tables():
-    # 10^4 random (x, k): every real tabulated point re-found by brentq
-    # with gradient residual <= 1e-10
+    # 10^4 random (x, k): every real tabulated point re-found by bracketing
+    # and bisection with gradient residual <= 1e-10
     assert report(check_stationary_tables(seed=20240911, samples=10000))
+
+
+def test_criterion_05_fails_on_perturbed_closed_form(monkeypatch):
+    # the closed form 2|k| sqrt|x - k^2| behind the real points, off by 1e-6:
+    # the table refuses points its Newton step cannot repair
+    half_chord = surgery._half_chord
+    monkeypatch.setattr(
+        surgery, "_half_chord", lambda x, k: half_chord(x, k) * (1.0 + 1e-6)
+    )
+    result = check_stationary_tables()
+    assert not result.passed
+    assert "fails the gradient check" in result.detail
+
+
+def test_criterion_05_fails_on_points_off_their_roots(monkeypatch):
+    # tabulated points moved inward by 1e-6 after the table's own check:
+    # only the criterion's independent root finding stands between them and
+    # a pass
+    def perturbed(index, x, k):
+        table = surgery.stationary_table(index, x, k)
+        return dataclasses.replace(table, locations=table.locations * (1.0 - 1e-6))
+
+    monkeypatch.setattr(cli, "stationary_table", perturbed)
+    result = check_stationary_tables()
+    assert not result.passed
+    assert result.metric == math.inf
 
 
 def test_criterion_06_cfu_engine():

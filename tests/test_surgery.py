@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from foldoptics import surgery
 from foldoptics.rays import RefractionProfile1D, airy_profile, constant_profile
 from foldoptics.specfun import airy
 from foldoptics.surgery import (
+    REGION_TOL,
     NoStationaryPointWarning,
     RegionLabel,
     SingularCurvatureWarning,
@@ -20,6 +22,7 @@ from foldoptics.surgery import (
     liouville_residual,
     offdiagonal_asymptotics,
     stationary_points,
+    stationary_table,
     stationary_wigner_residual,
     wigner_branches,
     wigner_phase_eval,
@@ -212,6 +215,87 @@ def test_wrong_sign_k_has_no_points():
     assert stationary_points(BRANCHES[0], 1.0, -0.8).points == ()
     assert stationary_points(BRANCHES[1], 1.0, 0.8).points == ()
     assert "wrong-sign" in stationary_points(BRANCHES[0], 1.0, -0.8).table_cell
+
+
+def _assert_table_matches_scalar_calls(index, xs, ks):
+    table = stationary_table(index, xs, ks)
+    for i, (x, k) in enumerate(zip(map(float, xs), map(float, ks))):
+        report = stationary_points(BRANCHES[int(index[i]) - 1], x, k)
+        assert list(RegionLabel)[table.region[i]] is report.region
+        assert report.region is classify_region(x, k)
+        assert table.n_real[i] == sum(p.is_real for p in report.points)
+        filled = ~np.isnan(table.locations[i])
+        assert np.count_nonzero(filled) == len(report.points), report.table_cell
+        points = zip(table.locations[i][filled], table.curvatures[i][filled], report.points)
+        for loc, c, p in points:
+            assert (c == 0.0) == (p.multiplicity == "double")
+            for got, want in ((loc.real, p.location.real), (loc.imag, p.location.imag)):
+                assert abs(got - want) <= np.spacing(abs(want))
+            if math.isinf(c):
+                assert c == p.second_derivative
+            else:
+                assert abs(c - p.second_derivative) <= np.spacing(abs(c))
+
+
+def test_array_table_matches_scalar_calls_on_criterion_draws():
+    # criterion 05's default draws, the branch cycling through 1..4
+    rng = np.random.default_rng(20240911)
+    xs = 0.05 + 3.95 * rng.random(10000)
+    ks = rng.uniform(-2.2, 2.2, 10000)
+    _assert_table_matches_scalar_calls(np.arange(xs.size) % 4 + 1, xs, ks)
+
+
+def test_array_table_matches_scalar_calls_on_the_parabolas():
+    # on x = k^2 and x = 2 k^2, inside their tolerance bands and just outside
+    xs, ks = [], []
+    for k in np.linspace(-2.0, 2.0, 41):
+        for curve in (k * k, 2.0 * k * k):
+            tol = REGION_TOL * max(1.0, curve)
+            for off in (0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol):
+                xs.append(curve + off)
+                ks.append(k)
+        xs.extend((0.3, 1.7, 3.9))
+        ks.extend((k, k, k))
+    xs, ks = np.array(xs), np.array(ks)
+    keep = xs > 0.0
+    for index in (1, 2, 3, 4):
+        _assert_table_matches_scalar_calls(
+            np.full(np.count_nonzero(keep), index), xs[keep], ks[keep]
+        )
+
+
+# a criterion 05 draw of `validate --seed 1514489336`: x - 2 k^2 = 2.1e-8
+# puts sigma_s two doubles below the window edge x, where |F_sigmasigma| is
+# about 3e7
+EDGE_DRAW = (0.9450085363356805, 0.6873894511528946)
+
+
+@pytest.mark.parametrize("idx", [2, 3])
+def test_interior_point_at_the_window_edge_passes(idx):
+    x, k = EDGE_DRAW
+    w = BRANCHES[idx]
+    (pt,) = stationary_points(w, x, k).points
+    sigma = pt.location.real
+    assert 0.0 < x - abs(sigma) <= 2.0 * np.spacing(x)
+    # rounding sigma alone leaves more than the plain tolerance ...
+    residual = abs(w.F_sigma(sigma, x, k))
+    scale = max(1.0, math.sqrt(x) + abs(k))
+    assert residual > 1e-10 * scale
+    # ... and no more than the curvature times one spacing of sigma
+    rounding = abs(pt.second_derivative) * np.spacing(abs(sigma))
+    assert residual <= 1e-10 * scale + rounding
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+def test_interior_point_off_the_window_edge_fails(monkeypatch, shift):
+    x, k = EDGE_DRAW
+    scale = max(1.0, math.sqrt(x) + abs(k))
+    half_chord = surgery._half_chord
+    monkeypatch.setattr(
+        surgery, "_half_chord", lambda x, k: half_chord(x, k) + shift * scale
+    )
+    with pytest.raises(RuntimeError, match="branch 3 fails the gradient check"):
+        stationary_points(BRANCHES[2], x, k)
 
 
 @pytest.mark.parametrize(
