@@ -248,36 +248,43 @@ def _config_echo(cfg: RunConfig) -> Dict[str, object]:
     return echo
 
 
+# A table is (name, header, columns): one equal-length column (array or
+# sequence) per header entry.
+Table = Tuple[str, Sequence[str], Sequence[object]]
+
+
+def _rows(columns: Sequence[object]):
+    """The table's rows, one tuple of Python scalars at a time."""
+    return zip(*(np.asarray(c).tolist() for c in columns))
+
+
 def _write_tables(
-    cfg: RunConfig,
-    command: str,
-    tables: Sequence[Tuple[str, Sequence[str], Sequence[Sequence[object]]]],
-    started: float,
-    extra: Optional[Dict[str, object]] = None,
+    cfg: RunConfig, command: str, tables: Sequence[Table], started: float
 ) -> None:
-    """Write each (name, header, rows) table in the configured formats,
+    """Write each table in the configured formats, streaming it row by row,
     then the manifest, atomically and last."""
     os.makedirs(cfg.out, exist_ok=True)
     outputs: List[Dict[str, object]] = []
-    for name, header, rows in tables:
+    for name, header, columns in tables:
+        n_rows = len(columns[0])
         if "csv" in cfg.formats:
             path = os.path.join(cfg.out, f"{name}.csv")
             with open(path, "w", encoding="utf-8", newline="") as f:
                 writer = csv.writer(f, lineterminator="\n")
                 writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt_cell(v) for v in row])
-            outputs.append(_output_entry(cfg.out, f"{name}.csv", len(rows)))
+                writer.writerows([_fmt_cell(v) for v in row] for row in _rows(columns))
+            outputs.append(_output_entry(cfg.out, f"{name}.csv", n_rows))
         if "json" in cfg.formats:
             path = os.path.join(cfg.out, f"{name}.json")
+            # the bytes json.dump({"columns": ..., "rows": ...}, sort_keys=True) writes
             with open(path, "w", encoding="utf-8") as f:
-                json.dump(
-                    {"columns": list(header), "rows": [list(r) for r in rows]},
-                    f,
-                    sort_keys=True,
-                )
-                f.write("\n")
-            outputs.append(_output_entry(cfg.out, f"{name}.json", len(rows)))
+                f.write(f'{{"columns": {json.dumps(list(header))}, "rows": [')
+                sep = ""
+                for row in _rows(columns):
+                    f.write(sep + json.dumps(list(row)))
+                    sep = ", "
+                f.write("]}\n")
+            outputs.append(_output_entry(cfg.out, f"{name}.json", n_rows))
     manifest = {
         "command": command,
         "config": _config_echo(cfg),
@@ -285,8 +292,6 @@ def _write_tables(
         "duration_seconds": time.time() - started,
         "outputs": outputs,
     }
-    if extra:
-        manifest.update(extra)
     _write_json_atomic(os.path.join(cfg.out, f"{command}_manifest.json"), manifest)
 
 
@@ -312,38 +317,37 @@ def cmd_rays(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.scenario == "airy":
         tmax = cfg.tmax if cfg.tmax is not None else 3.0 * math.sqrt(cfg.x0)
-        ts = np.linspace(cfg.tmin, tmax, cfg.nt)
         root = math.sqrt(cfg.x0)
-        rows = []
-        for ray_id, k0 in (("down", -root), ("up", root)):
-            for t in ts:
-                x, k = airy_ray_closed(float(t), cfg.x0, k0)
-                jac = 1.0 + k0 * float(t) / (2.0 * cfg.x0)
-                rows.append((ray_id, float(t), x, k, jac))
-        caustic_rows = []
-        for ray_id, k0 in (("down", -root), ("up", root)):
-            for t, x in find_caustic(airy_profile(), cfg.x0, k0, tmax):
-                caustic_rows.append((ray_id, t, x))
+        touches = [
+            (ray_id, *hit)
+            for ray_id, k0 in (("down", -root), ("up", root))
+            for hit in find_caustic(airy_profile(), cfg.x0, k0, tmax)
+        ]
+        # the down ray's rows, then the up ray's
+        t = np.tile(np.linspace(cfg.tmin, tmax, cfg.nt), 2)
+        k0 = np.repeat([-root, root], cfg.nt)
+        x, k = airy_ray_closed(t, cfg.x0, k0)
         tables = [
-            ("rays", ("ray_id", "t", "x", "k", "jacobian"), rows),
-            ("caustics", ("ray_id", "t", "x"), caustic_rows),
+            ("rays", ("ray_id", "t", "x", "k", "jacobian"),
+             (np.repeat(["down", "up"], cfg.nt), t, x, k, 1.0 + k0 * t / (2.0 * cfg.x0))),
+            # header only when neither ray touches a caustic
+            ("caustics", ("ray_id", "t", "x"), tuple(zip(*touches)) or ((), (), ())),
         ]
     else:
         p = cfg.layer_params()
         chord = 4.0 * p.eta0 * math.cos(p.psi) / p.mu1
         tmax = cfg.tmax if cfg.tmax is not None else chord
-        ts = np.linspace(cfg.tmin, tmax, cfg.nt)
-        rows = []
-        for t in ts:
-            y, z = linear_layer_ray(float(t), 0.0, p)
-            ky, kz = linear_layer_momentum(float(t), p)
-            rows.append(("incident", float(t), y, z, ky, kz, linear_layer_jacobian(float(t), p)))
+        t = np.linspace(cfg.tmin, tmax, cfg.nt)
+        y, z = linear_layer_ray(t, 0.0, p)
+        ky, kz = linear_layer_momentum(t, p)
         t_star = 0.5 * chord
         y_star, z_star = linear_layer_ray(t_star, 0.0, p)
-        caustic_rows = [("incident", t_star, y_star, z_star, linear_layer_caustic_depth(p))]
         tables = [
-            ("rays", ("ray_id", "t", "y", "z", "ky", "kz", "jacobian"), rows),
-            ("caustics", ("ray_id", "t", "y", "z", "caustic_depth"), caustic_rows),
+            ("rays", ("ray_id", "t", "y", "z", "ky", "kz", "jacobian"),
+             (np.full(cfg.nt, "incident"), t, y, z, np.full(cfg.nt, ky), kz,
+              linear_layer_jacobian(t, p))),
+            ("caustics", ("ray_id", "t", "y", "z", "caustic_depth"),
+             (["incident"], [t_star], [y_star], [z_star], [linear_layer_caustic_depth(p)])),
         ]
     _write_tables(cfg, "rays", tables, started)
     return 0
@@ -358,45 +362,37 @@ def _airy_kl_callables(x0: float):
 
 def cmd_field(cfg: RunConfig) -> int:
     started = time.time()
+    # each field is evaluated once over its mask, with a stand-in point
+    # outside it, and NaN there in the table
+    nan = complex(math.nan, math.nan)
     if cfg.scenario == "airy":
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
         coords, amps = _airy_kl_callables(cfg.x0)
-        rows = []
-        nan = float("nan")
-        for x in map(float, xs):
-            if 0.0 < x < cfg.x0:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    w = complex(airy_wkb_field(x, cfg.epsilon, cfg.x0))
-            else:
-                w = complex(nan, nan)
-            u_kl = kl_field(coords, amps, cfg.epsilon, x) if x > 0 else complex(nan, nan)
-            g = complex(airy_greens(x, cfg.x0, cfg.epsilon))
-            inner = complex(airy_inner_approx(x, cfg.x0, cfg.epsilon))
-            rows.append(
-                (x, w.real, w.imag, u_kl.real, u_kl.imag,
-                 g.real, g.imag, inner.real, inner.imag)
-            )
-        header = (
-            "x", "wkb_re", "wkb_im", "kl_re", "kl_im",
-            "greens_re", "greens_im", "inner_re", "inner_im",
+        two_branch = (0.0 < xs) & (xs < cfg.x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w = airy_wkb_field(np.where(two_branch, xs, 0.5 * cfg.x0), cfg.epsilon, cfg.x0)
+        lit = xs > 0.0
+        u_kl = kl_field(coords, amps, cfg.epsilon, np.where(lit, xs, 1.0))
+        fields = (
+            np.where(two_branch, w, nan),
+            np.where(lit, u_kl, nan),
+            airy_greens(xs, cfg.x0, cfg.epsilon),
+            airy_inner_approx(xs, cfg.x0, cfg.epsilon),
         )
-        tables = [("field", header, rows)]
+        header = ("x", "wkb_re", "wkb_im", "kl_re", "kl_im",
+                  "greens_re", "greens_im", "inner_re", "inner_im")
+        columns = (xs, *(part for u in fields for part in (u.real, u.imag)))
+        tables = [("field", header, columns)]
     else:
         p = cfg.layer_params()
-        z_c = linear_layer_caustic_depth(p)
         zs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
-        rows = []
-        nan = float("nan")
-        for z in map(float, zs):
-            if z_c <= z <= p.h:
-                s_plus, s_minus = linear_layer_phases(0.0, z, p)
-                phi = 0.5 * (s_plus + s_minus)
-                rho = (0.75 * (s_plus - s_minus)) ** (2.0 / 3.0)
-            else:
-                s_plus = s_minus = phi = rho = nan
-            rows.append((z, s_plus, s_minus, phi, rho))
-        tables = [("field", ("z", "s_plus", "s_minus", "phi", "rho"), rows)]
+        layer = (linear_layer_caustic_depth(p) <= zs) & (zs <= p.h)
+        s_plus, s_minus = linear_layer_phases(0.0, np.where(layer, zs, p.h), p)
+        phi = 0.5 * (s_plus + s_minus)
+        rho = (0.75 * (s_plus - s_minus)) ** (2.0 / 3.0)
+        columns = (zs, *(np.where(layer, c, math.nan) for c in (s_plus, s_minus, phi, rho)))
+        tables = [("field", ("z", "s_plus", "s_minus", "phi", "rho"), columns)]
     _write_tables(cfg, "field", tables, started)
     return 0
 
@@ -442,33 +438,19 @@ def cmd_wigner(cfg: RunConfig) -> int:
         phase, amp, xs[:, None], np.abs(ks)[None, :], cfg.epsilon
     )
     table = stationary_table(np.where(ks >= 0.0, 1, 2), xs[:, None], ks[None, :])
-    labels = [r.value for r in RegionLabel]
-    regions, n_real = table.region.tolist(), table.n_real.tolist()
-    rows = []
-    for i, x in enumerate(map(float, xs)):
-        for j, k in enumerate(map(float, ks)):
-            we = float(w_exact[i, j])
-            ws = float(w_semi[i, j])
-            rows.append(
-                (
-                    x,
-                    k,
-                    labels[regions[i][j]],
-                    n_real[i][j],
-                    we,
-                    float(w_comb[i, j]),
-                    float(grid.values[i, j]),
-                    ws,
-                    float(grid.values[i, j]) - we,
-                    ws - we,
-                )
-            )
+    labels = np.array([r.value for r in RegionLabel])
     header = (
         "x", "k", "region", "n_stationary",
         "w_exact", "w_combined", "w_numeric", "w_semiclassical",
         "diff_numeric", "diff_semiclassical",
     )
-    _write_tables(cfg, "wigner", [("wigner", header, rows)], started)
+    # row-major over (x, k)
+    columns = (
+        np.repeat(xs, cfg.nk), np.tile(ks, cfg.nx), labels[table.region], table.n_real,
+        w_exact, w_comb, grid.values, w_semi, grid.values - w_exact, w_semi - w_exact,
+    )
+    columns = [np.ravel(c) for c in columns]
+    _write_tables(cfg, "wigner", [("wigner", header, columns)], started)
     return 0
 
 
@@ -663,14 +645,14 @@ def check_kl_uniformization() -> CriterionResult:
     coords, amps = _airy_kl_callables(x0)
     xs = np.linspace(0.05, 1.95, 39)
     eps = 0.05
-    u_kl = np.array([kl_field(coords, amps, eps, float(x)) for x in xs])
+    u_kl = kl_field(coords, amps, eps, xs)
     inner = airy_inner_approx(xs, x0, eps)
     identity = float(np.max(np.abs(u_kl - inner)) / np.max(np.abs(inner)))
 
     window = np.linspace(0.8, 1.2, 41)
     devs = []
     for e in (0.1, 0.05, 0.025):
-        kl_vals = np.array([kl_field(coords, amps, e, float(x)) for x in window])
+        kl_vals = kl_field(coords, amps, e, window)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             wkb_vals = airy_wkb_field(window, e, x0)

@@ -136,11 +136,13 @@ class LinearLayerParams:
     def alpha(self) -> float:
         return -self.eta0 * math.cos(self.psi)
 
-    def beta(self, z: float) -> float:
+    def beta(self, z):
+        """sqrt(alpha^2 + mu1 (z - h)), scalar or array z; raises if any
+        point lies below the caustic."""
         val = self.alpha**2 + self.mu1 * (z - self.h)
-        if val < 0:
+        if np.any(val < 0):
             raise ValueError("point lies below the caustic (beta imaginary)")
-        return math.sqrt(val)
+        return np.sqrt(val)
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,24 @@ class AiryArrivalData:
     t_plus: float
     J_minus: float
     J_plus: float
+
+
+def _jacobian_launch(profile: RefractionProfile1D, x0: float, k0: float):
+    """Check that (x0, k0) is on the energy shell (to 1e-8) and launch the
+    two auxiliary Jacobian rays on-shell at x0 +- delta, delta =
+    1e-5 max(|x0|, 1).  Returns (delta, (x+, k+), (x-, k-))."""
+    eta2 = profile.eta_squared
+    h0 = 0.5 * (k0 * k0 - eta2(x0))
+    if abs(h0) > 1e-8:
+        raise ValueError(
+            f"initial condition off the energy shell: |H(x0,k0)| = {abs(h0):.3e}"
+        )
+    sgn = 1.0 if k0 >= 0 else -1.0
+    delta = _JACOBIAN_DELTA * max(abs(x0), 1.0)
+    offsets = (x0 + delta, x0 - delta)
+    if any(eta2(xb) < 0 for xb in offsets):
+        raise ValueError("Jacobian offset leaves the medium (eta^2 < 0)")
+    return delta, *((xb, sgn * math.sqrt(eta2(xb))) for xb in offsets)
 
 
 def integrate_hamiltonian(
@@ -172,22 +192,9 @@ def integrate_hamiltonian(
     profile domain before t_end.
     """
     eta2 = profile.eta_squared
-    h0 = 0.5 * (k0 * k0 - eta2(x0))
-    if abs(h0) > 1e-8:
-        raise ValueError(
-            f"initial condition off the energy shell: |H(x0,k0)| = {abs(h0):.3e}"
-        )
+    delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-
-    sgn = 1.0 if k0 >= 0 else -1.0
-    delta = _JACOBIAN_DELTA * max(abs(x0), 1.0)
-    xp0, xm0 = x0 + delta, x0 - delta
-    for xb in (xp0, xm0):
-        if eta2(xb) < 0:
-            raise ValueError("Jacobian offset leaves the medium (eta^2 < 0)")
-    kp0 = sgn * math.sqrt(eta2(xp0))
-    km0 = sgn * math.sqrt(eta2(xm0))
 
     def rhs(t, y):
         x, k, _, xp, kp, xm, km = y
@@ -314,16 +321,7 @@ def find_caustic(
     accepted only if |J| < 1e-6 there.  Returns a list of (t, x) pairs,
     possibly empty.
     """
-    eta2 = profile.eta_squared
-    h0 = 0.5 * (k0 * k0 - eta2(x0))
-    if abs(h0) > 1e-8:
-        raise ValueError("initial condition off the energy shell")
-
-    sgn = 1.0 if k0 >= 0 else -1.0
-    delta = _JACOBIAN_DELTA * max(abs(x0), 1.0)
-    xp0, xm0 = x0 + delta, x0 - delta
-    kp0 = sgn * math.sqrt(eta2(xp0))
-    km0 = sgn * math.sqrt(eta2(xm0))
+    delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
 
     def rhs(t, y):
         x, k, xp, kp, xm, km = y

@@ -300,8 +300,11 @@ def stationary_table(index, x, k) -> StationaryTable:
     must satisfy |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|), widened for
     real simple points by |F_sigmasigma| * spacing(sigma), the residual
     that rounding sigma to a double alone can leave where the curvature
-    is large (next to the conjugate parabola).  The first failing point,
-    in broadcast order, raises RuntimeError.
+    is large (next to the conjugate parabola).  The double fold point
+    and the window-edge points are allowed the largest |F_sigma| they
+    leave inside their REGION_TOL bands, 2 REGION_TOL max(1, x) over
+    sqrt(x) + |k| and sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The
+    first failing point, in broadcast order, raises RuntimeError.
     """
     index, x, k = np.broadcast_arrays(
         np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
@@ -330,7 +333,14 @@ def stationary_table(index, x, k) -> StationaryTable:
 
     residual = np.abs(_phase_s(a, b, loc, x, k))
     rounding = np.where(simple, np.abs(curv), 0.0) * np.spacing(np.abs(loc.real))
-    failed = residual > _ROOT_TOL * scale + rounding
+    # the fold point 0 and the window-edge points +-x stand for their whole
+    # bands, where they leave |F_sigma| = 2|x - k^2| / (sqrt(x) + |k|) and
+    # 2|x - 2k^2| / (sqrt(2x) + 2|k|)
+    band = 2.0 * REGION_TOL * np.maximum(1.0, x) / np.select(
+        [real & (curv == 0.0), real & np.isinf(curv)],
+        [np.sqrt(x) + np.abs(k), np.sqrt(2.0 * x) + 2.0 * np.abs(k)], np.inf,
+    )
+    failed = residual > _ROOT_TOL * scale + rounding + band
     if failed.any():
         at = np.unravel_index(np.argmax(failed), failed.shape)
         raise RuntimeError(

@@ -242,16 +242,18 @@ def transport_residual(
     return out
 
 
-def linear_layer_phases(y: float, z: float, p: LinearLayerParams):
-    """The two geometric phases of the linear layer at (y, z), z <= h:
+def linear_layer_phases(y, z, p: LinearLayerParams):
+    """The two geometric phases of the linear layer at (y, z), z <= h,
+    scalar or broadcasting arrays:
 
     S_pm = (2/(3 mu1)) eta0^3 cos^3(psi) + eta0 y sin(psi)
            +- (2/(3 mu1)) beta(z)^3,
     beta = sqrt(eta0^2 cos^2(psi) + mu1 (z - h)).
 
-    Raises below the caustic depth (beta imaginary) and above the boundary.
+    Raises if any point lies below the caustic depth (beta imaginary) or
+    above the boundary.
     """
-    if z > p.h:
+    if np.any(z > p.h):
         raise ValueError("layer phases defined for z <= h")
     b = p.beta(z)  # raises below the caustic
     c = p.eta0 * math.cos(p.psi)

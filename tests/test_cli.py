@@ -8,11 +8,16 @@ import json
 import math
 import os
 
+import warnings
+
 import numpy as np
 import pytest
 
 import foldoptics.cli as cli
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
+from foldoptics.kl import kl_field
+from foldoptics.rays import linear_layer_caustic_depth
+from foldoptics.wkb import airy_greens, airy_inner_approx, airy_wkb_field, linear_layer_phases
 
 
 def read_csv(path):
@@ -224,15 +229,108 @@ def test_manifest_checksums_match_files(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
-def test_identical_configs_are_byte_identical(tmp_path):
-    argv = ["wigner", "--nx", "9", "--nk", "11", "--sigma-samples", "512",
-            "--format", "csv,json"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--nx", "9", "--nk", "11", "--sigma-samples", "512"],
+        ["field", "--scenario", "airy", "--xmin", "-0.5", "--xmax", "2.5"],
+        ["field", "--scenario", "linear_layer", "--xmin", "-0.5", "--xmax", "1.5"],
+        ["rays", "--scenario", "airy"],
+        ["rays", "--scenario", "linear_layer"],
+        ["rays", "--scenario", "airy", "--tmax", "0.5"],
+    ],
+    ids=["wigner", "field-airy", "field-layer", "rays-airy", "rays-layer", "rays-airy-short"],
+)
+def test_identical_configs_are_byte_identical(tmp_path, argv):
     digests = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        assert main(argv + ["--out", str(out)]) == 0
-        digests.append((sha256(out / "wigner.csv"), sha256(out / "wigner.json")))
+        assert main(argv + ["--format", "csv,json", "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+        assert {o["path"].rsplit(".", 1)[1] for o in manifest["outputs"]} == {"csv", "json"}
+        for entry in manifest["outputs"]:
+            assert sha256(out / entry["path"]) == entry["sha256"]
+        digests.append(sorted((o["path"], o["sha256"]) for o in manifest["outputs"]))
     assert digests[0] == digests[1]
+
+
+def test_rays_without_a_caustic_touch_write_an_empty_table(tmp_path):
+    out = tmp_path / "short"
+    assert main(["rays", "--tmax", "0.5", "--format", "csv,json", "--out", str(out)]) == 0
+    assert (out / "caustics.csv").read_text() == "ray_id,t,x\n"
+    assert json.loads((out / "caustics.json").read_text()) == {
+        "columns": ["ray_id", "t", "x"], "rows": []
+    }
+    manifest = json.loads((out / "rays_manifest.json").read_text())
+    rows = {o["path"]: o["rows"] for o in manifest["outputs"]}
+    assert rows == {"rays.csv": 256, "rays.json": 256, "caustics.csv": 0, "caustics.json": 0}
+
+
+def test_all_shadow_field_writes_nan_wkb_and_kl(tmp_path):
+    out = tmp_path / "shadow"
+    assert main(["field", "--xmin", "-1.0", "--xmax", "-0.1", "--nx", "8",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out / "field.csv")
+    cols = {name: i for i, name in enumerate(header)}
+    assert len(rows) == 8
+    for row in rows:
+        for name in ("wkb_re", "wkb_im", "kl_re", "kl_im"):
+            assert row[cols[name]] == "nan"
+        for name in ("greens_re", "greens_im", "inner_re", "inner_im"):
+            assert math.isfinite(float(row[cols[name]]))
+
+
+def _field_columns(out):
+    header, rows = read_csv(out / "field.csv")
+    return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
+
+
+def test_airy_field_export_matches_per_point_scalar_calls(tmp_path):
+    # the array export against one scalar call per point, on the CLI's
+    # default grid; the Airy kernel may round a tail value differently in
+    # an array call, so the bound is relative to each field's peak
+    assert main(["field", "--out", str(tmp_path)]) == 0
+    c = _field_columns(tmp_path)
+    cfg = RunConfig()
+    coords, amps = cli._airy_kl_callables(cfg.x0)
+    scalar = {name: [] for name in ("wkb", "kl", "greens", "inner")}
+    for x in map(float, c["x"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scalar["wkb"].append(airy_wkb_field(x, cfg.epsilon, cfg.x0)
+                                 if 0.0 < x < cfg.x0 else complex(math.nan, math.nan))
+        scalar["kl"].append(kl_field(coords, amps, cfg.epsilon, x)
+                            if x > 0.0 else complex(math.nan, math.nan))
+        scalar["greens"].append(airy_greens(x, cfg.x0, cfg.epsilon))
+        scalar["inner"].append(airy_inner_approx(x, cfg.x0, cfg.epsilon))
+    for name, values in scalar.items():
+        want = np.array(values)
+        got = c[f"{name}_re"] + 1j * c[f"{name}_im"]
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        live = ~np.isnan(want)
+        peak = np.max(np.abs(want[live]))
+        assert np.max(np.abs(got[live] - want[live])) <= 1e-13 * peak, name
+
+
+def test_layer_field_export_matches_per_point_scalar_calls(tmp_path):
+    assert main(["field", "--scenario", "linear_layer", "--nx", "50000",
+                 "--out", str(tmp_path)]) == 0
+    c = _field_columns(tmp_path)
+    p = RunConfig().layer_params()
+    z_c = linear_layer_caustic_depth(p)
+    want = {name: np.full(c["z"].size, math.nan) for name in ("s_plus", "s_minus", "phi", "rho")}
+    for i, z in enumerate(map(float, c["z"])):
+        if z_c <= z <= p.h:
+            s_plus, s_minus = linear_layer_phases(0.0, z, p)
+            want["s_plus"][i], want["s_minus"][i] = s_plus, s_minus
+            want["phi"][i] = 0.5 * (s_plus + s_minus)
+            want["rho"][i] = (0.75 * (s_plus - s_minus)) ** (2.0 / 3.0)
+    for name, values in want.items():
+        assert np.array_equal(np.isnan(c[name]), np.isnan(values))
+        live = ~np.isnan(values)
+        assert 0 < np.count_nonzero(live) < values.size
+        peak = np.max(np.abs(values[live]))
+        assert np.max(np.abs(c[name][live] - values[live])) <= 1e-14 * peak, name
 
 
 def test_csv_cells_carry_full_precision(tmp_path):

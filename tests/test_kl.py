@@ -165,3 +165,46 @@ def test_layer_phase_system_in_two_dimensions():
     res = kl_phase_residual_2d(phi, rho, eta_squared, pts)
     assert max(abs(r[0]) for r in res) < 1e-6
     assert max(abs(r[1]) for r in res) < 1e-6
+
+
+def test_array_field_matches_scalar_calls():
+    coords, amps = airy_kl_data(X0)
+    xs = np.linspace(0.05, 1.95, 39)
+    u = kl_field(coords, amps, 0.05, xs)
+    assert u.shape == xs.shape and u.dtype == complex
+    for x, got in zip(xs, u):
+        want = kl_field(coords, amps, 0.05, float(x))
+        assert isinstance(want, complex)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_array_field_raises_the_scalar_ordering_error():
+    # S+ - S- = -2x: S+ < S- only at x = 0.5
+    coords = kl_coordinates(lambda x: -x, lambda x: x)
+    amps = kl_amplitudes(lambda x: 1.0 + 0j, lambda x: 0j, coords.rho)
+    assert np.all(np.isfinite(kl_field(coords, amps, 0.05, np.array([-1.0, -0.5]))))
+    for x in (0.5, np.array([-1.0, -0.5, 0.5])):
+        with pytest.raises(ValueError, match="phase ordering violated"):
+            kl_field(coords, amps, 0.05, x)
+
+
+def test_array_field_raises_the_scalar_g1_singularity():
+    # rho = x^2 vanishes at x = 0, where A+ + iA- = 1 + i does not
+    coords = kl_coordinates(lambda x: x * x, lambda x: -x * x)
+    amps = kl_amplitudes(lambda x: 1.0 + 0j, lambda x: 1.0 + 0j, coords.rho)
+    for x in (0.0, np.array([-0.5, 0.0, 0.5])):
+        with pytest.raises(ZeroDivisionError, match="g1 singular"):
+            kl_field(coords, amps, 0.05, x)
+    xs = np.array([-0.5, 0.25, 0.5])
+    u = kl_field(coords, amps, 0.05, xs)
+    assert u == pytest.approx([kl_field(coords, amps, 0.05, float(x)) for x in xs], rel=1e-13)
+
+
+def test_array_g1_vanishes_only_where_the_combination_does():
+    # A+ + iA- vanishes at x = 0 alone, so g1 is 0 there even though rho = 0
+    coords = kl_coordinates(lambda x: 1.0 + x * x, lambda x: 1.0 - x * x)
+    amps = kl_amplitudes(lambda x: -1j + x, lambda x: 1.0 + 0 * x, coords.rho)
+    xs = np.array([-0.5, 0.0, 0.5])
+    g1 = amps.g1(xs)
+    assert g1[1] == 0.0
+    assert [complex(v) for v in g1] == [amps.g1(float(x)) for x in xs]

@@ -94,6 +94,20 @@ def test_off_shell_launch_rejected():
         integrate_hamiltonian(airy_profile(), 1.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("trace", [integrate_hamiltonian, find_caustic])
+def test_jacobian_offset_outside_the_medium_rejected(trace):
+    # x0 - 1e-5 < 0 puts the lower auxiliary ray where eta^2 = x < 0
+    x0 = 5e-6
+    with pytest.raises(ValueError, match="Jacobian offset leaves the medium"):
+        trace(airy_profile(), x0, -math.sqrt(x0), 1.0)
+
+
+@pytest.mark.parametrize("trace", [integrate_hamiltonian, find_caustic])
+def test_off_shell_launch_rejected_by_both_tracers(trace):
+    with pytest.raises(ValueError, match=r"energy shell: \|H\(x0,k0\)\| = 5\.000e-01"):
+        trace(airy_profile(), 1.0, 0.0, 1.0)
+
+
 def test_nonpositive_duration_rejected():
     with pytest.raises(ValueError):
         integrate_hamiltonian(airy_profile(), 1.0, 1.0, 0.0)

@@ -248,7 +248,9 @@ def test_array_table_matches_scalar_calls_on_criterion_draws():
 def test_array_table_matches_scalar_calls_on_the_parabolas():
     # on x = k^2 and x = 2 k^2, inside their tolerance bands and just outside
     xs, ks = [], []
-    for k in np.linspace(-2.0, 2.0, 41):
+    # k = +-1e-3: inside the bands the fold and window-edge points leave
+    # gradients above the plain 1e-10 tolerance
+    for k in np.append(np.linspace(-2.0, 2.0, 41), (-1e-3, 1e-3)):
         for curve in (k * k, 2.0 * k * k):
             tol = REGION_TOL * max(1.0, curve)
             for off in (0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol):
