@@ -17,7 +17,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -236,12 +235,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _config_echo(cfg: RunConfig) -> Dict[str, object]:
     echo = dataclasses.asdict(cfg)
     echo["formats"] = sorted(cfg.formats)
@@ -251,6 +244,10 @@ def _config_echo(cfg: RunConfig) -> Dict[str, object]:
 # A table is (name, header, columns): one equal-length column (array or
 # sequence) per header entry.
 Table = Tuple[str, Sequence[str], Sequence[object]]
+
+# CSV cell format by column dtype kind; any other kind is written with %s.
+# Labels hold no comma, quote or newline, so no cell needs quoting.
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
 def _rows(columns: Sequence[object]):
@@ -269,10 +266,12 @@ def _write_tables(
         n_rows = len(columns[0])
         if "csv" in cfg.formats:
             path = os.path.join(cfg.out, f"{name}.csv")
+            fmt = ",".join(
+                _CELL_FORMATS.get(np.asarray(c).dtype.kind, "%s") for c in columns
+            ) + "\n"
             with open(path, "w", encoding="utf-8", newline="") as f:
-                writer = csv.writer(f, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows([_fmt_cell(v) for v in row] for row in _rows(columns))
+                f.write(",".join(header) + "\n")
+                f.writelines(fmt % row for row in _rows(columns))
             outputs.append(_output_entry(cfg.out, f"{name}.csv", n_rows))
         if "json" in cfg.formats:
             path = os.path.join(cfg.out, f"{name}.json")
@@ -318,10 +317,12 @@ def cmd_rays(cfg: RunConfig) -> int:
     if cfg.scenario == "airy":
         tmax = cfg.tmax if cfg.tmax is not None else 3.0 * math.sqrt(cfg.x0)
         root = math.sqrt(cfg.x0)
+        # each ray touches the caustic x = 0 where J = 1 + k0 t/(2 x0)
+        # vanishes, at t* = -2 x0/k0 = +-2 sqrt(x0), if t* is in the window
         touches = [
-            (ray_id, *hit)
-            for ray_id, k0 in (("down", -root), ("up", root))
-            for hit in find_caustic(airy_profile(), cfg.x0, k0, tmax)
+            (ray_id, t, 0.0)
+            for ray_id, t in (("down", 2.0 * root), ("up", -2.0 * root))
+            if cfg.tmin <= t <= tmax
         ]
         # the down ray's rows, then the up ray's
         t = np.tile(np.linspace(cfg.tmin, tmax, cfg.nt), 2)
@@ -498,7 +499,6 @@ def band_comparison_metric(epsilon: float) -> float:
     |k^2 - x| <= 5 eps^{2/3}."""
 
     def value(u):
-        u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape, dtype=complex)
         live = (u > _BAND_CUT) & (u < _BAND_X0)
         if live.any():

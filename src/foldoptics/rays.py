@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 __all__ = [
     "RefractionProfile1D",
@@ -191,6 +189,10 @@ def integrate_hamiltonian(
     unit of t, at least 129); `truncated` is set if the path left the
     profile domain before t_end.
     """
+    # deferred, like find_caustic's: scipy.integrate loads scipy.optimize
+    # itself, so only deferring both keeps them out of `import foldoptics`
+    from scipy.integrate import solve_ivp
+
     eta2 = profile.eta_squared
     delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
     if t_end <= 0:
@@ -321,6 +323,9 @@ def find_caustic(
     accepted only if |J| < 1e-6 there.  Returns a list of (t, x) pairs,
     possibly empty.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
 
     def rhs(t, y):

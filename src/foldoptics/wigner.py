@@ -58,6 +58,10 @@ _TRUNCATION_RULES = ("support_limited", "domain_limited")
 
 _BOUNDARY_MASS_TOL = 1e-8
 
+# wigner_numeric transforms rows in chunks whose (rows, FFT length) work
+# arrays hold about this many complex elements.
+_CHUNK_ELEMENTS = 2**14
+
 
 class TruncationWarning(UserWarning):
     """A k-window or sigma-window carries non-negligible boundary mass."""
@@ -65,9 +69,13 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class WaveFunctionSampler:
-    """A wave function with its essential support and semiclassical scale."""
+    """A wave function with its essential support and semiclassical scale.
 
-    value: Callable[[float], complex]
+    value is array in, array out: it maps an array of points of any shape
+    to the (real or complex) values at those points, in the same shape.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
     support: Tuple[float, float]
     epsilon: float
 
@@ -138,14 +146,14 @@ class SmoothPhase:
 
 
 def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a sampler over an array, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(fn(pts))
-        if out.shape == pts.shape:
-            return out.astype(complex)
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(fn(float(p))) for p in pts])
+    """Evaluate a sampler over an array: array in, same-shape array out."""
+    out = np.asarray(fn(pts))
+    if out.shape != pts.shape:
+        raise ValueError(
+            f"sampler returned shape {out.shape} for points of shape {pts.shape}; "
+            "a sampler must map an array to an array of the same shape"
+        )
+    return out
 
 
 def _sigma_window(psi: WaveFunctionSampler, x: float, rule: str) -> float:
@@ -160,27 +168,8 @@ def _sigma_window(psi: WaveFunctionSampler, x: float, rule: str) -> float:
     return half
 
 
-def _taper(sigma: np.ndarray, sigma_max: float, fraction: float) -> np.ndarray:
-    edge = (1.0 - fraction) * sigma_max
-    w = np.ones_like(sigma)
-    outer = np.abs(sigma) > edge
-    t = (np.abs(sigma[outer]) - edge) / (fraction * sigma_max)
-    w[outer] = 0.5 * (1.0 + np.cos(np.pi * np.minimum(t, 1.0)))
-    return w
-
-
 def _required_samples(k_max: float, sigma_max: float, epsilon: float) -> int:
     return int(math.ceil(4.0 * k_max * sigma_max / (math.pi * epsilon)))
-
-
-def _conjugate_indices(
-    ks: np.ndarray, n: int, d_sigma: float, epsilon: float
-) -> Optional[np.ndarray]:
-    m_float = ks * (n * d_sigma) / (math.pi * epsilon)
-    m = np.rint(m_float)
-    if np.max(np.abs(m_float - m)) <= 1e-9:
-        return m.astype(int)
-    return None
 
 
 def wigner_numeric(
@@ -189,49 +178,60 @@ def wigner_numeric(
     """Midpoint sigma-quadrature of the scaled Wigner integral on a grid.
 
     Each x-row integrates over the largest symmetric window the truncation
-    rule allows, tapered at the rim.  Rows whose k-grid coincides with the
-    window's conjugate Fourier grid go through an FFT; all other rows use
-    an exactly real cosine/sine summation over the half window.  Rows that
-    would undersample the kernel oscillation are refused outright.
+    rule allows, tapered at the rim.  By conjugate symmetry a row is the
+    exactly real half-window sum over sigma_j = (j + 1/2) dsigma, j < n/2,
+
+        (2 dsigma/(pi eps)) Re sum_j g_j e^{-2i k_m sigma_j/eps},
+        g_j = psi(x+sigma_j) conj(psi)(x-sigma_j) taper_j,
+
+    which on the uniform k-grid k_m = k_0 + m dk is a chirp-z transform
+    (Bluestein): three FFTs of length >= n/2 + len(ks) - 1 per row.  Rows
+    go in chunks, with one sampler call for psi(x+sigma) and one for
+    psi(x-sigma) over each chunk's (rows, n/2) array.  A non-uniform
+    k-grid, and rows that would undersample the kernel oscillation, are
+    refused before any sampling.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    eps = psi.epsilon
-    n = q.sigma_samples
-    k_max = float(np.max(np.abs(ks))) if ks.size else 0.0
-    values = np.zeros((xs.size, ks.size))
-
+    # refuses a non-uniform k-grid before any sampling; rows are filled below
+    grid = PhaseSpaceGrid(xs=xs, ks=ks, values=np.zeros((xs.size, ks.size)), epsilon=psi.epsilon)
+    eps, n, nk = psi.epsilon, q.sigma_samples, ks.size
+    k_max = float(np.max(np.abs(ks))) if nk else 0.0
+    sigma_max = np.zeros(xs.size)
     for i, x in enumerate(xs):
-        sigma_max = _sigma_window(psi, float(x), q.truncation_rule)
-        if sigma_max <= 0.0:
-            continue
-        needed = _required_samples(k_max, sigma_max, eps)
-        if n < needed:
+        sigma_max[i] = s = _sigma_window(psi, float(x), q.truncation_rule)
+        needed = _required_samples(k_max, s, eps)
+        if s > 0.0 and n < needed:
             raise ValueError(
                 f"sigma-quadrature undersampled at x = {x}: "
                 f"{n} samples < {needed} required for "
-                f"k_max = {k_max}, sigma_max = {sigma_max:.6g}, eps = {eps}"
+                f"k_max = {k_max}, sigma_max = {s:.6g}, eps = {eps}"
             )
-        d_sigma = 2.0 * sigma_max / n
-        sigma = (np.arange(n) + 0.5 - 0.5 * n) * d_sigma
-        g = _sample(psi.value, x + sigma) * np.conj(_sample(psi.value, x - sigma))
-        g *= _taper(sigma, sigma_max, q.taper_fraction)
 
-        m_idx = _conjugate_indices(ks, n, d_sigma, eps)
-        if m_idx is not None:
-            spectrum = np.fft.fft(g)
-            phase = (-1.0) ** m_idx * np.exp(-1j * math.pi * m_idx / n)
-            values[i] = (d_sigma / (math.pi * eps)) * np.real(
-                phase * spectrum[np.mod(m_idx, n)]
-            )
-        else:
-            half = sigma[n // 2 :]
-            gh = g[n // 2 :]
-            angles = np.outer(ks, 2.0 * half / eps)
-            values[i] = (2.0 * d_sigma / (math.pi * eps)) * (
-                np.cos(angles) @ gh.real + np.sin(angles) @ gh.imag
-            )
-    return PhaseSpaceGrid(xs=xs, ks=ks, values=values, epsilon=eps)
+    k0 = ks[0] if nk else 0.0
+    dk = (ks[-1] - ks[0]) / (nk - 1) if nk > 1 else 0.0
+    j, m = np.arange(n // 2), np.arange(nk)
+    length = 1 << (j.size + nk - 2).bit_length()  # a power of 2 >= n/2 + nk - 1
+    # the chirp's circular lags: 0..nk-1 at the front, -(n/2-1)..-1 at the back
+    lag2 = np.r_[0:nk, nk - length : 0].astype(float) ** 2
+    # raised cosine over the outer taper_fraction of the window |sigma| <= sigma_max
+    t = np.clip(((j + 0.5) / j.size - 1.0) / q.taper_fraction + 1.0, 0.0, 1.0)
+    taper = 0.5 * (1.0 + np.cos(np.pi * t))
+    live = np.flatnonzero(sigma_max > 0.0)
+    chunk = max(1, _CHUNK_ELEMENTS // length)
+    for rows in (live[i : i + chunk] for i in range(0, live.size, chunk)):
+        x, d_sigma = xs[rows, None], (2.0 * sigma_max[rows] / n)[:, None]
+        sigma = (j + 0.5) * d_sigma
+        g = _sample(psi.value, x + sigma) * np.conj(_sample(psi.value, x - sigma)) * taper
+        # 2 k_m sigma_j/eps = (dsigma/eps)(2 k_0 (j + 1/2) + dk (m^2 + m + j^2 - (m - j)^2))
+        rate = d_sigma / eps
+        a = g * np.exp(-1j * (rate * (2.0 * k0 * (j + 0.5) + dk * j * j)))
+        chirp = np.exp(1j * ((rate * dk) * lag2))
+        conv = np.fft.ifft(np.fft.fft(a, length) * np.fft.fft(chirp), axis=-1)[:, :nk]
+        grid.values[rows] = (2.0 * rate / math.pi) * np.real(
+            np.exp(-1j * ((rate * dk) * (m * (m + 1.0)))) * conv
+        )
+    return grid
 
 
 def wigner_exact_airy(x, k, epsilon: float, x0: float):
@@ -501,12 +501,7 @@ def weak_limit_pairing(g: PhaseSpaceGrid, Q: Callable[[float, float], float]) ->
     prod = g.values * qv
     peak = np.max(np.abs(prod))
     if peak > 0.0:
-        edge = max(
-            np.max(np.abs(prod[0, :])),
-            np.max(np.abs(prod[-1, :])),
-            np.max(np.abs(prod[:, 0])),
-            np.max(np.abs(prod[:, -1])),
-        )
+        edge = max(np.max(np.abs(prod[[0, -1], :])), np.max(np.abs(prod[:, [0, -1]])))
         if edge > _BOUNDARY_MASS_TOL * peak:
             raise ValueError("test function support escapes the grid")
     return float(np.trapezoid(np.trapezoid(prod, g.ks, axis=1), g.xs))

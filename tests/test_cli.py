@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 import foldoptics.cli as cli
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
 from foldoptics.kl import kl_field
-from foldoptics.rays import linear_layer_caustic_depth
+from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
 from foldoptics.wkb import airy_greens, airy_inner_approx, airy_wkb_field, linear_layer_phases
 
 
@@ -122,6 +123,25 @@ def test_rays_airy_outputs_and_caustic(tmp_path):
     t_c, x_c = float(c_rows[0][1]), float(c_rows[0][2])
     assert abs(t_c - 2.0 * math.sqrt(2.0)) < 1e-6
     assert abs(x_c) < 1e-6
+
+
+def test_rays_negative_window_lists_the_up_touch(tmp_path):
+    out = tmp_path / "negative"
+    assert main(["rays", "--tmin", "-5", "--tmax", "-0.5", "--out", str(out)]) == 0
+    _, c_rows = read_csv(out / "caustics.csv")
+    assert [row[0] for row in c_rows] == ["up"]
+    assert float(c_rows[0][1]) == pytest.approx(-2.0 * math.sqrt(2.0), abs=1e-15)
+    assert float(c_rows[0][2]) == 0.0
+
+
+def test_rays_default_window_touch_matches_find_caustic(tmp_path):
+    out = tmp_path / "default"
+    assert main(["rays", "--out", str(out)]) == 0
+    _, c_rows = read_csv(out / "caustics.csv")
+    assert [row[0] for row in c_rows] == ["down"]
+    (t_ode, x_ode), = find_caustic(airy_profile(), 2.0, -math.sqrt(2.0), 3.0 * math.sqrt(2.0))
+    assert abs(float(c_rows[0][1]) - t_ode) <= 1e-8
+    assert abs(float(c_rows[0][2]) - x_ode) <= 1e-8
 
 
 def test_rays_layer_caustic_depth(tmp_path):
@@ -342,6 +362,24 @@ def test_csv_cells_carry_full_precision(tmp_path):
     assert b"\r" not in data
     _, rows = read_csv(out / "field.csv")
     assert rows[0][0] == "0.10000000000000001"
+
+
+def test_csv_writer_matches_csv_module_reference(tmp_path):
+    # the csv module with format(v, ".17g") per float cell is the reference
+    columns = (
+        np.array(["down", "up", "up"]),
+        np.array([3, -1, 0]),
+        np.array([0.1, -0.0, math.nan]),
+        [1e-300, math.inf, 2.0 / 3.0],
+    )
+    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cli._write_tables(cfg, "test", [("table", ("a", "b", "c", "d"), columns)], 0.0)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("a", "b", "c", "d"))
+    for row in zip(*(np.asarray(c).tolist() for c in columns)):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+    assert (tmp_path / "table.csv").read_bytes() == ref.getvalue().encode()
 
 
 # -- validate ---------------------------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import foldoptics
 
 from foldoptics.rays import (
     AiryArrivalData,
@@ -218,3 +223,19 @@ def test_layer_beta_raises_below_caustic():
     z_c = linear_layer_caustic_depth(LAYER)
     with pytest.raises(ValueError, match="caustic"):
         LAYER.beta(z_c - 1e-6)
+
+
+def test_import_defers_scipy_integrate_and_optimize():
+    # both load only when a ray is integrated: scipy.integrate imports
+    # scipy.optimize itself, so deferring one alone would save nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(foldoptics.__file__)))
+    code = (
+        "import sys, foldoptics; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import airy as airy_ai
 
+import foldoptics.wigner as wigner_module
 from foldoptics.wigner import (
     PhaseSpaceGrid,
     QuadraturePolicy,
@@ -24,7 +25,7 @@ from foldoptics.wigner import (
     wigner_numeric,
     wigner_via_fourier,
 )
-from foldoptics.wkb import airy_inner_approx, airy_wkb_branches
+from foldoptics.wkb import airy_inner_approx, airy_wkb_branches, airy_wkb_field
 
 EPS = 0.05
 X0 = 2.0
@@ -145,6 +146,109 @@ def test_fft_and_direct_paths_agree_with_exact():
     g_direct = wigner_numeric(psi, [0.0], ks_off, QuadraturePolicy(sigma_samples=n))
     exact_off = gaussian_wigner(0.0, ks_off)
     assert np.max(np.abs(g_direct.values[0] - exact_off)) <= 1e-10 * np.max(exact_off)
+
+
+def dense_reference(psi, xs, ks, q):
+    """The direct cosine/sine half-window sum, one row at a time, with the
+    window and raised-cosine taper written out in sigma."""
+    eps, n = psi.epsilon, q.sigma_samples
+    a, b = psi.support
+    out = np.zeros((len(xs), len(ks)))
+    for i, x in enumerate(xs):
+        sigma_max = min(x - a, b - x)
+        d = 2.0 * sigma_max / n
+        half = (np.arange(n // 2) + 0.5) * d
+        edge = (1.0 - q.taper_fraction) * sigma_max
+        t = np.clip((half - edge) / (q.taper_fraction * sigma_max), 0.0, 1.0)
+        g = psi.value(x + half) * np.conj(psi.value(x - half)) * 0.5 * (1.0 + np.cos(np.pi * t))
+        angles = np.outer(ks, 2.0 * half / eps)
+        out[i] = (2.0 * d / (math.pi * eps)) * (
+            np.cos(angles) @ np.real(g) + np.sin(angles) @ np.imag(g)
+        )
+    return out
+
+
+def band_wkb_sampler(eps, x0=16.0, cut=1.0):
+    # criterion 02's complex two-branch WKB field, zero outside (cut, x0)
+    def value(u):
+        out = np.zeros(u.shape, dtype=complex)
+        live = (u > cut) & (u < x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out[live] = airy_wkb_field(u[live], eps, x0)
+        return out
+
+    return WaveFunctionSampler(value, (cut, x0), eps)
+
+
+@pytest.mark.parametrize(
+    "case", ["real-fundamental", "complex-two-branch-wkb", "complex-one-branch-wkb"]
+)
+def test_chirp_z_matches_dense_sum(case):
+    if case == "real-fundamental":
+        psi = fundamental_sampler(EPS)
+        xs, ks = np.linspace(0.1, 1.9, 12), np.linspace(-1.6, 1.6, 64)
+        q = QuadraturePolicy(sigma_samples=2048)
+    elif case == "complex-two-branch-wkb":
+        psi = band_wkb_sampler(0.025)
+        xs, ks = np.linspace(7.5, 8.5, 5), np.linspace(2.45, 3.1, 66)
+        q = QuadraturePolicy(sigma_samples=16384, taper_fraction=0.0625)
+    else:
+        # a single travelling branch: W is not even in k, so the sign of
+        # the sine term matters (the two-branch field is real up to a
+        # constant phase, and its W is even)
+        psi = WaveFunctionSampler(
+            lambda u: u**-0.25 * np.exp(1j * (2.0 / 3.0) * u**1.5 / 0.02), (0.4, 2.6), 0.02
+        )
+        xs, ks = np.linspace(0.6, 2.4, 7), np.linspace(-2.2, 2.2, 221)
+        q = QuadraturePolicy(sigma_samples=8192)
+    got = wigner_numeric(psi, xs, ks, q).values
+    ref = dense_reference(psi, xs, ks, q)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_nonuniform_k_grid_refused_before_sampling():
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape)
+        return np.exp(-(u**2) / (2.0 * EPS))
+
+    psi = WaveFunctionSampler(counting, (-2.0, 2.0), EPS)
+    with pytest.raises(ValueError, match="k-grid must be uniformly spaced"):
+        wigner_numeric(psi, [0.0, 0.1], [0.0, 0.5, 0.7], QuadraturePolicy(sigma_samples=512))
+    assert calls == []
+    wigner_numeric(psi, [0.0, 0.1], [0.0, 0.5, 1.0], QuadraturePolicy(sigma_samples=512))
+    assert calls == [(2, 256), (2, 256)]
+
+
+def test_rows_split_across_a_chunk_boundary_agree():
+    psi = fundamental_sampler(EPS)
+    q = QuadraturePolicy(sigma_samples=2048)
+    xs, ks = np.linspace(0.1, 1.9, 40), np.linspace(-1.6, 1.6, 64)
+    # rows per chunk at this size: 2048-point FFT work arrays
+    rows_per_chunk = wigner_module._CHUNK_ELEMENTS // 2048
+    assert 1 < rows_per_chunk < xs.size // 2
+    whole = wigner_numeric(psi, xs, ks, q).values
+    split = rows_per_chunk // 2 + 1
+    parts = np.vstack(
+        [wigner_numeric(psi, xs[:split], ks, q).values,
+         wigner_numeric(psi, xs[split:], ks, q).values]
+    )
+    assert np.max(np.abs(parts - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+def test_sampler_must_map_arrays_to_arrays():
+    with pytest.raises(TypeError):
+        wigner_numeric(
+            WaveFunctionSampler(lambda u: math.exp(-u * u), (-2.0, 2.0), EPS),
+            [0.0], [0.0, 0.1], QuadraturePolicy(sigma_samples=64),
+        )
+    with pytest.raises(ValueError, match=r"shape \(\) for points of shape \(1, 32\)"):
+        wigner_numeric(
+            WaveFunctionSampler(lambda u: 1.0, (-2.0, 2.0), EPS),
+            [0.0], [0.0, 0.1], QuadraturePolicy(sigma_samples=64),
+        )
 
 
 def test_undersampling_refused_with_diagnostic():
