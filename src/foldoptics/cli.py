@@ -827,6 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fold-caustic wave fields and their phase-space transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the run flags are declared once and copied into every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    _add_run_flags(common)
     descriptions = {
         "rays": "export ray fans, Jacobians and caustic locations",
         "field": "export WKB, uniform-Airy and fundamental fields on a grid",
@@ -834,8 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": "run the validation suite and write a JSON report",
     }
     for name, text in descriptions.items():
-        sp = sub.add_parser(name, help=text, description=text)
-        _add_run_flags(sp)
+        sub.add_parser(name, help=text, description=text, parents=[common])
     return parser
 
 

@@ -59,7 +59,8 @@ _TRUNCATION_RULES = ("support_limited", "domain_limited")
 _BOUNDARY_MASS_TOL = 1e-8
 
 # wigner_numeric transforms rows in chunks whose (rows, FFT length) work
-# arrays hold about this many complex elements.
+# arrays hold about this many complex elements; chord_points scans blocks
+# of points with about this many node values.
 _CHUNK_ELEMENTS = 2**14
 
 
@@ -271,22 +272,24 @@ def chord_points(
     """Positive solution sigma0 of S'(x+sigma) + S'(x-sigma) = 2k.
 
     Batched scan + bisection, array in/array out: x, k and the bracket
-    ends broadcast together.  The scan steps through _SCAN_NODES
-    equispaced nodes of the bracket, evaluating S' over all points once
-    per node (so memory stays O(points)), and keeps each point's first
-    sign change; vectorised bisection then shrinks that cell to adjacent
-    doubles and keeps the end with the smaller residual.  The result is 0
-    where the chord degenerates to the tangent point (k = S'(x)) and no
-    root where the bracket holds no sign change.  Scalar inputs give a
-    float, 0.0 or None; array inputs give an array with NaN for no root.
+    ends broadcast together.  The scan evaluates S' at _SCAN_NODES
+    equispaced nodes of each point's bracket, for blocks of points in one
+    call each (about _CHUNK_ELEMENTS node values per block, so memory
+    stays O(points)), and keeps each point's first sign change; vectorised
+    bisection then shrinks that cell to adjacent doubles and keeps the end
+    with the smaller residual.  The result is 0 where the chord
+    degenerates to the tangent point (k = S'(x)) and no root where the
+    bracket holds no sign change.  Scalar inputs give a float, 0.0 or
+    None; array inputs give an array with NaN for no root.
     """
     inputs = (x, k, np.maximum(bracket[0], 0.0), bracket[1])
     # [()] turns 0-d arrays into numpy scalars, whose arithmetic is cheaper
     x, k, lo, hi = (
         v[()] for v in np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in inputs))
     )
+    shape = np.shape(x)
 
-    def f(sigma):
+    def f(sigma, x=x, k=k, S_prime=S_prime):
         return S_prime(x + sigma) + S_prime(x - sigma) - 2.0 * k
 
     f0 = f(0.0)
@@ -295,21 +298,27 @@ def chord_points(
     step = (hi - lo) / (_SCAN_NODES - 1)
 
     # first sign change over the scan nodes: the cell [a, b] with f(a), f(b)
-    found = np.zeros(np.shape(x), dtype=bool)[()]
-    a = b = s_prev = lo
-    fa = fb = f_prev = f(lo)
-    for j in range(1, _SCAN_NODES):
-        s_j = hi if j == _SCAN_NODES - 1 else j * step + lo
-        f_j = f(s_j)
-        hit = f_prev * f_j <= 0.0
-        if hit.any():
-            hit = hit & ~found
-            a, fa = np.where(hit, s_prev, a), np.where(hit, f_prev, fa)
-            b, fb = np.where(hit, s_j, b), np.where(hit, f_j, fb)
-            found = found | hit
-            if found.all():
-                break
-        s_prev, f_prev = s_j, f_j
+    # (a scalar call may pass a scalar-only S', so its nodes go one by one)
+    scan_prime = S_prime if shape else np.vectorize(S_prime, otypes=[float])
+    xf, kf, lof, hif, stepf = (np.reshape(v, -1) for v in (x, k, lo, hi, step))
+    nodes = np.arange(_SCAN_NODES, dtype=float)[:, None]
+    a, b, fa, fb = (np.empty(xf.size) for _ in range(4))
+    found = np.empty(xf.size, dtype=bool)
+    block = max(1, _CHUNK_ELEMENTS // _SCAN_NODES)
+    for start in range(0, xf.size, block):
+        cut = slice(start, start + block)
+        s = nodes * stepf[cut] + lof[cut]
+        s[-1] = hif[cut]
+        fs = f(s, xf[cut], kf[cut], scan_prime)
+        hit = fs[:-1] * fs[1:] <= 0.0
+        first = hit.argmax(axis=0)
+        cols = np.arange(len(first))
+        found[cut] = hit[first, cols]
+        a[cut], fa[cut] = s[first, cols], fs[first, cols]
+        b[cut], fb[cut] = s[first + 1, cols], fs[first + 1, cols]
+    # cells without a sign change collapse to a point, which bisection skips
+    b, fb = np.where(found, b, a), np.where(found, fb, fa)
+    a, b, fa, fb, found = (v.reshape(shape)[()] for v in (a, b, fa, fb, found))
 
     root = bisect_brackets(f, a, b, fa, fb)
     root = np.where(f0 == 0.0, 0.0, np.where(found, root, np.nan))

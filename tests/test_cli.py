@@ -8,7 +8,7 @@ import io
 import json
 import math
 import os
-
+import re
 import warnings
 
 import numpy as np
@@ -100,6 +100,22 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rays", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_subcommands_share_every_run_flag(capsys):
+    listed = {}
+    for command in ("rays", "field", "wigner", "validate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed[command] = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    flags = listed["rays"] - {"--help"}
+    assert {"--config", "--out", "--seed", "--epsilon", "--nx", "--sigma-samples"} <= flags
+    argv = [word for flag in sorted(flags) for word in (flag, "1")]
+    for command, seen in listed.items():
+        assert seen - {"--help"} == flags, command
+        args = vars(cli.build_parser().parse_args([command] + argv))
+        assert args.pop("command") == command
+        assert len(args) == len(flags) and set(args.values()) <= {1, "1"}, command
 
 
 def test_run_config_validate_direct():

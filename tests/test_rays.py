@@ -225,17 +225,25 @@ def test_layer_beta_raises_below_caustic():
         LAYER.beta(z_c - 1e-6)
 
 
-def test_import_defers_scipy_integrate_and_optimize():
+def test_import_defers_scipy_integrate_and_optimize(tmp_path):
     # both load only when a ray is integrated: scipy.integrate imports
-    # scipy.optimize itself, so deferring one alone would save nothing
+    # scipy.optimize itself, so deferring one alone would save nothing.
+    # No other part of scipy is needed by the import or by the field and
+    # wigner commands either.
     src = os.path.dirname(os.path.dirname(os.path.abspath(foldoptics.__file__)))
     code = (
-        "import sys, foldoptics; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "import sys, foldoptics\n"
+        "from foldoptics.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"assert main(['field', '--nx', '8', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        f"assert main(['wigner', '--nx', '8', '--nk', '8', '--out', {str(tmp_path / 'w')!r}]) == 0\n"
+        "print(loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldoptics import specfun
 from foldoptics.specfun import (
     AccuracyPolicy,
     airy,
@@ -36,18 +37,12 @@ def test_airy_against_reference_table(airy_table):
         assert rel.max() < 1e-10, f"{field}: max rel dev {rel.max():.3e}"
 
 
-def test_airy_against_mpmath_wide_range():
-    # Covers what the frozen table misses (5 < z <= 30 and z < -10) and
-    # both sides of the default band switch.  On the oscillatory side the
-    # error is taken relative to the modulus sqrt(Ai^2 + Bi^2) (and its
-    # derivative analogue), so the zeros of Ai and Bi do not dominate.
+def _mpmath_airy(z):
+    """(n, 4) array of Ai, Ai', Bi, Bi' at 30 digits."""
     import mpmath
 
-    z = np.concatenate(
-        [np.linspace(-100.0, 30.0, 261), [-7.8 - 1e-9, -7.8, 6.3, 7.8, 7.8 + 1e-9]]
-    )
     with mpmath.workdps(30):
-        ref = np.array(
+        return np.array(
             [
                 [float(f(mpmath.mpf(float(t)), d)) for f, d in
                  ((mpmath.airyai, 0), (mpmath.airyai, 1),
@@ -55,7 +50,15 @@ def test_airy_against_mpmath_wide_range():
                 for t in z
             ]
         )
-    v = airy(z)
+
+
+def _worst_relative_error(z, policy=None):
+    """Largest relative error of (Ai, Ai', Bi, Bi') against mpmath.  On
+    the oscillatory side the error is taken relative to the modulus
+    sqrt(Ai^2 + Bi^2) (and its derivative analogue), so the zeros of Ai
+    and Bi do not dominate."""
+    ref = _mpmath_airy(z)
+    v = airy(z, policy)
     got = np.stack([v.ai, v.ai_prime, v.bi, v.bi_prime], axis=1)
     modulus = np.hypot(ref[:, 0], ref[:, 2])
     modulus_prime = np.hypot(ref[:, 1], ref[:, 3])
@@ -64,8 +67,43 @@ def test_airy_against_mpmath_wide_range():
     for col, m in ((0, modulus), (1, modulus_prime), (2, modulus), (3, modulus_prime)):
         scale[neg, col] = np.maximum(scale[neg, col], m[neg])
     rel = np.abs(got - ref) / scale
-    worst = rel.max(axis=0)
+    return rel.max(axis=0)
+
+
+def test_airy_against_mpmath_wide_range():
+    # Covers what the frozen table misses (5 < z <= 30 and z < -10) and
+    # both sides of the default band switch.
+    z = np.concatenate(
+        [np.linspace(-100.0, 30.0, 261), [-7.8 - 1e-9, -7.8, 6.3, 7.8, 7.8 + 1e-9]]
+    )
+    worst = _worst_relative_error(z)
     assert worst.max() < 1e-12, f"max rel dev (Ai, Ai', Bi, Bi') = {worst}"
+
+
+def _band_points(lo, hi, n):
+    """A dense grid of [lo, hi] plus the doubles on both sides of every
+    cell edge (centre +- h/2) of the central Taylor table inside it."""
+    h = specfun._TABLE_STEP
+    edges = (np.arange(math.ceil(lo / h - 0.5), math.floor(hi / h - 0.5) + 1) + 0.5) * h
+    return np.concatenate(
+        [np.linspace(lo, hi, n), np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+
+
+@pytest.mark.parametrize(
+    "switch,bands",
+    [
+        (7.8, [(-7.8, 7.8, 801)]),
+        # the widest radius moves [7.8, 9] on both sides to the table
+        (9.0, [(-9.0, -7.8, 61), (7.8, 9.0, 61)]),
+    ],
+)
+def test_central_band_against_mpmath(switch, bands):
+    # scipy.special.airy reaches 1.5e-14 (Ai) on the default band's points
+    policy = AccuracyPolicy(series_asymptotic_switch=switch)
+    for lo, hi, n in bands:
+        worst = _worst_relative_error(_band_points(lo, hi, n), policy)
+        assert worst.max() <= 5e-15, f"[{lo}, {hi}]: max rel dev = {worst}"
 
 
 def test_airy_scalar_returns_floats():
@@ -120,6 +158,8 @@ def test_policy_validation():
         AccuracyPolicy(abs_tol=0.0)
     with pytest.raises(ValueError):
         AccuracyPolicy(series_asymptotic_switch=-1.0)
+    with pytest.raises(ValueError, match="must be <= 9: the central Airy table ends there"):
+        AccuracyPolicy(series_asymptotic_switch=9.5)
 
 
 @pytest.mark.parametrize(

@@ -357,6 +357,21 @@ def test_vectorised_chord_matches_closed_form():
     assert not np.any(beyond & inside)
 
 
+def test_chord_solver_returns_the_first_of_two_chords():
+    # S' = sin: sin(x + s) + sin(x - s) = 2 sin(x) cos(s) = 2k has the
+    # roots arccos(k / sin x) and 2 pi minus it in the bracket (0, 6);
+    # the solver keeps the first sign change.
+    x = np.array([1.2, math.pi / 2, 2.0])[:, None]
+    k = np.array([-0.7, -0.2, 0.3, 0.85])[None, :]
+    sigma0 = chord_points(np.sin, x, k, (0.0, 6.0))
+    first = np.arccos(k / np.sin(x))
+    assert np.all(2.0 * math.pi - first < 6.0)
+    assert np.max(np.abs(sigma0 - first)) <= 1e-12
+    assert chord_points(np.sin, math.pi / 2, 0.3, (0.0, 6.0)) == sigma0[1, 2]
+    # no chord where |k| > |sin x|
+    assert chord_points(np.sin, 0.5, 0.6, (0.0, 6.0)) is None
+
+
 def test_local_exact_on_manifold():
     S, A = airy_plus_phase()
     x = 1.0
