@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .rays import RefractionProfile1D
-from .specfun import DEFAULT_POLICY, airy
+from .specfun import airy
 
 __all__ = [
     "KlCoordinates",
@@ -34,6 +34,13 @@ __all__ = [
     "kl_phase_residual_2d",
 ]
 
+
+# |A+ + iA-| at or below this fraction of max(|A+| + |A-|, 1) counts as a
+# vanishing combination in g1
+_VANISH_TOL = 1e-12
+
+# Relative central-difference step of the phase-system residuals.
+_FD_STEP = 1e-6
 
 # a function of x, array in/array out: a scalar for a scalar x, an array
 # of its shape for an array x
@@ -90,7 +97,7 @@ def kl_amplitudes(
         ap, am = A_plus(x), A_minus(x)
         combo = ap + 1j * am
         scale = np.abs(ap) + np.abs(am)
-        live = ~(np.abs(combo) <= DEFAULT_POLICY.abs_tol * np.maximum(scale, 1.0))
+        live = ~(np.abs(combo) <= _VANISH_TOL * np.maximum(scale, 1.0))
         # 1 stands in for rho where the combination vanishes
         r = np.where(live, rho(x), 1.0) if np.any(live) else 1.0
         if np.any(live & (r == 0.0)):
@@ -127,14 +134,13 @@ def kl_phase_residual(
     coords: KlCoordinates,
     profile: RefractionProfile1D,
     xs: Sequence[float],
-    h: float = 1e-6,
 ) -> list:
     """Residuals of the phase system:
     r1 = (phi')^2 + rho (rho')^2 - eta^2,  r2 = phi' rho',
     with derivatives by central differences.  Returns [(r1, r2), ...]."""
     out = []
     for x in xs:
-        hx = h * max(abs(x), 1.0)
+        hx = _FD_STEP * max(abs(x), 1.0)
         phi_p = (coords.phi(x + hx) - coords.phi(x - hx)) / (2.0 * hx)
         rho_p = (coords.rho(x + hx) - coords.rho(x - hx)) / (2.0 * hx)
         r1 = phi_p**2 + coords.rho(x) * rho_p**2 - profile.eta_squared(x)
@@ -148,14 +154,13 @@ def kl_phase_residual_2d(
     rho: Callable[[float, float], float],
     eta_squared: Callable[[float, float], float],
     points: Sequence,
-    h: float = 1e-6,
 ) -> list:
     """Two-dimensional version of the phase-system residual on (y, z)
     points: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2, r2 = grad phi . grad rho."""
 
     def grad(f, y, z):
-        hy = h * max(abs(y), 1.0)
-        hz = h * max(abs(z), 1.0)
+        hy = _FD_STEP * max(abs(y), 1.0)
+        hz = _FD_STEP * max(abs(z), 1.0)
         fy = (f(y + hy, z) - f(y - hy, z)) / (2.0 * hy)
         fz = (f(y, z + hz) - f(y, z - hz)) / (2.0 * hz)
         return fy, fz

@@ -13,8 +13,8 @@ layer eta^2(z) = mu0 + mu1 z entered from the boundary z = h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,11 @@ _JACOBIAN_DELTA = 1e-5
 # the Jacobian is genuinely small there (guards grazing near-tangencies).
 _CAUSTIC_J_TOL = 1e-6
 _CAUSTIC_T_TOL = 1e-8
+# find_caustic scans J for sign changes over this many equal subintervals.
+_CAUSTIC_SCAN = 2000
+
+# check_derivative's tolerance, relative to max(|(eta^2)'|, 1).
+_DERIVATIVE_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,13 @@ class RefractionProfile1D:
     name: str = "profile"
     domain: tuple = (-math.inf, math.inf)
 
-    def check_derivative(self, xs: Sequence[float], rel_tol: float = 1e-5) -> bool:
+    def check_derivative(self, xs: Sequence[float]) -> bool:
         """Finite-difference consistency of eta_squared_prime on xs."""
         for x in xs:
             h = 1e-6 * max(abs(x), 1.0)
             num = (self.eta_squared(x + h) - self.eta_squared(x - h)) / (2 * h)
             ana = self.eta_squared_prime(x)
-            if abs(num - ana) > rel_tol * max(abs(ana), 1.0):
+            if abs(num - ana) > _DERIVATIVE_REL_TOL * max(abs(ana), 1.0):
                 return False
         return True
 
@@ -104,31 +109,25 @@ class RayPath:
 class LinearLayerParams:
     """Linear layer eta^2(z) = mu0 + mu1 z below the boundary z = h,
     illuminated by a plane wave with incidence angle psi.
-
-    eta0 is the boundary index eta(h); when omitted it is computed as
-    sqrt(mu0 + mu1 h), which is the only value consistent with the closed
-    phase formulas.
     """
 
     mu0: float
     mu1: float
     h: float
     psi: float
-    kappa0: float = 1.0
-    eta0: Optional[float] = None
 
     def __post_init__(self):
         if self.mu1 <= 0:
             raise ValueError("mu1 must be positive (index increases with depth)")
         if not 0.0 < self.psi < 0.5 * math.pi:
             raise ValueError("psi must lie in (0, pi/2)")
-        boundary = self.mu0 + self.mu1 * self.h
-        if boundary <= 0:
+        if self.mu0 + self.mu1 * self.h <= 0:
             raise ValueError("eta^2(h) must be positive")
-        if self.eta0 is None:
-            object.__setattr__(self, "eta0", math.sqrt(boundary))
-        elif abs(self.eta0**2 - boundary) > 1e-9 * max(boundary, 1.0):
-            raise ValueError("eta0 inconsistent with mu0 + mu1*h")
+
+    @property
+    def eta0(self) -> float:
+        """The boundary index eta(h) = sqrt(mu0 + mu1 h)."""
+        return math.sqrt(self.mu0 + self.mu1 * self.h)
 
     @property
     def alpha(self) -> float:
@@ -171,12 +170,49 @@ def _jacobian_launch(profile: RefractionProfile1D, x0: float, k0: float):
     return delta, *((xb, sgn * math.sqrt(eta2(xb))) for xb in offsets)
 
 
+def _trace(profile: RefractionProfile1D, x0: float, k0: float, t_end: float, **options):
+    """Integrate the ray system from (x0, k0) over [0, t_end] together
+    with the two Jacobian rays (RK45, rtol 1e-10, atol 1e-12); options go
+    to the integrator.  Returns the solution, whose rows are x, k, S, x+, k+,
+    x-, k-, and the Jacobian offset delta."""
+    # deferred: scipy.integrate loads scipy.optimize itself, so only
+    # deferring both (see find_caustic) keeps them out of `import foldoptics`
+    from scipy import integrate
+
+    eta2, deta2 = profile.eta_squared, profile.eta_squared_prime
+    delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+
+    def rhs(t, y):
+        x, k, _, xp, kp, xm, km = y
+        return [k, 0.5 * deta2(x), eta2(x), kp, 0.5 * deta2(xp), km, 0.5 * deta2(xm)]
+
+    sol = integrate.solve_ivp(
+        rhs,
+        (0.0, t_end),
+        [x0, k0, 0.0, xp0, kp0, xm0, km0],
+        method="RK45",
+        rtol=1e-10,
+        atol=1e-12,
+        **options,
+    )
+    if not sol.success:
+        raise RuntimeError(f"ray integration failed: {sol.message}")
+    return sol, delta
+
+
+def _jacobian(y, delta: float):
+    """J from rows of a _trace solution: the central difference of the
+    two Jacobian rays."""
+    return (y[3] - y[5]) / (2.0 * delta)
+
+
 def integrate_hamiltonian(
     profile: RefractionProfile1D,
     x0: float,
     k0: float,
     t_end: float,
-    n_samples: Optional[int] = None,
 ) -> RayPath:
     """Integrate the ray system dx/dt = k, dk/dt = (eta^2)'/2, dS/dt = eta^2.
 
@@ -185,31 +221,10 @@ def integrate_hamiltonian(
     rays at x0(1 +- 1e-5) launched on-shell, so J reflects the on-shell
     ray family the amplitude theory uses.
 
-    Returns a RayPath sampled at n_samples times (by default about 50 per
-    unit of t, at least 129); `truncated` is set if the path left the
-    profile domain before t_end.
+    Returns a RayPath sampled at about 50 times per unit of t, at least
+    129; `truncated` is set if the path left the profile domain before
+    t_end.
     """
-    # deferred, like find_caustic's: scipy.integrate loads scipy.optimize
-    # itself, so only deferring both keeps them out of `import foldoptics`
-    from scipy.integrate import solve_ivp
-
-    eta2 = profile.eta_squared
-    delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-
-    def rhs(t, y):
-        x, k, _, xp, kp, xm, km = y
-        return [
-            k,
-            0.5 * profile.eta_squared_prime(x),
-            eta2(x),
-            kp,
-            0.5 * profile.eta_squared_prime(xp),
-            km,
-            0.5 * profile.eta_squared_prime(xm),
-        ]
-
     events = []
     lo, hi = profile.domain
     if math.isfinite(lo):
@@ -223,30 +238,17 @@ def integrate_hamiltonian(
         ev_hi.direction = -1
         events.append(ev_hi)
 
-    if n_samples is None:
-        n_samples = max(129, int(math.ceil(50.0 * t_end)) + 1)
-    t_eval = np.linspace(0.0, t_end, n_samples)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [x0, k0, 0.0, xp0, kp0, xm0, km0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=False,
-        t_eval=t_eval,
+    n = max(129, int(math.ceil(50.0 * t_end)) + 1)
+    sol, delta = _trace(
+        profile, x0, k0, t_end,
+        t_eval=np.linspace(0.0, t_end, n),
         events=events or None,
     )
-    if not sol.success:
-        raise RuntimeError(f"ray integration failed: {sol.message}")
-
-    J = (sol.y[3] - sol.y[5]) / (2.0 * delta)
     return RayPath(
         t=sol.t,
         x=sol.y[0],
         k=sol.y[1],
-        J=J,
+        J=_jacobian(sol.y, delta),
         S=sol.y[2],
         x0=x0,
         k0=k0,
@@ -314,52 +316,27 @@ def find_caustic(
     x0: float,
     k0: float,
     t_end: float,
-    n_scan: int = 2000,
 ):
-    """Locate caustic touches along the ray from (x0, k0).
+    """Locate caustic touches along the ray from (x0, k0) up to t_end > 0.
 
     The numerically differenced Jacobian is scanned for sign changes over
-    n_scan subintervals; each bracket is bisected to t-tolerance 1e-8 and
+    2000 subintervals; each bracket is bisected to t-tolerance 1e-8 and
     accepted only if |J| < 1e-6 there.  Returns a list of (t, x) pairs,
-    possibly empty.
+    possibly empty.  Unlike integrate_hamiltonian, the scan does not stop
+    where the ray leaves the profile domain: on airy_profile the ray
+    touches the domain edge x = 0 exactly at the caustic.
     """
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
-    delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
-
-    def rhs(t, y):
-        x, k, xp, kp, xm, km = y
-        return [
-            k,
-            0.5 * profile.eta_squared_prime(x),
-            kp,
-            0.5 * profile.eta_squared_prime(xp),
-            km,
-            0.5 * profile.eta_squared_prime(xm),
-        ]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [x0, k0, xp0, kp0, xm0, km0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"ray integration failed: {sol.message}")
+    sol, delta = _trace(profile, x0, k0, t_end, dense_output=True)
 
     def jac(t):
-        y = sol.sol(t)
-        return (y[2] - y[4]) / (2.0 * delta)
+        return _jacobian(sol.sol(t), delta)
 
-    ts = np.linspace(0.0, t_end, n_scan + 1)
-    y = sol.sol(ts)
-    js = (y[2] - y[4]) / (2.0 * delta)
+    ts = np.linspace(0.0, t_end, _CAUSTIC_SCAN + 1)
+    js = jac(ts)
     roots = []
-    for i in range(n_scan):
+    for i in range(_CAUSTIC_SCAN):
         if js[i] == 0.0:
             continue
         if js[i] * js[i + 1] < 0.0:

@@ -1,7 +1,7 @@
 """Airy functions and the closed-form oscillatory integrals built on them.
 
 The Airy pair (Ai, Bi) and first derivatives come from an in-house
-Taylor table in the central band |z| <= switch radius, and beyond it from
+Taylor table in the central band |z| <= 7.8, and beyond it from
 the standard large-argument asymptotic expansions (DLMF 9.7), summed by
 Horner's rule.  The table holds 8-term expansions about centres every
 1/32 on [-9, 9], whose values are walked along the Airy equation
@@ -26,15 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AccuracyPolicy",
     "AiryValues",
-    "DEFAULT_POLICY",
     "airy",
     "airy_square_integral",
     "fourier_power_integral",
 ]
 
 _N_ASYMPTOTIC_TERMS = 46
+
+# |z| beyond which airy leaves the central table for the asymptotic
+# expansions, on both sides of the origin; the table itself reaches 9.
+_SWITCH_RADIUS = 7.8
 
 # Central table: centres every _TABLE_STEP on [-_TABLE_RADIUS,
 # _TABLE_RADIUS], _TABLE_ORDER Taylor terms per function (truncation below
@@ -64,39 +66,6 @@ def _asymptotic_coefficients(n):
 
 
 _U, _V = _asymptotic_coefficients(_N_ASYMPTOTIC_TERMS)
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Evaluation tolerances shared across the package.
-
-    abs_tol and rel_tol are the guarantees the special-function layer is
-    allowed to assume when it compares two quantities (for example when
-    deciding that an amplitude combination vanishes identically).
-    series_asymptotic_switch is the |z| radius beyond which the Airy
-    evaluation leaves the central Taylor table for the asymptotic
-    expansions, on both sides of the origin.  The table ends at 9, so a
-    larger radius is refused.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-    series_asymptotic_switch: float = 7.8
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.series_asymptotic_switch <= 0:
-            raise ValueError("series_asymptotic_switch must be positive")
-        if self.series_asymptotic_switch > _TABLE_RADIUS:
-            raise ValueError(
-                f"series_asymptotic_switch must be <= {_TABLE_RADIUS:g}: the "
-                "central Airy table ends there, at the point where its Ai "
-                "is started from the asymptotic expansion"
-            )
-
-
-DEFAULT_POLICY = AccuracyPolicy()
 
 
 @dataclass(frozen=True)
@@ -257,22 +226,18 @@ def _central(z):
     return out
 
 
-def airy(z, policy: AccuracyPolicy | None = None) -> AiryValues:
+def airy(z) -> AiryValues:
     """Evaluate Ai, Ai', Bi, Bi' at real z (scalar or array).
 
-    The central Taylor table inside the policy switch radius, the
-    asymptotic expansions outside.  Relative error against mpmath is at
-    most 2.0e-15 inside the default radius 7.8 and 1e-13 on [-100, 30]
-    (relative to the modulus sqrt(Ai^2 + Bi^2) on z < 0), well inside the
-    policy rel_tol guarantee of 1e-9.
+    The central Taylor table for |z| <= 7.8, the asymptotic expansions
+    outside.  Relative error against mpmath is at most 2.0e-15 inside
+    and 1e-13 on [-100, 30] (relative to the modulus sqrt(Ai^2 + Bi^2) on
+    z < 0).
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
     z_arr = np.asarray(z, dtype=np.float64)
     flat = z_arr.ravel()
 
-    switch = policy.series_asymptotic_switch
-    central = np.abs(flat) <= switch
+    central = np.abs(flat) <= _SWITCH_RADIUS
     if central.all():
         out = _central(flat)
     else:
@@ -281,8 +246,8 @@ def airy(z, policy: AccuracyPolicy | None = None) -> AiryValues:
         out = np.empty((4, flat.size))
         for mask, evaluator in (
             (central, _central),
-            (flat > switch, _asymptotic_positive),
-            (flat < -switch, _asymptotic_negative),
+            (flat > _SWITCH_RADIUS, _asymptotic_positive),
+            (flat < -_SWITCH_RADIUS, _asymptotic_negative),
         ):
             if mask.any():
                 for row, vals in zip(out, evaluator(flat[mask])):
@@ -293,8 +258,7 @@ def airy(z, policy: AccuracyPolicy | None = None) -> AiryValues:
     return AiryValues(*out.reshape((4,) + z_arr.shape))
 
 
-def airy_square_integral(r1: float, r2: float, r3: float,
-                         policy: AccuracyPolicy | None = None) -> float:
+def airy_square_integral(r1: float, r2: float, r3: float) -> float:
     """Integral over the whole k-line of Ai(r1 k^2 + r2 k + r3), r1 > 0.
 
     Closed form: (2 pi / sqrt(r1)) * 2^{-1/3} * Ai^2 evaluated at
@@ -304,7 +268,7 @@ def airy_square_integral(r1: float, r2: float, r3: float,
     if r1 <= 0:
         raise ValueError("airy_square_integral requires r1 > 0")
     arg = -(r2 * r2 - 4.0 * r1 * r3) / (4.0 ** (4.0 / 3.0) * r1)
-    ai = airy(arg, policy).ai
+    ai = airy(arg).ai
     return (2.0 * math.pi / math.sqrt(r1)) * 2.0 ** (-1.0 / 3.0) * ai * ai
 
 

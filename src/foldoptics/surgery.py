@@ -72,6 +72,11 @@ REGION_TOL = 1e-12
 
 _ROOT_TOL = 1e-10
 
+# k_integral_flux's symmetric trapezoid grid: _FLUX_SAMPLES points on
+# [-_FLUX_K_MAX, _FLUX_K_MAX].
+_FLUX_K_MAX = 3.0
+_FLUX_SAMPLES = 1201
+
 _DIAGONAL = (1, 2)
 _OFFDIAGONAL = (3, 4)
 
@@ -507,19 +512,13 @@ def k_integral_amplitude(
     return 0.5 / math.sqrt(x0) * r1 * airy_square_integral(r1, 0.0, -r1 * x)
 
 
-def k_integral_flux(
-    x: float, epsilon: float, x0: float, k_max: float = 3.0, samples: int = 1201
-) -> float:
+def k_integral_flux(x: float, epsilon: float, x0: float) -> float:
     """First k-moment of the recombined profile on a symmetric grid.
 
     The integrand k * W(x, k) is odd in k, so the trapezoid sum cancels
     pairwise and the value is 0 to roundoff.
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
-    if samples < 9:
-        raise ValueError("need at least 9 quadrature samples")
-    ks = np.linspace(-k_max, k_max, samples)
+    ks = np.linspace(-_FLUX_K_MAX, _FLUX_K_MAX, _FLUX_SAMPLES)
     w = combined_wkb_wigner(x, ks, epsilon, x0)
     return float(np.trapezoid(ks * w, ks))
 

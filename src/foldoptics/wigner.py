@@ -39,9 +39,9 @@ __all__ = [
     "weak_limit_pairing",
 ]
 
-# Fraction of the geometric window kept when the input is a WKB field:
-# beyond |sigma| = x the branch phases turn complex, so the window stops
-# short of that line and the taper absorbs the cut.
+# Fraction of the geometric window the default chord bracket keeps:
+# beyond |sigma| = x the branch phases turn complex, so the bracket stops
+# short of that line.
 _DOMAIN_WINDOW_SHRINK = 0.95
 
 # Below this (scale-relative) chord length the uniform formula switches to
@@ -53,8 +53,6 @@ _CHORD_COALESCENCE_TOL = 1e-5
 # above the coalescence tolerance.
 _SCAN_NODES = 257
 _BISECTION_STEPS = 64
-
-_TRUNCATION_RULES = ("support_limited", "domain_limited")
 
 _BOUNDARY_MASS_TOL = 1e-8
 
@@ -119,21 +117,17 @@ class QuadraturePolicy:
 
     sigma_samples is the (even) number of midpoint nodes across the full
     window; taper_fraction is the outer fraction smoothed by a raised
-    cosine; the truncation rule picks the window from the sampler support
-    alone or additionally from the |sigma| < x reality constraint.
+    cosine.
     """
 
     sigma_samples: int
     taper_fraction: float = 0.125
-    truncation_rule: str = "support_limited"
 
     def __post_init__(self):
         if self.sigma_samples < 8 or self.sigma_samples % 2:
             raise ValueError("sigma_samples must be an even integer >= 8")
         if not 0.0 < self.taper_fraction < 0.5:
             raise ValueError("taper_fraction must lie in (0, 0.5)")
-        if self.truncation_rule not in _TRUNCATION_RULES:
-            raise ValueError(f"truncation_rule must be one of {_TRUNCATION_RULES}")
 
 
 @dataclass(frozen=True)
@@ -157,16 +151,13 @@ def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_window(psi: WaveFunctionSampler, x: float, rule: str) -> float:
+def _sigma_window(psi: WaveFunctionSampler, x: float) -> float:
+    """Half-width of the largest symmetric window about x inside the
+    sampler support."""
     a, b = psi.support
     if not a <= x <= b:
         raise ValueError(f"x = {x} outside sampler support [{a}, {b}]")
-    half = min(x - a, b - x)
-    if rule == "domain_limited":
-        if x <= 0:
-            raise ValueError("domain_limited window requires x > 0")
-        half = _DOMAIN_WINDOW_SHRINK * min(half, x)
-    return half
+    return min(x - a, b - x)
 
 
 def _required_samples(k_max: float, sigma_max: float, epsilon: float) -> int:
@@ -178,8 +169,8 @@ def wigner_numeric(
 ) -> PhaseSpaceGrid:
     """Midpoint sigma-quadrature of the scaled Wigner integral on a grid.
 
-    Each x-row integrates over the largest symmetric window the truncation
-    rule allows, tapered at the rim.  By conjugate symmetry a row is the
+    Each x-row integrates over the largest symmetric window inside the
+    sampler support, tapered at the rim.  By conjugate symmetry a row is the
     exactly real half-window sum over sigma_j = (j + 1/2) dsigma, j < n/2,
 
         (2 dsigma/(pi eps)) Re sum_j g_j e^{-2i k_m sigma_j/eps},
@@ -200,7 +191,7 @@ def wigner_numeric(
     k_max = float(np.max(np.abs(ks))) if nk else 0.0
     sigma_max = np.zeros(xs.size)
     for i, x in enumerate(xs):
-        sigma_max[i] = s = _sigma_window(psi, float(x), q.truncation_rule)
+        sigma_max[i] = s = _sigma_window(psi, float(x))
         needed = _required_samples(k_max, s, eps)
         if s > 0.0 and n < needed:
             raise ValueError(
@@ -272,7 +263,8 @@ def chord_points(
     """Positive solution sigma0 of S'(x+sigma) + S'(x-sigma) = 2k.
 
     Batched scan + bisection, array in/array out: x, k and the bracket
-    ends broadcast together.  The scan evaluates S' at _SCAN_NODES
+    ends broadcast together, and S' must map an array to an array of its
+    shape, also for scalar inputs.  The scan evaluates S' at _SCAN_NODES
     equispaced nodes of each point's bracket, for blocks of points in one
     call each (about _CHUNK_ELEMENTS node values per block, so memory
     stays O(points)), and keeps each point's first sign change; vectorised
@@ -289,7 +281,7 @@ def chord_points(
     )
     shape = np.shape(x)
 
-    def f(sigma, x=x, k=k, S_prime=S_prime):
+    def f(sigma, x=x, k=k):
         return S_prime(x + sigma) + S_prime(x - sigma) - 2.0 * k
 
     f0 = f(0.0)
@@ -298,8 +290,6 @@ def chord_points(
     step = (hi - lo) / (_SCAN_NODES - 1)
 
     # first sign change over the scan nodes: the cell [a, b] with f(a), f(b)
-    # (a scalar call may pass a scalar-only S', so its nodes go one by one)
-    scan_prime = S_prime if shape else np.vectorize(S_prime, otypes=[float])
     xf, kf, lof, hif, stepf = (np.reshape(v, -1) for v in (x, k, lo, hi, step))
     nodes = np.arange(_SCAN_NODES, dtype=float)[:, None]
     a, b, fa, fb = (np.empty(xf.size) for _ in range(4))
@@ -309,7 +299,7 @@ def chord_points(
         cut = slice(start, start + block)
         s = nodes * stepf[cut] + lof[cut]
         s[-1] = hif[cut]
-        fs = f(s, xf[cut], kf[cut], scan_prime)
+        fs = f(s, xf[cut], kf[cut])
         hit = fs[:-1] * fs[1:] <= 0.0
         first = hit.argmax(axis=0)
         cols = np.arange(len(first))
@@ -460,36 +450,22 @@ def wigner_moment1(g: PhaseSpaceGrid) -> np.ndarray:
     return np.trapezoid(g.values * g.ks, g.ks, axis=1)
 
 
-def wigner_via_fourier(
-    psi_hat: WaveFunctionSampler,
-    x: float,
-    k: float,
-    q: Optional[QuadraturePolicy] = None,
-) -> float:
+def wigner_via_fourier(psi_hat: WaveFunctionSampler, x: float, k: float) -> float:
     """Wigner value from the momentum-side definition
 
     W(x, k) = (1/(2 pi eps)) Integral psihat(k+p/2) conj(psihat)(k-p/2)
               e^{i p x/eps} dp,
 
     with psihat(q) = (2 pi eps)^{-1/2} Integral psi(u) e^{-i q u/eps} du.
-    The p-window is the largest symmetric one inside the declared support;
-    without an explicit policy the sample count is sized automatically.
+    The p-window is the largest symmetric one inside the declared support,
+    with twice the samples its kernel oscillation needs, and at least 512.
     """
     eps = psi_hat.epsilon
     a, b = psi_hat.support
     p_max = 2.0 * min(k - a, b - k)
     if p_max <= 0.0:
         return 0.0
-    needed = _required_samples(abs(x), 0.5 * p_max, eps)
-    if q is None:
-        n = max(512, 2 * needed)
-        n += n % 2
-    else:
-        n = q.sigma_samples
-        if n < needed:
-            raise ValueError(
-                f"p-quadrature undersampled: {n} samples < {needed} required"
-            )
+    n = max(512, 2 * _required_samples(abs(x), 0.5 * p_max, eps))
     d_p = p_max / n
     p = (np.arange(n) + 0.5 - 0.5 * n) * d_p
     g = _sample(psi_hat.value, k + 0.5 * p) * np.conj(_sample(psi_hat.value, k - 0.5 * p))

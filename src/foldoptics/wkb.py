@@ -40,6 +40,10 @@ __all__ = [
 # amplitude x^{-1/4} is no longer trustworthy, in units of eps^{2/3}.
 CAUSTIC_ZONE_FACTOR = 10.0
 
+# Relative central-difference steps of the eikonal and transport residuals.
+_EIKONAL_STEP = 1e-6
+_TRANSPORT_STEP = 1e-5
+
 
 class CausticZoneWarning(UserWarning):
     """Field evaluated inside the caustic boundary layer."""
@@ -215,12 +219,11 @@ def eikonal_residual(
     S: Callable[[float], float],
     profile: RefractionProfile1D,
     xs: Sequence[float],
-    h: float = 1e-6,
 ) -> np.ndarray:
     """(S'(x))^2 - eta^2(x) with S' by central differences."""
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        hx = h * max(abs(x), 1.0)
+        hx = _EIKONAL_STEP * max(abs(x), 1.0)
         out[i] = _central_first(S, x, hx) ** 2 - profile.eta_squared(x)
     return out
 
@@ -229,12 +232,11 @@ def transport_residual(
     S: Callable[[float], float],
     A: Callable[[float], complex],
     xs: Sequence[float],
-    h: float = 1e-5,
 ) -> np.ndarray:
     """|2 S' A' + S'' A| with derivatives by central differences."""
     out = np.empty(len(xs))
     for i, x in enumerate(xs):
-        hx = h * max(abs(x), 1.0)
+        hx = _TRANSPORT_STEP * max(abs(x), 1.0)
         sp = _central_first(S, x, hx)
         spp = _central_second(S, x, hx)
         ap = (A(x + hx) - A(x - hx)) / (2.0 * hx)

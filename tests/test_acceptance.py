@@ -15,8 +15,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from foldoptics import cli, surgery
+from foldoptics import cli, specfun, surgery
 from foldoptics.cli import (
     band_comparison_metric,
     check_band_wignerization,
@@ -172,6 +173,23 @@ def test_criterion_11_special_functions():
         worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
     print(f"criterion 11 reference leg: metric={worst:.3e} threshold=1e-10")
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("tail", ["_asymptotic_positive", "_asymptotic_negative"])
+def test_criterion_11_fails_on_perturbed_asymptotic_tail(monkeypatch, tail):
+    # Ai's leading coefficient in one tail's expansion, off by 1e-8: the
+    # Wronskian moves by about 1.6e-9 at every grid point beyond 7.8 on
+    # that side
+    expansion = getattr(specfun, tail)
+
+    def perturbed(z):
+        ai, aip, bi, bip = expansion(z)
+        return ai * (1.0 + 1e-8), aip, bi, bip
+
+    monkeypatch.setattr(specfun, tail, perturbed)
+    result = check_special_functions()
+    assert not result.passed
+    assert result.metric > 1e-9
 
 
 def test_all_criteria_summary(capsys):

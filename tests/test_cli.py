@@ -18,7 +18,13 @@ import foldoptics.cli as cli
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
 from foldoptics.kl import kl_field
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
-from foldoptics.wkb import airy_greens, airy_inner_approx, airy_wkb_field, linear_layer_phases
+from foldoptics.wkb import (
+    CausticZoneWarning,
+    airy_greens,
+    airy_inner_approx,
+    airy_wkb_field,
+    linear_layer_phases,
+)
 
 
 def read_csv(path):
@@ -319,6 +325,25 @@ def test_all_shadow_field_writes_nan_wkb_and_kl(tmp_path):
 def _field_columns(out):
     header, rows = read_csv(out / "field.csv")
     return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
+
+
+def test_field_suppresses_only_caustic_zone_warnings(tmp_path, monkeypatch):
+    # cmd_field silences the expected CausticZoneWarning of its WKB call,
+    # and nothing else
+    wkb_field = cli.airy_wkb_field
+
+    def noisy(*args):
+        warnings.warn("caustic probe", CausticZoneWarning)
+        warnings.warn("other probe", UserWarning)
+        return wkb_field(*args)
+
+    monkeypatch.setattr(cli, "airy_wkb_field", noisy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["field", "--nx", "16", "--out", str(tmp_path)]) == 0
+    messages = [str(w.message) for w in caught]
+    assert "other probe" in messages
+    assert "caustic probe" not in messages
 
 
 def test_airy_field_export_matches_per_point_scalar_calls(tmp_path):

@@ -136,6 +136,12 @@ def test_find_caustic_at_turning_point():
     assert abs(x_c) < 1e-6
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_find_caustic_refuses_nonpositive_t_end(t_end):
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        find_caustic(airy_profile(), 4.0, -2.0, t_end)
+
+
 def test_no_caustic_without_turning():
     hits = find_caustic(constant_profile(1.0), 0.0, 1.0, 5.0)
     assert hits == []
@@ -175,11 +181,6 @@ def test_airy_arrivals_outside_two_ray_region(x):
 
 def test_layer_defaults_boundary_index():
     assert LAYER.eta0 == pytest.approx(math.sqrt(LAYER.mu0 + LAYER.mu1 * LAYER.h))
-
-
-def test_layer_rejects_inconsistent_eta0():
-    with pytest.raises(ValueError, match="eta0"):
-        LinearLayerParams(mu0=1.0, mu1=2.5, h=0.3, psi=0.8, eta0=2.0)
 
 
 @pytest.mark.parametrize("psi", [0.0, -0.1, math.pi / 2])

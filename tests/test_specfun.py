@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from foldoptics import specfun
 from foldoptics.specfun import (
-    AccuracyPolicy,
     airy,
     airy_square_integral,
     fourier_power_integral,
@@ -52,14 +51,19 @@ def _mpmath_airy(z):
         )
 
 
-def _worst_relative_error(z, policy=None):
-    """Largest relative error of (Ai, Ai', Bi, Bi') against mpmath.  On
+def _airy_rows(z):
+    v = airy(z)
+    return np.stack([v.ai, v.ai_prime, v.bi, v.bi_prime])
+
+
+def _worst_relative_error(z, evaluate=_airy_rows):
+    """Largest relative error of (Ai, Ai', Bi, Bi') against mpmath, for
+    an evaluator that returns them as the rows of a (4, n) array.  On
     the oscillatory side the error is taken relative to the modulus
     sqrt(Ai^2 + Bi^2) (and its derivative analogue), so the zeros of Ai
     and Bi do not dominate."""
     ref = _mpmath_airy(z)
-    v = airy(z, policy)
-    got = np.stack([v.ai, v.ai_prime, v.bi, v.bi_prime], axis=1)
+    got = evaluate(z).T
     modulus = np.hypot(ref[:, 0], ref[:, 2])
     modulus_prime = np.hypot(ref[:, 1], ref[:, 3])
     scale = np.abs(ref)
@@ -91,18 +95,20 @@ def _band_points(lo, hi, n):
 
 
 @pytest.mark.parametrize(
-    "switch,bands",
+    "radius,bands",
     [
         (7.8, [(-7.8, 7.8, 801)]),
-        # the widest radius moves [7.8, 9] on both sides to the table
+        # the table's cells beyond the switch radius, out to its end at 9
         (9.0, [(-9.0, -7.8, 61), (7.8, 9.0, 61)]),
     ],
 )
-def test_central_band_against_mpmath(switch, bands):
-    # scipy.special.airy reaches 1.5e-14 (Ai) on the default band's points
-    policy = AccuracyPolicy(series_asymptotic_switch=switch)
+def test_central_band_against_mpmath(radius, bands):
+    # scipy.special.airy reaches 1.5e-14 (Ai) on the switch band's points.
+    # airy evaluates the table only inside the switch radius, so the
+    # cells beyond it are evaluated directly.
+    evaluate = _airy_rows if radius <= specfun._SWITCH_RADIUS else specfun._central
     for lo, hi, n in bands:
-        worst = _worst_relative_error(_band_points(lo, hi, n), policy)
+        worst = _worst_relative_error(_band_points(lo, hi, n), evaluate)
         assert worst.max() <= 5e-15, f"[{lo}, {hi}]: max rel dev = {worst}"
 
 
@@ -139,27 +145,21 @@ def test_airy_wronskian(z):
 
 
 def test_series_and_asymptotics_agree_in_overlap():
-    # The same point evaluated by both branches (forced via the policy
-    # switch radius) must agree to the policy guarantee.
-    for z, forced_switch in ((-7.6, 7.0), (6.0, 5.5)):
+    # The same point evaluated by the central table (through airy) and by
+    # the asymptotic expansion of its side must agree.
+    for z, asymptotic in (
+        (-7.6, specfun._asymptotic_negative),
+        (6.0, specfun._asymptotic_positive),
+    ):
         from_series = airy(z)
-        from_asym = airy(z, AccuracyPolicy(series_asymptotic_switch=forced_switch))
-        assert abs(from_series.ai - from_asym.ai) / abs(from_series.ai) < 1e-8
-        assert abs(from_series.bi - from_asym.bi) / abs(from_series.bi) < 1e-8
+        ai, _, bi, _ = (float(v[0]) for v in asymptotic(np.array([z])))
+        assert abs(from_series.ai - ai) / abs(from_series.ai) < 1e-8
+        assert abs(from_series.bi - bi) / abs(from_series.bi) < 1e-8
 
 
 def test_airy_rejects_nonfinite():
     with pytest.raises(ValueError):
         airy(np.array([1.0, np.nan]))
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        AccuracyPolicy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        AccuracyPolicy(series_asymptotic_switch=-1.0)
-    with pytest.raises(ValueError, match="must be <= 9: the central Airy table ends there"):
-        AccuracyPolicy(series_asymptotic_switch=9.5)
 
 
 @pytest.mark.parametrize(

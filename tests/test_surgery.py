@@ -457,13 +457,6 @@ def test_flux_moment_vanishes():
         assert abs(k_integral_flux(x, 0.1, X0)) <= 1e-10
 
 
-def test_flux_validation():
-    with pytest.raises(ValueError):
-        k_integral_flux(0.5, 0.1, X0, k_max=-1.0)
-    with pytest.raises(ValueError):
-        k_integral_flux(0.5, 0.1, X0, samples=4)
-
-
 def _airy_grid(n, eps=0.1):
     xs = np.linspace(0.3, 1.7, n)
     ks = np.linspace(-1.2, 1.2, n)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
@@ -54,7 +53,7 @@ def airy_plus_phase():
     return (
         SmoothPhase(
             s=plus.S,
-            s1=lambda x: math.sqrt(x),
+            s1=np.sqrt,
             s2=lambda x: 0.5 * x**-0.5,
             s3=lambda x: -0.25 * x**-1.5,
         ),
@@ -69,8 +68,6 @@ def test_policy_validation():
         QuadraturePolicy(sigma_samples=129)
     with pytest.raises(ValueError):
         QuadraturePolicy(sigma_samples=128, taper_fraction=0.5)
-    with pytest.raises(ValueError):
-        QuadraturePolicy(sigma_samples=128, truncation_rule="windowed")
 
 
 def test_sampler_validation():
@@ -422,7 +419,6 @@ def test_uniform_on_manifold_limit():
 def test_uniform_array_matches_scalar_calls():
     # the CLI's default grid: x0 = 2, eps = 0.05, 64 x 64, k folded to |k|
     S, A = airy_plus_phase()
-    S = dataclasses.replace(S, s1=np.sqrt)
     xs = np.linspace(0.1, 1.9, 64)
     ks = np.abs(np.linspace(-1.6, 1.6, 64))
     w = semiclassical_wigner_uniform(S, A, xs[:, None], ks[None, :], EPS)
@@ -549,12 +545,6 @@ def test_via_fourier_translation_covariance():
         assert wigner_via_fourier(shifted_hat, x, k) == pytest.approx(
             wigner_via_fourier(psi_hat, x - a, k), rel=1e-8, abs=1e-12
         )
-
-
-def test_via_fourier_refuses_undersampling():
-    psi_hat = gaussian_sampler()
-    with pytest.raises(ValueError, match="undersampled"):
-        wigner_via_fourier(psi_hat, 30.0, 0.0, QuadraturePolicy(sigma_samples=64))
 
 
 def test_weak_limit_pairing_gaussian():
