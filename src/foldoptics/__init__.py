@@ -3,7 +3,7 @@ fields, and semiclassical Wigner functions for the fold singularity."""
 
 __version__ = "0.1.0"
 
-from .specfun import AiryValues, airy, airy_square_integral
+from .specfun import AiryValues, airy, airy_ai, airy_square_integral
 from .rays import (
     LinearLayerParams,
     RayPath,

@@ -43,7 +43,7 @@ from .rays import (
     linear_layer_momentum,
     linear_layer_ray,
 )
-from .specfun import airy
+from .specfun import airy, airy_ai
 from .stphase import CfuCoefficients, cfu_eval
 from .surgery import (
     RegionLabel,
@@ -467,6 +467,10 @@ class CriterionResult:
     metric: float
     threshold: float
     detail: str = ""
+    # set by run_validation: the check's wall time, and its relative headroom
+    # (threshold - metric) / threshold unless a lower-bounded check states it
+    seconds: float = math.nan
+    margin: Optional[float] = None
 
 
 def check_surgery_identity() -> CriterionResult:
@@ -560,7 +564,7 @@ def check_k_moments() -> CriterionResult:
         numeric = float(np.trapezoid(w, ks))
         ref = (
             math.pi * eps ** (-1.0 / 3.0) / math.sqrt(x0)
-            * float(airy(-(eps ** (-2.0 / 3.0)) * x).ai) ** 2
+            * airy_ai(-(eps ** (-2.0 / 3.0)) * x) ** 2
         )
         worst = max(worst, abs(numeric - ref) / abs(ref))
         worst_flux = max(worst_flux, abs(k_integral_flux(float(x), eps, x0)))
@@ -570,11 +574,19 @@ def check_k_moments() -> CriterionResult:
     )
 
 
-def _verify_by_root_finding(grad, x, k, sigma):
+# criterion 05's bound on the stationary-point residual |F_sigma|
+_ROOT_RESIDUAL = 1e-10
+
+
+def _verify_by_root_finding(branch, x, k, sigma):
     """Independently confirm tabulated stationary points: bracket the
     phase gradient around each, bisect, and return the residual at each
     located root (inf where the root drifts off the table value).  Points
-    left without a bracket report the residual at the table value."""
+    left without a bracket report the residual at the table value.  Where
+    one double moves F_sigma by more than the bound (|F_sigmasigma|
+    spacing(sigma), next to the window edge, where F_sigma has a
+    sqrt(x - sigma) term), |F_sigma| is counted in units of that step."""
+    grad = branch.F_sigma
     scale = np.maximum(1.0, np.abs(sigma))
     lo, hi = sigma, sigma
     bracketed = np.zeros(sigma.shape, dtype=bool)
@@ -584,14 +596,17 @@ def _verify_by_root_finding(grad, x, k, sigma):
         new = ~bracketed & (grad(a, x, k) * grad(b, x, k) < 0)
         lo, hi = np.where(new, a, lo), np.where(new, b, hi)
         bracketed |= new
-    residual = np.abs(grad(sigma, x, k))
     xb, kb = x[bracketed], k[bracketed]
     a, b = lo[bracketed], hi[bracketed]
     root = bisect_brackets(
         lambda s: grad(s, xb, kb), a, b, grad(a, xb, kb), grad(b, xb, kb)
     )
+    point = sigma.copy()
+    point[bracketed] = root
+    step = np.abs(branch.F_sigmasigma(point, x, k)) * np.spacing(np.abs(point))
+    residual = np.abs(grad(point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
     drift = np.abs(root - sigma[bracketed]) > 1e-7 * scale[bracketed]
-    residual[bracketed] = np.where(drift, np.inf, np.abs(grad(root, xb, kb)))
+    residual[bracketed] = np.where(drift, np.inf, residual[bracketed])
     return residual
 
 
@@ -607,19 +622,19 @@ def check_stationary_tables(seed: int = 20240911, samples: int = 10000) -> Crite
             table = stationary_table(branch.index, xs, ks)
         except RuntimeError as e:
             return CriterionResult(
-                5, "stationary-point tables", False, math.inf, 1e-10, f"error: {e}"
+                5, "stationary-point tables", False, math.inf, _ROOT_RESIDUAL, f"error: {e}"
             )
         curv = table.curvatures
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
         draw = np.nonzero(simple)[0]
         res = _verify_by_root_finding(
-            branch.F_sigma, xs[draw], ks[draw], table.locations.real[simple]
+            branch, xs[draw], ks[draw], table.locations.real[simple]
         )
         worst = max(worst, float(np.max(res, initial=0.0)))
         checked += draw.size
     elapsed = time.time() - t0
     return CriterionResult(
-        5, "stationary-point tables", worst <= 1e-10, worst, 1e-10,
+        5, "stationary-point tables", worst <= _ROOT_RESIDUAL, worst, _ROOT_RESIDUAL,
         f"{checked} real points root-verified over {samples} draws, {elapsed:.2f}s",
     )
 
@@ -631,7 +646,7 @@ def check_cfu_engine() -> CriterionResult:
             got = cfu_eval(CfuCoefficients(0.0, float(xi), 1.0, 0.0), lam)
             ref = (
                 2.0 * math.pi * lam ** (-1.0 / 3.0)
-                * float(airy(-(lam ** (2.0 / 3.0)) * xi).ai)
+                * airy_ai(-(lam ** (2.0 / 3.0)) * xi)
             )
             denom = max(abs(ref), lam ** (-1.0 / 3.0))
             worst = max(worst, abs(got - ref) / denom)
@@ -699,6 +714,7 @@ def check_liouville_order() -> CriterionResult:
     return CriterionResult(
         9, "phase-space transport residual", metric >= 1.9, metric, 1.9,
         f"observed orders {orders[0]:.2f}, {orders[1]:.2f}",
+        margin=(metric - 1.9) / 1.9,
     )
 
 
@@ -767,22 +783,24 @@ _CHECKS: Tuple[Callable[..., CriterionResult], ...] = (
 
 def run_validation(seed: int = 20240911) -> List[CriterionResult]:
     """Run all validation checks; a crash in one check becomes a failure
-    entry rather than aborting the rest."""
+    entry rather than aborting the rest.  Each result carries the wall
+    time of its check and its margin."""
     results = []
     for check in _CHECKS:
+        started = time.perf_counter()
         try:
-            if check is check_stationary_tables:
-                results.append(check(seed=seed))
-            else:
-                results.append(check())
+            result = check(seed=seed) if check is check_stationary_tables else check()
         except Exception as e:  # noqa: BLE001 - reported, not swallowed
             ident = _CHECKS.index(check) + 1
-            results.append(
-                CriterionResult(
-                    ident, check.__name__.replace("check_", "").replace("_", " "),
-                    False, float("inf"), float("nan"), f"error: {e}",
-                )
+            result = CriterionResult(
+                ident, check.__name__.replace("check_", "").replace("_", " "),
+                False, float("inf"), float("nan"), f"error: {e}",
             )
+        seconds = time.perf_counter() - started
+        margin = result.margin
+        if margin is None:
+            margin = (result.threshold - result.metric) / result.threshold
+        results.append(dataclasses.replace(result, seconds=seconds, margin=margin))
     return results
 
 

@@ -1,25 +1,26 @@
 """Airy functions and the closed-form oscillatory integrals built on them.
 
-The Airy pair (Ai, Bi) and first derivatives come from an in-house
-Taylor table in the central band |z| <= 7.8, and beyond it from
-the standard large-argument asymptotic expansions (DLMF 9.7), summed by
-Horner's rule.  The table holds 8-term expansions about centres every
-1/32 on [-9, 9], whose values are walked along the Airy equation
-y'' = z y (DLMF 9.2) from closed forms; it is built at import in about
-2 ms.  Against mpmath at 30 digits the central band's largest relative
-error is 2.0e-15 (scipy.special.airy: 1.5e-14 on the same points), and
-the largest on [-100, 30] is 1e-13, from the asymptotic side; on z < 0
-both are relative to the modulus sqrt(Ai^2 + Bi^2).  The module also
-provides two exact integral identities used throughout the phase-space
-code: the full-line integral of Ai over a quadratic argument (which
-produces Ai^2) and the half-line Fourier integral of a power.
+`airy` gives the Airy pair (Ai, Bi) and first derivatives; `airy_ai`
+gives Ai alone, bit for bit the same, for the closed forms that read only
+Ai (the exact and combined Wigner transforms, the semiclassical Wigner
+forms, the inner caustic field and the squared-Airy integral).  Both come
+from an in-house Taylor table in the central band |z| <= 7.8 (8-term
+expansions about centres every 1/32 on [-9, 9], walked along y'' = z y,
+DLMF 9.2, from closed forms; built at import in about 2 ms), and beyond
+it from the large-argument asymptotic expansions (DLMF 9.7), summed by
+Horner's rule.  Against mpmath at 30 digits the central band's largest
+relative error is 2.0e-15 (scipy.special.airy: 1.5e-14 there), and the
+largest on [-100, 30] is 1e-13, from the asymptotic side; on z < 0 both
+are relative to the modulus sqrt(Ai^2 + Bi^2).  The module also provides
+the full-line integral of Ai over a quadratic argument (which produces
+Ai^2) and the half-line Fourier integral of a power.
 
-Everything here is real-argument only.  The downstream semiclassical code
-never needs complex Airy arguments.
+Everything here is real-argument only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ import numpy as np
 __all__ = [
     "AiryValues",
     "airy",
+    "airy_ai",
     "airy_square_integral",
     "fourier_power_integral",
 ]
@@ -52,7 +54,7 @@ _CHUNK_POINTS = 4096
 
 
 def _asymptotic_coefficients(n):
-    """u_k, v_k of the Airy asymptotic expansions (DLMF 9.7.2)."""
+    """Rows u_k, v_k of the Airy asymptotic expansions (DLMF 9.7.2)."""
     u = np.empty(n)
     v = np.empty(n)
     u[0] = 1.0
@@ -62,10 +64,11 @@ def _asymptotic_coefficients(n):
             216.0 * (k + 1) * (2 * k + 1)
         )
         v[k + 1] = u[k + 1] * (6 * (k + 1) + 1) / (1.0 - 6 * (k + 1))
-    return u, v
+    return np.stack([u, v])
 
 
-_U, _V = _asymptotic_coefficients(_N_ASYMPTOTIC_TERMS)
+_UV = _asymptotic_coefficients(_N_ASYMPTOTIC_TERMS)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,12 @@ class AiryValues:
     bi_prime: np.ndarray
 
 
-def _even_odd(zeta, sign, coeffs):
-    """(E, O) with E = sum_k coeffs[2k] w^k and O = sum_k coeffs[2k+1] w^k / zeta,
-    w = sign/zeta^2, each summed in one Horner pass.  With sign = +1,
-    E - O and E + O are the series in -1/zeta and +1/zeta of the
-    exponential expansions; with sign = -1, E and O are the even and odd
-    parts of the oscillatory ones.
+def _even_odd(zeta, sign, series):
+    """(E, O), a row for each coefficient row c of `series`, with
+    E = sum_k c[2k] w^k and O = sum_k c[2k+1] w^k / zeta, w = sign/zeta^2,
+    all in one Horner pass.  With sign = +1, E - O and E + O are the
+    series in -1/zeta and +1/zeta of the exponential expansions; with
+    sign = -1, E and O are the even and odd parts of the oscillatory ones.
 
     The term count is fixed per call from the smallest zeta present,
     n = min(46, floor(2 zeta_min)), and at least 2 so that both parts have
@@ -94,49 +97,62 @@ def _even_odd(zeta, sign, coeffs):
     n = min(_N_ASYMPTOTIC_TERMS, max(2, int(2.0 * zeta.min())))
     inv = 1.0 / zeta
     w = sign * inv * inv
-    parts = []
-    for tail in (coeffs[0:n:2][::-1], coeffs[1:n:2][::-1]):
-        acc = np.full_like(zeta, tail[0])
-        for c in tail[1:]:
-            acc = acc * w + c
-        parts.append(acc)
-    return parts[0], parts[1] * inv
+    # Horner rows, highest power first: the even parts, then the odd parts,
+    # whose tail is one term shorter for odd n and gets a leading 0
+    parts, m = len(series), (n + 1) // 2
+    coeffs = np.zeros((m, 2 * parts, 1))
+    coeffs[:, :parts, 0] = series[:, 0:n:2][:, ::-1].T
+    coeffs[m - n // 2:, parts:, 0] = series[:, 1:n:2][:, ::-1].T
+    acc = np.empty((2 * parts, zeta.size))
+    acc[:] = coeffs[0]
+    for c in coeffs[1:]:
+        acc *= w
+        acc += c
+    return acc[:parts], acc[parts:] * inv
 
 
-def _asymptotic_positive(z):
+def _asymptotic_positive(z, series=_UV):
+    """Rows Ai, Ai', Bi, Bi' for z > 0 from the exponential expansions
+    (DLMF 9.7.5-9.7.8); Ai alone, with no exp(+zeta), when `series` holds
+    only the u_k."""
     zeta = (2.0 / 3.0) * z ** 1.5
     root4 = z ** 0.25
     # the Ai series alternates (-1/zeta), the Bi series does not (+1/zeta)
-    ue, uo = _even_odd(zeta, 1.0, _U)
-    ve, vo = _even_odd(zeta, 1.0, _V)
+    even, odd = _even_odd(zeta, 1.0, series)
     expm = np.exp(-zeta)
-    sqrt_pi = math.sqrt(math.pi)
-    ai = expm / (2.0 * sqrt_pi * root4) * (ue - uo)
-    aip = -root4 * expm / (2.0 * sqrt_pi) * (ve - vo)
+    ai = expm / (2.0 * _SQRT_PI * root4) * (even[0] - odd[0])
+    if len(series) == 1:
+        return (ai,)
+    (ue, ve), (uo, vo) = even, odd
+    aip = -root4 * expm / (2.0 * _SQRT_PI) * (ve - vo)
     # Bi legitimately exceeds float range beyond z ~ 104; inf is the
     # honest saturation value there
     with np.errstate(over="ignore"):
         expp = np.exp(zeta)
-        bi = expp / (sqrt_pi * root4) * (ue + uo)
-        bip = root4 * expp / sqrt_pi * (ve + vo)
+        bi = expp / (_SQRT_PI * root4) * (ue + uo)
+        bip = root4 * expp / _SQRT_PI * (ve + vo)
     return ai, aip, bi, bip
 
 
-def _asymptotic_negative(z):
+def _asymptotic_negative(z, series=_UV):
+    """Rows Ai, Ai', Bi, Bi' for z < 0 from the oscillatory expansions
+    (DLMF 9.7.9-9.7.12); Ai alone when `series` holds only the u_k."""
     t = -z
     zeta = (2.0 / 3.0) * t ** 1.5
     root4 = t ** 0.25
     chi = zeta - 0.25 * math.pi
     # Even/odd splits of the u and v sequences feed the oscillatory forms.
-    p, q = _even_odd(zeta, -1.0, _U)
-    r, s = _even_odd(zeta, -1.0, _V)
-    sqrt_pi = math.sqrt(math.pi)
+    even, odd = _even_odd(zeta, -1.0, series)
     cos_chi = np.cos(chi)
     sin_chi = np.sin(chi)
-    ai = (cos_chi * p + sin_chi * q) / (sqrt_pi * root4)
-    bi = (-sin_chi * p + cos_chi * q) / (sqrt_pi * root4)
-    aip = root4 / sqrt_pi * (sin_chi * r - cos_chi * s)
-    bip = root4 / sqrt_pi * (cos_chi * r + sin_chi * s)
+    p, q = even[0], odd[0]
+    ai = (cos_chi * p + sin_chi * q) / (_SQRT_PI * root4)
+    if len(series) == 1:
+        return (ai,)
+    r, s = even[1], odd[1]
+    bi = (-sin_chi * p + cos_chi * q) / (_SQRT_PI * root4)
+    aip = root4 / _SQRT_PI * (sin_chi * r - cos_chi * s)
+    bip = root4 / _SQRT_PI * (cos_chi * r + sin_chi * s)
     return ai, aip, bi, bip
 
 
@@ -207,23 +223,44 @@ def _central_table():
 _TABLE = _central_table()
 
 
-def _central(z):
-    """Rows Ai, Ai', Bi, Bi' at |z| <= _TABLE_RADIUS: Horner's rule in
-    t = z - i h about the nearest centre i h, |t| <= h/2 (t is exact),
-    _CHUNK_POINTS points at a time."""
-    out = np.empty((4, z.size))
+def _central(z, table=_TABLE):
+    """Rows Ai, Ai', Bi, Bi' (or the first rows of the table given) at
+    |z| <= _TABLE_RADIUS: Horner's rule in t = z - i h about the nearest
+    centre i h, |t| <= h/2 (t is exact), _CHUNK_POINTS points at a time."""
+    out = np.empty((table.shape[1], z.size))
     for start in range(0, z.size, _CHUNK_POINTS):
         part = z[start:start + _CHUNK_POINTS]
         i = np.rint(part * (1.0 / _TABLE_STEP))
         t = part - i * _TABLE_STEP
         i = i.astype(np.intp)
         acc = out[:, start:start + _CHUNK_POINTS]
-        np.multiply(_TABLE[-1].take(i, axis=1), t, out=acc)
-        for coeffs in _TABLE[-2:0:-1]:
+        np.multiply(table[-1].take(i, axis=1), t, out=acc)
+        for coeffs in table[-2:0:-1]:
             acc += coeffs.take(i, axis=1)
             acc *= t
-        acc += _TABLE[0].take(i, axis=1)
+        acc += table[0].take(i, axis=1)
     return out
+
+
+def _by_band(z, evaluators, rows):
+    """The `rows` rows of the evaluators for the central table |z| <= 7.8,
+    for z > 7.8 and for z < -7.8, each over its own points of real z;
+    shape (rows,) + z.shape."""
+    z_arr = np.asarray(z, dtype=np.float64)
+    flat = z_arr.ravel()
+    central = np.abs(flat) <= _SWITCH_RADIUS
+    if central.all():
+        out = evaluators[0](flat)
+    else:
+        if not np.isfinite(flat).all():
+            raise ValueError("airy requires finite real arguments")
+        out = np.empty((rows, flat.size))
+        masks = (central, flat > _SWITCH_RADIUS, flat < -_SWITCH_RADIUS)
+        for mask, evaluator in zip(masks, evaluators):
+            if mask.any():
+                for row, vals in zip(out, evaluator(flat[mask])):
+                    row[mask] = vals
+    return out.reshape((rows,) + z_arr.shape)
 
 
 def airy(z) -> AiryValues:
@@ -234,28 +271,23 @@ def airy(z) -> AiryValues:
     and 1e-13 on [-100, 30] (relative to the modulus sqrt(Ai^2 + Bi^2) on
     z < 0).
     """
-    z_arr = np.asarray(z, dtype=np.float64)
-    flat = z_arr.ravel()
+    out = _by_band(z, (_central, _asymptotic_positive, _asymptotic_negative), 4)
+    return AiryValues(*(out.tolist() if out.ndim == 1 else out))
 
-    central = np.abs(flat) <= _SWITCH_RADIUS
-    if central.all():
-        out = _central(flat)
-    else:
-        if not np.isfinite(flat).all():
-            raise ValueError("airy requires finite real arguments")
-        out = np.empty((4, flat.size))
-        for mask, evaluator in (
-            (central, _central),
-            (flat > _SWITCH_RADIUS, _asymptotic_positive),
-            (flat < -_SWITCH_RADIUS, _asymptotic_negative),
-        ):
-            if mask.any():
-                for row, vals in zip(out, evaluator(flat[mask])):
-                    row[mask] = vals
 
-    if z_arr.ndim == 0:
-        return AiryValues(*out[:, 0].tolist())
-    return AiryValues(*out.reshape((4,) + z_arr.shape))
+# the Ai row of the table and the u_k alone
+_AI_EVALUATORS = (
+    functools.partial(_central, table=_TABLE[:, :1]),
+    functools.partial(_asymptotic_positive, series=_UV[:1]),
+    functools.partial(_asymptotic_negative, series=_UV[:1]),
+)
+
+
+def airy_ai(z):
+    """Ai alone at real z: equal to airy(z).ai bit for bit, at a fraction
+    of the cost.  A float for scalar z, otherwise an array of z's shape."""
+    (out,) = _by_band(z, _AI_EVALUATORS, 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def airy_square_integral(r1: float, r2: float, r3: float) -> float:
@@ -268,7 +300,7 @@ def airy_square_integral(r1: float, r2: float, r3: float) -> float:
     if r1 <= 0:
         raise ValueError("airy_square_integral requires r1 > 0")
     arg = -(r2 * r2 - 4.0 * r1 * r3) / (4.0 ** (4.0 / 3.0) * r1)
-    ai = airy(arg).ai
+    ai = airy_ai(arg)
     return (2.0 * math.pi / math.sqrt(r1)) * 2.0 ** (-1.0 / 3.0) * ai * ai
 
 

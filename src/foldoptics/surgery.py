@@ -40,7 +40,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .rays import RefractionProfile1D
-from .specfun import airy, airy_square_integral
+from .specfun import airy_ai, airy_square_integral
 from .stphase import CfuCoefficients, StationaryPoint, cfu_eval, cfu_match
 from .wigner import PhaseSpaceGrid
 
@@ -490,7 +490,7 @@ def combined_wkb_wigner(x, k, epsilon: float, x0: float, extended: bool = False)
             "to evaluate the closed form in the shadow"
         )
     scale = (2.0 / epsilon) ** (2.0 / 3.0)
-    out = 0.5 / math.sqrt(x0) * scale * airy(scale * (k_arr ** 2 - x_arr)).ai
+    out = 0.5 / math.sqrt(x0) * scale * airy_ai(scale * (k_arr ** 2 - x_arr))
     if np.isscalar(x) and np.isscalar(k):
         return float(out)
     return out

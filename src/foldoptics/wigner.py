@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .specfun import airy
+from .specfun import airy_ai
 
 __all__ = [
     "WaveFunctionSampler",
@@ -232,7 +232,7 @@ def wigner_exact_airy(x, k, epsilon: float, x0: float):
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     arg = 2.0 ** (2.0 / 3.0) * epsilon ** (-2.0 / 3.0) * (np.asarray(k) ** 2 - x)
-    out = 2.0 ** (-1.0 / 3.0) * epsilon ** (-2.0 / 3.0) / math.sqrt(x0) * airy(arg).ai
+    out = 2.0 ** (-1.0 / 3.0) * epsilon ** (-2.0 / 3.0) / math.sqrt(x0) * airy_ai(arg)
     if np.isscalar(x) and np.isscalar(k):
         return float(out)
     return out
@@ -370,7 +370,7 @@ def semiclassical_wigner_local(
         scale
         * (2.0 / np.abs(s3)) ** (1.0 / 3.0)
         * _chord_amplitude(A, x, sigma0)
-        * airy(-scale * np.cbrt(2.0 / s3) * alpha).ai
+        * airy_ai(-scale * np.cbrt(2.0 / s3) * alpha)
     )
 
 
@@ -415,7 +415,7 @@ def semiclassical_wigner_uniform(
     xi = np.where(chord, xi_chord, 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x)))
     a0 = np.where(chord, a0_chord, np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0))
     return _as_output(
-        2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy(-(epsilon ** (-2.0 / 3.0)) * xi).ai
+        2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy_ai(-(epsilon ** (-2.0 / 3.0)) * xi)
     )
 
 

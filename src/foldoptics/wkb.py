@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .rays import LinearLayerParams, RefractionProfile1D
-from .specfun import airy
+from .specfun import airy, airy_ai
 
 __all__ = [
     "CausticZoneWarning",
@@ -202,7 +202,7 @@ def airy_inner_approx(x, x0: float, epsilon: float):
         * epsilon ** (-1.0 / 6.0)
     )
     x_arr = np.asarray(x, dtype=np.float64)
-    ai = np.asarray(airy(-(epsilon ** (-2.0 / 3.0)) * x_arr).ai)
+    ai = np.asarray(airy_ai(-(epsilon ** (-2.0 / 3.0)) * x_arr))
     u = coeff * ai
     return complex(u) if np.ndim(x) == 0 else u
 

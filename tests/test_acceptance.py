@@ -111,6 +111,15 @@ def test_criterion_05_fails_on_points_off_their_roots(monkeypatch):
     assert result.metric == math.inf
 
 
+def test_criterion_05_passes_at_a_window_edge_seed():
+    # this seed draws a branch 3/4 point two doubles below the window edge
+    # sigma = x, where one double moves F_sigma by 3.7e-9: its raw residual
+    # 5.4e-10 is below that step, and counts as 1.4e-11 in the bound's units
+    result = check_stationary_tables(seed=1514489336)
+    assert report(result)
+    assert 1e-12 < result.metric <= 1e-10
+
+
 def test_criterion_06_cfu_engine():
     # canonical cubic: cfu_eval equals 2 pi lam^{-1/3} Ai(-lam^{2/3} xi)
     # to rel 1e-6 on xi in [0, 4], lam in {10, 100}

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -445,6 +446,29 @@ def test_validate_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "validate_report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_validate_report_carries_seconds_and_margins(tmp_path, monkeypatch, capsys):
+    def upper():
+        time.sleep(0.02)
+        return CriterionResult(1, "upper bound", True, 0.25, 1.0)
+
+    def boom():
+        raise RuntimeError("probe")
+
+    monkeypatch.setattr(cli, "_CHECKS", (upper, cli.check_liouville_order, boom))
+    main(["validate", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "criterion 01 pass upper bound: metric=2.500e-01 threshold=1.000e+00"
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    first, order, crash = report["criteria"]
+    assert first["seconds"] >= 0.02
+    assert first["margin"] == 0.75
+    # criterion 09 bounds its observed order from below
+    assert order["threshold"] == 1.9
+    assert order["margin"] == (order["metric"] - 1.9) / 1.9 > 0.0
+    assert 0.0 < order["seconds"] < report["duration_seconds"]
+    assert math.isnan(crash["margin"]) and crash["seconds"] >= 0.0
 
 
 def test_validate_survives_a_crashing_check(monkeypatch):

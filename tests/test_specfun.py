@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from foldoptics import specfun
 from foldoptics.specfun import (
     airy,
+    airy_ai,
     airy_square_integral,
     fourier_power_integral,
 )
@@ -160,6 +161,100 @@ def test_series_and_asymptotics_agree_in_overlap():
 def test_airy_rejects_nonfinite():
     with pytest.raises(ValueError):
         airy(np.array([1.0, np.nan]))
+
+
+_SWITCH_EDGES = np.array(
+    [np.nextafter(e, d) for e in (-7.8, 0.0, 7.8) for d in (-np.inf, np.inf)]
+    + [-7.8, 0.0, -0.0, 7.8]
+)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.random.default_rng(3).uniform(-7.8, 7.8, 4001),
+        np.random.default_rng(4).uniform(7.8, 200.0, 4001),
+        np.random.default_rng(5).uniform(-400.0, -7.8, 4001),
+        np.concatenate([np.linspace(-60.0, 40.0, 2001), _SWITCH_EDGES]),
+        _SWITCH_EDGES,
+    ],
+    ids=["central", "positive-tail", "negative-tail", "mixed", "switch-edges"],
+)
+def test_airy_ai_equals_airy_ai_row_bitwise(z):
+    got = airy_ai(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, airy(z).ai)
+    # one band per call, as the tails' term counts depend on their points
+    for point in z[:: max(1, z.size // 50)]:
+        assert airy_ai(np.array([point]))[0] == airy(np.array([point])).ai[0]
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 1.0, 7.8, -7.8, 8.5, -9.25, 120.0, -300.0])
+def test_airy_ai_scalar_returns_float(z):
+    got = airy_ai(z)
+    assert type(got) is float
+    assert got == airy(z).ai
+    assert type(airy_ai(np.float64(z))) is float
+    assert type(airy_ai(np.array(z))) is float
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.empty(0),
+        np.empty((2, 0)),
+        np.linspace(-20.0, 20.0, 12).reshape(3, 4),
+        np.linspace(-3.0, 3.0, 6).reshape(2, 3, 1),
+    ],
+)
+def test_airy_ai_preserves_shape(z):
+    got = airy_ai(z)
+    assert isinstance(got, np.ndarray)
+    assert got.shape == z.shape
+    assert np.array_equal(got, airy(z).ai)
+
+
+@pytest.mark.parametrize("evaluate", [airy, airy_ai])
+@pytest.mark.parametrize(
+    "z", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan]), np.array([[9.0], [-np.inf]])]
+)
+def test_nonfinite_arguments_refused_alike(evaluate, z):
+    with pytest.raises(ValueError, match="^airy requires finite real arguments$"):
+        evaluate(z)
+
+
+def _one_part_horner(zeta, sign, coeffs):
+    """Reference for _even_odd: each part of one series in its own Horner
+    pass, with the term count written out separately."""
+    n = min(46, max(2, math.floor(2.0 * float(np.min(zeta)))))
+    inv = 1.0 / zeta
+    w = sign * inv * inv
+    parts = []
+    for tail in (coeffs[0:n:2][::-1], coeffs[1:n:2][::-1]):
+        acc = np.full_like(zeta, tail[0])
+        for c in tail[1:]:
+            acc = acc * w + c
+        parts.append(acc)
+    return n, parts[0], parts[1] * inv
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "zeta_min,terms",
+    [(14.6, 29), (15.1, 30), (5.3, 10), (5.7, 11), (30.0, 46), (1.2, 2)],
+)
+def test_stacked_horner_matches_one_pass_per_part(sign, zeta_min, terms):
+    # odd and even term counts: the odd part of an odd count is one term
+    # shorter than the even part and is padded with a leading zero
+    zeta = np.concatenate([[zeta_min], np.linspace(zeta_min, 4.0 * zeta_min + 60.0, 500)])
+    for series in (specfun._UV, specfun._UV[:1]):
+        even, odd = specfun._even_odd(zeta, sign, series)
+        assert even.shape == odd.shape == (len(series), zeta.size)
+        for row, coeffs in enumerate(series):
+            n, e, o = _one_part_horner(zeta, sign, coeffs)
+            assert n == terms
+            assert np.array_equal(even[row], e)
+            assert np.array_equal(odd[row], o)
 
 
 @pytest.mark.parametrize(
