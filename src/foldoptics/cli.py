@@ -583,9 +583,9 @@ def _verify_by_root_finding(branch, x, k, sigma):
     phase gradient around each, bisect, and return the residual at each
     located root (inf where the root drifts off the table value).  Points
     left without a bracket report the residual at the table value.  Where
-    one double moves F_sigma by more than the bound (|F_sigmasigma|
+    one double moves F_sigma by a step above the bound (|F_sigmasigma|
     spacing(sigma), next to the window edge, where F_sigma has a
-    sqrt(x - sigma) term), |F_sigma| is counted in units of that step."""
+    sqrt(x - sigma) term), |F_sigma| is scaled by the bound over the step."""
     grad = branch.F_sigma
     scale = np.maximum(1.0, np.abs(sigma))
     lo, hi = sigma, sigma
