@@ -162,8 +162,8 @@ class RunConfig:
             raise ConfigError("h", "must be positive")
         if self.mu0 < 0:
             raise ConfigError("mu0", "must be nonnegative")
-        if not 0.0 <= self.psi < 0.5 * math.pi:
-            raise ConfigError("psi", "incidence angle must lie in [0, pi/2)")
+        if not 0.0 < self.psi < 0.5 * math.pi:
+            raise ConfigError("psi", "incidence angle must lie in (0, pi/2)")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
         if not self.formats:
@@ -313,10 +313,19 @@ def _write_json_atomic(path: str, payload: Dict[str, object]) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _resolve_tmax(cfg: RunConfig, default: float) -> float:
+    """tmax, or the scenario's default when it is not given; tmin must lie
+    below it either way."""
+    tmax = cfg.tmax if cfg.tmax is not None else default
+    if not cfg.tmin < tmax:
+        raise ConfigError("tmin", f"bounds must satisfy tmin < tmax = {tmax:.6g}")
+    return tmax
+
+
 def cmd_rays(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.scenario == "airy":
-        tmax = cfg.tmax if cfg.tmax is not None else 3.0 * math.sqrt(cfg.x0)
+        tmax = _resolve_tmax(cfg, 3.0 * math.sqrt(cfg.x0))
         root = math.sqrt(cfg.x0)
         # each ray touches the caustic x = 0 where J = 1 + k0 t/(2 x0)
         # vanishes, at t* = -2 x0/k0 = +-2 sqrt(x0), if t* is in the window
@@ -338,7 +347,7 @@ def cmd_rays(cfg: RunConfig) -> int:
     else:
         p = cfg.layer_params()
         chord = 4.0 * p.eta0 * math.cos(p.psi) / p.mu1
-        tmax = cfg.tmax if cfg.tmax is not None else chord
+        tmax = _resolve_tmax(cfg, chord)
         t = np.linspace(cfg.tmin, tmax, cfg.nt)
         y, z = linear_layer_ray(t, 0.0, p)
         ky, kz = linear_layer_momentum(t, p)
@@ -427,10 +436,10 @@ def cmd_wigner(cfg: RunConfig) -> int:
         (cfg.xmin - 2.5, cfg.xmax + 3.0),
         cfg.epsilon,
     )
-    policy = QuadraturePolicy(
-        sigma_samples=cfg.sigma_samples, taper_fraction=cfg.taper_fraction
-    )
     try:
+        policy = QuadraturePolicy(
+            sigma_samples=cfg.sigma_samples, taper_fraction=cfg.taper_fraction
+        )
         grid = wigner_numeric(sampler, xs, ks, policy)
     except ValueError as e:
         raise ConfigError("sigma_samples", str(e)) from None
@@ -730,12 +739,15 @@ def check_rays() -> CriterionResult:
         default=float("inf"),
     )
 
+    # the layer caustic is where the ray turns: k_z = 0 at t* = 2 eta0 cos(psi)/mu1
     p = LinearLayerParams(mu0=1.0, mu1=2.0, h=1.0, psi=0.35)
-    depth_exact = p.h - (p.eta0 * math.cos(p.psi)) ** 2 / p.mu1
-    depth_ok = linear_layer_caustic_depth(p) == depth_exact
+    t_star = 2.0 * p.eta0 * math.cos(p.psi) / p.mu1
+    depth = linear_layer_caustic_depth(p)
+    depth_err = abs(linear_layer_ray(t_star, 0.0, p)[1] - depth)
+    depth_ok = depth_err <= 1e-12 * max(1.0, abs(depth))
     return CriterionResult(
         10, "ray tracing", drift <= 1e-9 and t_err <= 1e-6 and depth_ok,
-        drift, 1e-9, f"caustic offset {t_err:.2e}",
+        drift, 1e-9, f"caustic offset {t_err:.2e}, depth offset {depth_err:.2e}",
     )
 
 

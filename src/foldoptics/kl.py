@@ -137,16 +137,15 @@ def kl_phase_residual(
 ) -> list:
     """Residuals of the phase system:
     r1 = (phi')^2 + rho (rho')^2 - eta^2,  r2 = phi' rho',
-    with derivatives by central differences.  Returns [(r1, r2), ...]."""
-    out = []
-    for x in xs:
-        hx = _FD_STEP * max(abs(x), 1.0)
-        phi_p = (coords.phi(x + hx) - coords.phi(x - hx)) / (2.0 * hx)
-        rho_p = (coords.rho(x + hx) - coords.rho(x - hx)) / (2.0 * hx)
-        r1 = phi_p**2 + coords.rho(x) * rho_p**2 - profile.eta_squared(x)
-        r2 = phi_p * rho_p
-        out.append((r1, r2))
-    return out
+    with derivatives by central differences: kl_phase_residual_2d on the
+    points (0, x), with fields that do not depend on y.
+    Returns [(r1, r2), ...]."""
+    return kl_phase_residual_2d(
+        lambda y, z: coords.phi(z),
+        lambda y, z: coords.rho(z),
+        lambda y, z: profile.eta_squared(z),
+        [(0.0, x) for x in xs],
+    )
 
 
 def kl_phase_residual_2d(

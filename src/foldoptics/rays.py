@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .wigner import bisect_brackets
+
 __all__ = [
     "RefractionProfile1D",
     "RayPath",
@@ -42,7 +44,6 @@ _JACOBIAN_DELTA = 1e-5
 # Bisection acceptance: a bracketed sign change of J is a caustic only if
 # the Jacobian is genuinely small there (guards grazing near-tangencies).
 _CAUSTIC_J_TOL = 1e-6
-_CAUSTIC_T_TOL = 1e-8
 # find_caustic scans J for sign changes over this many equal subintervals.
 _CAUSTIC_SCAN = 2000
 
@@ -175,8 +176,8 @@ def _trace(profile: RefractionProfile1D, x0: float, k0: float, t_end: float, **o
     with the two Jacobian rays (RK45, rtol 1e-10, atol 1e-12); options go
     to the integrator.  Returns the solution, whose rows are x, k, S, x+, k+,
     x-, k-, and the Jacobian offset delta."""
-    # deferred: scipy.integrate loads scipy.optimize itself, so only
-    # deferring both (see find_caustic) keeps them out of `import foldoptics`
+    # deferred: scipy.integrate (which loads scipy.optimize itself) stays
+    # out of `import foldoptics`
     from scipy import integrate
 
     eta2, deta2 = profile.eta_squared, profile.eta_squared_prime
@@ -320,14 +321,13 @@ def find_caustic(
     """Locate caustic touches along the ray from (x0, k0) up to t_end > 0.
 
     The numerically differenced Jacobian is scanned for sign changes over
-    2000 subintervals; each bracket is bisected to t-tolerance 1e-8 and
-    accepted only if |J| < 1e-6 there.  Returns a list of (t, x) pairs,
-    possibly empty.  Unlike integrate_hamiltonian, the scan does not stop
-    where the ray leaves the profile domain: on airy_profile the ray
-    touches the domain edge x = 0 exactly at the caustic.
+    2000 subintervals; the brackets are bisected together down to adjacent
+    doubles in t, and each root is accepted only if |J| < 1e-6 there.
+    Returns a list of (t, x) pairs, possibly empty.  Unlike
+    integrate_hamiltonian, the scan does not stop where the ray leaves the
+    profile domain: on airy_profile the ray touches the domain edge x = 0
+    exactly at the caustic.
     """
-    from scipy.optimize import brentq
-
     sol, delta = _trace(profile, x0, k0, t_end, dense_output=True)
 
     def jac(t):
@@ -335,12 +335,10 @@ def find_caustic(
 
     ts = np.linspace(0.0, t_end, _CAUSTIC_SCAN + 1)
     js = jac(ts)
-    roots = []
-    for i in range(_CAUSTIC_SCAN):
-        if js[i] == 0.0:
-            continue
-        if js[i] * js[i + 1] < 0.0:
-            t_root = brentq(jac, ts[i], ts[i + 1], xtol=_CAUSTIC_T_TOL)
-            if abs(jac(t_root)) < _CAUSTIC_J_TOL:
-                roots.append((t_root, float(sol.sol(t_root)[0])))
-    return roots
+    cells = np.flatnonzero(js[:-1] * js[1:] < 0.0)
+    if cells.size == 0:
+        return []
+    t_root = bisect_brackets(jac, ts[cells], ts[cells + 1], js[cells], js[cells + 1])
+    x_root = sol.sol(t_root)[0]
+    keep = np.abs(jac(t_root)) < _CAUSTIC_J_TOL
+    return [(float(t), float(x)) for t, x in zip(t_root[keep], x_root[keep])]

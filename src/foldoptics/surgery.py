@@ -39,7 +39,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .rays import RefractionProfile1D
+from .rays import RefractionProfile1D, airy_profile
 from .specfun import airy_ai, airy_square_integral
 from .stphase import CfuCoefficients, StationaryPoint, cfu_eval, cfu_match
 from .wigner import PhaseSpaceGrid
@@ -523,26 +523,14 @@ def k_integral_flux(x: float, epsilon: float, x0: float) -> float:
     return float(np.trapezoid(ks * w, ks))
 
 
-def _interior_gradients(g: PhaseSpaceGrid):
-    xs = np.asarray(g.xs, dtype=float)
-    ks = np.asarray(g.ks, dtype=float)
-    if xs.size < 3 or ks.size < 3:
-        raise ValueError("residual stencil needs at least 3 points in x and in k")
-    values = np.asarray(g.values)
-    fx = np.gradient(values, xs, axis=0)
-    fk = np.gradient(values, ks, axis=1)
-    return xs, ks, fx, fk
-
-
 def liouville_residual(g: PhaseSpaceGrid) -> PhaseSpaceGrid:
-    """Residual k df/dx + (1/2) df/dk on the interior of the grid.
+    """Residual k df/dx + (1/2) df/dk on the interior of the grid: the
+    transport residual of the Airy medium eta^2 = x.
 
     Any profile of the form f(x, k) = G(x - k^2) is annihilated exactly;
     the stencil is second order in the grid spacings.
     """
-    xs, ks, fx, fk = _interior_gradients(g)
-    res = ks[None, :] * fx + 0.5 * fk
-    return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res[1:-1, 1:-1], g.epsilon)
+    return stationary_wigner_residual(airy_profile(), g, g.epsilon)
 
 
 def stationary_wigner_residual(
@@ -558,7 +546,13 @@ def stationary_wigner_residual(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    xs, ks, fx, fk = _interior_gradients(g)
+    xs = np.asarray(g.xs, dtype=float)
+    ks = np.asarray(g.ks, dtype=float)
+    if xs.size < 3 or ks.size < 3:
+        raise ValueError("residual stencil needs at least 3 points in x and in k")
+    values = np.asarray(g.values)
+    fx = np.gradient(values, xs, axis=0)
+    fk = np.gradient(values, ks, axis=1)
     p = profile.eta_squared_prime
     for xq in np.linspace(xs[0], xs[-1], 7):
         h = 1e-2 * max(1.0, abs(xq))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -38,11 +38,6 @@ __all__ = [
     "wigner_via_fourier",
     "weak_limit_pairing",
 ]
-
-# Fraction of the geometric window the default chord bracket keeps:
-# beyond |sigma| = x the branch phases turn complex, so the bracket stops
-# short of that line.
-_DOMAIN_WINDOW_SHRINK = 0.95
 
 # Below this (scale-relative) chord length the uniform formula switches to
 # the coalescence expansion; the matched pair is numerically 0/0 there.
@@ -321,19 +316,19 @@ def _chord_amplitude(A: Callable, x, sigma):
     return np.real(A(x + sigma) * np.conj(A(x - sigma)))
 
 
-def _fold_inputs(S: SmoothPhase, x, k, epsilon: float, bracket):
+def _fold_inputs(S: SmoothPhase, x, k, epsilon: float):
     """Broadcast (x, k), refuse eps <= 0 and S''' = 0, and solve the chords
-    (NaN where there is none) over the default or given bracket."""
+    over 0 <= sigma <= x, where the branch phases are real.  A root at the
+    edge sigma = x, where S''(x - sigma) and A(x - sigma) diverge, counts as
+    no chord: NaN, like a point without one."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
     s3 = S.s3(x)
     if np.any(s3 == 0.0):
         raise ValueError("degenerate fold: S'''(x) = 0")
-    if bracket is None:
-        bracket = (0.0, _DOMAIN_WINDOW_SHRINK * x)
-    sigma0 = np.asarray(chord_points(S.s1, x, k, bracket), dtype=float)
-    return x, k, s3, sigma0
+    sigma0 = np.asarray(chord_points(S.s1, x, k, (0.0, x)), dtype=float)
+    return x, k, s3, np.where(sigma0 < x, sigma0, np.nan)
 
 
 def _as_output(out):
@@ -347,7 +342,6 @@ def semiclassical_wigner_local(
     x,
     k,
     epsilon: float,
-    bracket: Optional[Tuple] = None,
 ):
     """Berry's local approximation near the manifold k = S'(x):
 
@@ -355,14 +349,15 @@ def semiclassical_wigner_local(
         Ai(-(2^{2/3}/eps^{2/3}) cbrt(2/S''') (k - S'(x)))
 
     with D(sigma, x) = A(x+sigma) conj(A(x-sigma)) evaluated on the chord
-    (or at 0 when the chord is absent or degenerate).  The cube root is
+    sigma0 in 0 <= sigma0 < x (or at 0 when the chord is absent, on the
+    edge sigma = x, or degenerate).  The cube root is
     the real signed one, so both signs of S''' give oscillation on the
     correct side.
 
     Batched scan + bisection chords and one Airy call, array in/array
     out: x and k broadcast; scalars give a float.
     """
-    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon, bracket)
+    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon)
     sigma0 = np.where(np.isnan(sigma0), 0.0, sigma0)
     scale = (2.0 / epsilon) ** (2.0 / 3.0)
     alpha = k - S.s1(x)
@@ -380,7 +375,6 @@ def semiclassical_wigner_uniform(
     x,
     k,
     epsilon: float,
-    bracket: Optional[Tuple] = None,
 ):
     """Uniform chord-based approximation 2 A0 eps^{-2/3} Ai(-eps^{-2/3} xi).
 
@@ -390,7 +384,9 @@ def semiclassical_wigner_uniform(
         xi = [(3/2) F(sigma0)]^{2/3},
         A0 = sqrt(2) xi^{1/4} Re D(sigma0, x) / |F''(sigma0)|^{1/2};
 
-    at (or beyond) coalescence the fold expansion takes over:
+    at (or beyond) coalescence, and where no chord lies in 0 <= sigma < x
+    (a chord on the edge sigma = x has infinite F''), the fold expansion
+    takes over:
 
         xi = 2 cbrt(1/S''') (k - S'(x)),  A0 = |A(x)|^2 |S'''|^{-1/3}.
 
@@ -398,7 +394,7 @@ def semiclassical_wigner_uniform(
     out: x and k broadcast, the chord-vs-fold choice is a mask, and
     scalars give a float.
     """
-    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon, bracket)
+    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon)
     chord = sigma0 > _CHORD_COALESCENCE_TOL * np.maximum(np.abs(x), 1.0)
     s = np.where(chord, sigma0, 0.0)
     F0 = S.s(x + s) - S.s(x - s) - 2.0 * k * s
@@ -457,25 +453,18 @@ def wigner_via_fourier(psi_hat: WaveFunctionSampler, x: float, k: float) -> floa
               e^{i p x/eps} dp,
 
     with psihat(q) = (2 pi eps)^{-1/2} Integral psi(u) e^{-i q u/eps} du.
-    The p-window is the largest symmetric one inside the declared support,
-    with twice the samples its kernel oscillation needs, and at least 512.
+    With p = 2 sigma this is the position-side integral of psihat at
+    (k, -x), so wigner_numeric evaluates it over the largest symmetric
+    window inside the declared support, with twice the samples its kernel
+    oscillation needs, and at least 512.  It is 0 where k is not inside
+    the support.
     """
-    eps = psi_hat.epsilon
     a, b = psi_hat.support
-    p_max = 2.0 * min(k - a, b - k)
-    if p_max <= 0.0:
+    sigma_max = min(k - a, b - k)
+    if sigma_max <= 0.0:
         return 0.0
-    n = max(512, 2 * _required_samples(abs(x), 0.5 * p_max, eps))
-    d_p = p_max / n
-    p = (np.arange(n) + 0.5 - 0.5 * n) * d_p
-    g = _sample(psi_hat.value, k + 0.5 * p) * np.conj(_sample(psi_hat.value, k - 0.5 * p))
-    half = p[n // 2 :]
-    gh = g[n // 2 :]
-    angles = half * x / eps
-    return float(
-        (2.0 * d_p / (2.0 * math.pi * eps))
-        * (np.cos(angles) @ gh.real - np.sin(angles) @ gh.imag)
-    )
+    n = max(512, 2 * _required_samples(abs(x), sigma_max, psi_hat.epsilon))
+    return float(wigner_numeric(psi_hat, k, -x, QuadraturePolicy(n)).values[0, 0])
 
 
 def weak_limit_pairing(g: PhaseSpaceGrid, Q: Callable[[float, float], float]) -> float:

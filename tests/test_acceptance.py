@@ -158,8 +158,21 @@ def test_criterion_09_liouville_residual_order():
 
 def test_criterion_10_rays():
     # Hamiltonian drift <= 1e-9, fold caustic at (2 sqrt(x0), 0) +- 1e-6,
-    # layer caustic depth exactly h - eta0^2 cos^2(psi)/mu1
+    # layer caustic depth at the layer ray's turning point +- 1e-12
     assert report(check_rays())
+
+
+def test_criterion_10_fails_on_perturbed_caustic_depth(monkeypatch):
+    # the layer caustic depth off by 1e-9 (relative) moves it off the depth
+    # where the layer ray turns
+    depth = cli.linear_layer_caustic_depth
+    monkeypatch.setattr(
+        cli, "linear_layer_caustic_depth", lambda p: depth(p) * (1.0 + 1e-9)
+    )
+    result = check_rays()
+    assert not result.passed
+    # the drift leg still passes: the depth leg is what failed
+    assert result.metric <= result.threshold
 
 
 def test_criterion_11_special_functions():

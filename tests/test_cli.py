@@ -93,6 +93,11 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         (["wigner", "--format", "csv,yaml"], "format"),
         (["wigner", "--scenario", "linear_layer"], "scenario"),
         (["wigner", "--xmin", "-0.5", "--xmax", "1.0"], "xmin"),
+        (["rays", "--scenario", "linear_layer", "--psi", "0"], "psi"),
+        (["field", "--scenario", "linear_layer", "--psi", "0"], "psi"),
+        (["wigner", "--sigma-samples", "1025"], "sigma_samples"),
+        (["rays", "--tmin", "10"], "tmin"),
+        (["rays", "--scenario", "linear_layer", "--tmin", "10"], "tmin"),
     ],
 )
 def test_invariant_violations_exit_2_with_field_name(capsys, argv, field):
@@ -252,6 +257,22 @@ def test_wigner_numeric_column_tracks_exact(tmp_path):
     w = np.array([float(r[cols["w_exact"]]) for r in rows])
     d = np.array([float(r[cols["diff_numeric"]]) for r in rows])
     assert np.max(np.abs(d)) <= 5e-3 * np.max(np.abs(w))
+
+
+def test_wigner_default_export_between_cells_match_exact(tmp_path):
+    # between the parabolas the uniform chord form is exact, also where the
+    # chord lies beyond 0.95x (x/2 < k^2 < 0.656x)
+    out = tmp_path / "wig"
+    assert main(["wigner", "--out", str(out)]) == 0
+    header, rows = read_csv(out / "wigner.csv")
+    cols = {name: i for i, name in enumerate(header)}
+    w = np.array([float(r[cols["w_exact"]]) for r in rows])
+    d = np.array([float(r[cols["diff_semiclassical"]]) for r in rows])
+    between = np.array([r[cols["region"]] == "Between" for r in rows])
+    x = np.array([float(r[cols["x"]]) for r in rows])
+    k = np.array([float(r[cols["k"]]) for r in rows])
+    assert np.sum(between & (k * k < 0.656 * x)) > 200
+    assert np.max(np.abs(d[between])) <= 1e-11 * np.max(np.abs(w))
 
 
 # -- manifests and determinism ----------------------------------------------

@@ -136,6 +136,17 @@ def test_find_caustic_at_turning_point():
     assert abs(x_c) < 1e-6
 
 
+def test_find_caustic_finds_every_touch_of_a_bound_ray():
+    # eta^2 = 1 - x^2: x(t) = -cos(t) from (0, -1) turns at x = +-1 and
+    # touches the caustic at t = (2n + 1) pi/2
+    prof = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x, "harmonic")
+    hits = find_caustic(prof, 0.0, -1.0, 8.5)
+    assert len(hits) == 3
+    for n, (t_c, x_c) in enumerate(hits):
+        assert abs(t_c - (2 * n + 1) * math.pi / 2) <= 1e-10
+        assert abs(abs(x_c) - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("t_end", [0.0, -1.0])
 def test_find_caustic_refuses_nonpositive_t_end(t_end):
     with pytest.raises(ValueError, match="t_end must be positive"):

@@ -336,11 +336,12 @@ def test_chord_absent_outside_region():
 
 def test_vectorised_chord_matches_closed_form():
     # For S' = sqrt(x) the chord is sigma0 = 2k sqrt(x - k^2), real for
-    # x/2 < k^2 < x; the default bracket (0, 0.95x) holds it only for
-    # k^2 > 0.656x, so x/2 < k^2 < 0.656x must report no chord.
+    # x/2 < k^2 < x; a bracket (0, 0.95x) that stops short of the edge
+    # sigma = x holds it only for k^2 > 0.656x, so x/2 < k^2 < 0.656x must
+    # report no chord.
     x = np.linspace(0.1, 1.9, 64)[:, None]
     k = np.linspace(0.0, 1.6, 97)[None, :]
-    hi = 0.95 * x  # the semiclassical functions' default bracket
+    hi = 0.95 * x
     sigma0 = chord_points(np.sqrt, x, k, (0.0, hi))
     assert sigma0.shape == (64, 97)
     real = (k**2 > x / 2) & (k**2 < x)
@@ -400,13 +401,35 @@ def test_local_argument_linearization():
 
 @pytest.mark.parametrize(
     "x,k",
-    [(1.0, 0.8), (1.0, 0.75), (1.5, 0.95), (0.8, 0.7), (1.0, 0.999), (2.4, 1.2)],
+    [
+        (1.0, 0.8), (1.0, 0.75), (1.5, 0.95), (0.8, 0.7), (1.0, 0.999), (2.4, 1.2),
+        (0.8, 0.65),
+    ],
 )
 def test_uniform_reproduces_exact_between_parabolas(x, k):
+    # (1.0, 0.75) and (0.8, 0.65) have chords beyond 0.95x
     S, A = airy_plus_phase()
-    w_u = semiclassical_wigner_uniform(S, A, x, k, EPS, (0.0, 0.999 * x))
+    w_u = semiclassical_wigner_uniform(S, A, x, k, EPS)
     w_e = wigner_exact_airy(x, k, EPS, X0)
     assert w_u == pytest.approx(w_e, rel=1e-10)
+
+
+@pytest.mark.parametrize("x,k", [(0.5, 0.5), (0.98, 0.7)])
+def test_uniform_on_conjugate_parabola_is_the_fold_expansion(x, k):
+    # k^2 = x/2: the chord sits on the window edge sigma = x, where F'' and
+    # A(x - sigma) diverge, so it counts as no chord
+    S, A = airy_plus_phase()
+    assert chord_points(S.s1, x, k, (0.0, x)) == x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_u = semiclassical_wigner_uniform(S, A, x, k, EPS)
+        w_l = semiclassical_wigner_local(S, A, x, k, EPS)
+    s3 = S.s3(x)
+    xi = 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x))
+    a0 = abs(A(x)) ** 2 * abs(s3) ** (-1.0 / 3.0)
+    fold = 2.0 * a0 * EPS ** (-2.0 / 3.0) * airy_ai(-(EPS ** (-2.0 / 3.0)) * xi)[0]
+    assert w_u == pytest.approx(fold, rel=1e-14)
+    assert math.isfinite(w_l)
 
 
 def test_uniform_on_manifold_limit():
@@ -530,7 +553,7 @@ def test_via_fourier_matches_direct_gaussian():
     psi_hat = gaussian_sampler()
     for (x, k) in [(0.0, 0.0), (0.3, 0.2), (-0.2, 0.5)]:
         got = wigner_via_fourier(psi_hat, x, k)
-        assert got == pytest.approx(gaussian_wigner(x, k), rel=1e-5)
+        assert got == pytest.approx(gaussian_wigner(x, k), rel=1e-12)
 
 
 def test_via_fourier_translation_covariance():
