@@ -13,7 +13,6 @@ of its shape.  Each per-point refusal raises if any point violates it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .rays import RefractionProfile1D
+from .rays import RefractionProfile1D, _central_differences
 from .specfun import airy
 
 __all__ = [
@@ -120,7 +119,7 @@ def kl_field(coords: KlCoordinates, amps: KlAmplitudes, epsilon: float, x):
     u = (
         math.sqrt(2.0 * math.pi)
         * epsilon ** (-1.0 / 6.0)
-        * cmath.exp(1j * math.pi / 4.0)
+        * complex(np.exp(1j * math.pi / 4.0))
         * np.exp(1j * coords.phi(x) / epsilon)
         * (
             amps.g0(x) * v.ai
@@ -149,26 +148,18 @@ def kl_phase_residual(
 
 
 def kl_phase_residual_2d(
-    phi: Callable[[float, float], float],
-    rho: Callable[[float, float], float],
-    eta_squared: Callable[[float, float], float],
+    phi: Callable[[ArrayLike, ArrayLike], ArrayLike],
+    rho: Callable[[ArrayLike, ArrayLike], ArrayLike],
+    eta_squared: Callable[[ArrayLike, ArrayLike], ArrayLike],
     points: Sequence,
 ) -> list:
     """Two-dimensional version of the phase-system residual on (y, z)
-    points: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2, r2 = grad phi . grad rho."""
-
-    def grad(f, y, z):
-        hy = _FD_STEP * max(abs(y), 1.0)
-        hz = _FD_STEP * max(abs(z), 1.0)
-        fy = (f(y + hy, z) - f(y - hy, z)) / (2.0 * hy)
-        fz = (f(y, z + hz) - f(y, z - hz)) / (2.0 * hz)
-        return fy, fz
-
-    out = []
-    for y, z in points:
-        py, pz = grad(phi, y, z)
-        ry, rz = grad(rho, y, z)
-        r1 = py**2 + pz**2 + rho(y, z) * (ry**2 + rz**2) - eta_squared(y, z)
-        r2 = py * ry + pz * rz
-        out.append((r1, r2))
-    return out
+    points: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2, r2 = grad phi . grad rho.
+    phi, rho and eta_squared take arrays of y and z."""
+    y, z = np.asarray(points, dtype=float).reshape(-1, 2).T
+    fields = (phi, rho)
+    py, ry = (_central_differences(lambda u: f(u, z), y, _FD_STEP)[0] for f in fields)
+    pz, rz = (_central_differences(lambda u: f(y, u), z, _FD_STEP)[0] for f in fields)
+    r1 = py**2 + pz**2 + rho(y, z) * (ry**2 + rz**2) - eta_squared(y, z)
+    r2 = py * ry + pz * rz
+    return list(zip(r1.tolist(), r2.tolist()))

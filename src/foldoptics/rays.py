@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .wigner import bisect_brackets
 
@@ -51,28 +52,38 @@ _CAUSTIC_SCAN = 2000
 _DERIVATIVE_REL_TOL = 1e-5
 
 
+def _central_differences(f, x, rel_step):
+    """Central-difference (f', f'') of an array-in/array-out f at the
+    points x, with step rel_step * max(|x|, 1) at each point."""
+    x = np.asarray(x, dtype=float)
+    h = rel_step * np.maximum(np.abs(x), 1.0)
+    up, mid, down = f(x + h), f(x), f(x - h)
+    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
+
+
 @dataclass(frozen=True)
 class RefractionProfile1D:
     """Medium law eta^2(x) with its derivative.
 
-    eta_squared must be positive on the open interval `domain`; rays are
-    truncated (with a flag) if they exit the closed domain.
+    eta_squared and eta_squared_prime take a scalar or an array x and
+    return a value that broadcasts against it (a constant may come back
+    as a plain number).  eta_squared must be positive on the open interval
+    `domain`; rays are truncated (with a flag) if they exit the closed
+    domain.
     """
 
-    eta_squared: Callable[[float], float]
-    eta_squared_prime: Callable[[float], float]
+    eta_squared: Callable[[ArrayLike], ArrayLike]
+    eta_squared_prime: Callable[[ArrayLike], ArrayLike]
     name: str = "profile"
     domain: tuple = (-math.inf, math.inf)
 
     def check_derivative(self, xs: Sequence[float]) -> bool:
         """Finite-difference consistency of eta_squared_prime on xs."""
-        for x in xs:
-            h = 1e-6 * max(abs(x), 1.0)
-            num = (self.eta_squared(x + h) - self.eta_squared(x - h)) / (2 * h)
-            ana = self.eta_squared_prime(x)
-            if abs(num - ana) > _DERIVATIVE_REL_TOL * max(abs(ana), 1.0):
-                return False
-        return True
+        xs = np.asarray(xs, dtype=float)
+        num, _ = _central_differences(self.eta_squared, xs, 1e-6)
+        ana = self.eta_squared_prime(xs)
+        bound = _DERIVATIVE_REL_TOL * np.maximum(np.abs(ana), 1.0)
+        return not np.any(np.abs(num - ana) > bound)
 
 
 def airy_profile() -> RefractionProfile1D:
@@ -102,8 +113,7 @@ class RayPath:
     truncated: bool = False
 
     def hamiltonian(self, profile: RefractionProfile1D) -> np.ndarray:
-        eta2 = np.array([profile.eta_squared(xi) for xi in self.x])
-        return 0.5 * (self.k**2 - eta2)
+        return 0.5 * (self.k**2 - profile.eta_squared(self.x))
 
 
 @dataclass(frozen=True)

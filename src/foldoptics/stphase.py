@@ -99,14 +99,7 @@ def standard_spa(f_at: complex, phi_at: float, phi_xx: float, lam: float) -> com
     )
 
 
-def cfu_match(
-    phi_1: float,
-    phi_2: float,
-    f_1: complex,
-    f_2: complex,
-    phi_xx_1: float,
-    phi_xx_2: float,
-) -> CfuCoefficients:
+def cfu_match(phi_1, phi_2, f_1, f_2, phi_xx_1, phi_xx_2) -> CfuCoefficients:
     """Match the uniform Airy form against the two-point formula.
 
     Conventions: point 1 is the maximum (phi'' < 0) with the larger phase,
@@ -115,36 +108,47 @@ def cfu_match(
         A0 xi^{-1/4} - B0 xi^{1/4} = sqrt(2) f1 / |phi''_1|^{1/2}
         A0 xi^{-1/4} + B0 xi^{1/4} = sqrt(2) f2 / (phi''_2)^{1/2}
 
-    solved exactly for (A0, B0).
+    solved exactly for (A0, B0).  The data broadcast: scalars give float
+    (phi0, xi) and complex (A0, B0), arrays give arrays, and each
+    convention raises if any pair breaks it.
     """
-    if phi_1 < phi_2:
+    data = (phi_1, phi_2, f_1, f_2, phi_xx_1, phi_xx_2)
+    scalar = all(np.ndim(v) == 0 for v in data)
+    # on 1-d operands a scalar call runs numpy's array loops too, whose pow
+    # can differ by an ulp from its scalar arithmetic
+    phi_1, phi_2, f_1, f_2, phi_xx_1, phi_xx_2 = np.atleast_1d(*data)
+    if np.any(phi_1 < phi_2):
         raise ValueError("phase ordering violated: need phi_1 >= phi_2")
-    if not (phi_xx_1 < 0.0 < phi_xx_2):
+    if not np.all((phi_xx_1 < 0.0) & (0.0 < phi_xx_2)):
         raise ValueError("curvature signs violated: need phi''_1 < 0 < phi''_2")
-    if phi_1 == phi_2:
-        raise ValueError(
-            "coalesced stationary points (xi = 0): use cfu_small_alpha"
-        )
+    if np.any(phi_1 == phi_2):
+        raise ValueError("coalesced stationary points (xi = 0): use cfu_small_alpha")
     phi0 = 0.5 * (phi_1 + phi_2)
     xi = (0.75 * (phi_1 - phi_2)) ** (2.0 / 3.0)
-    r1 = f_1 / math.sqrt(abs(phi_xx_1))
-    r2 = f_2 / math.sqrt(phi_xx_2)
+    r1 = f_1 / np.sqrt(np.abs(phi_xx_1))
+    r2 = f_2 / np.sqrt(phi_xx_2)
     A0 = xi**0.25 * (r1 + r2) / math.sqrt(2.0)
     B0 = xi**-0.25 * (r2 - r1) / math.sqrt(2.0)
-    return CfuCoefficients(phi0=phi0, xi=xi, A0=A0, B0=B0)
+    if scalar:
+        return CfuCoefficients(phi0.item(), xi.item(), A0.item(), B0.item())
+    return CfuCoefficients(phi0, xi, A0, B0)
 
 
-def cfu_eval(c: CfuCoefficients, lam: float) -> complex:
+def cfu_eval(c: CfuCoefficients, lam):
     """Two-term uniform value
     e^{i lambda phi0} [2 pi A0 lambda^{-1/3} Ai(-lambda^{2/3} xi)
-                       - 2 pi i B0 lambda^{-2/3} Ai'(-lambda^{2/3} xi)]."""
-    if lam <= 0:
+                       - 2 pi i B0 lambda^{-2/3} Ai'(-lambda^{2/3} xi)],
+    complex for scalar coefficients and lambda, otherwise a complex array
+    of their broadcast shape."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
     v = airy(-(lam ** (2.0 / 3.0)) * c.xi)
-    return cmath.exp(1j * lam * c.phi0) * (
+    u = np.exp(1j * lam * c.phi0) * (
         2.0 * math.pi * c.A0 * lam ** (-1.0 / 3.0) * v.ai
         - 2.0j * math.pi * c.B0 * lam ** (-2.0 / 3.0) * v.ai_prime
     )
+    return complex(u) if np.ndim(u) == 0 else u
 
 
 def cfu_small_alpha(

@@ -16,7 +16,8 @@ takes broadcast branch indices and (x, k) and returns region codes, the
 number of real points, and up to two points per cell with their
 curvatures, NaN-padded, after one vectorised pass that polishes the real
 points and checks every point against the phase gradient.
-`classify_region` and `stationary_points` are scalar views of it.
+`classify_region` and `stationary_points` are scalar views of it, and
+`diagonal_asymptotics` matches its Between pairs.
 
 Unfolding-parameter and sign conventions, frozen once:
 
@@ -29,7 +30,6 @@ Unfolding-parameter and sign conventions, frozen once:
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -39,7 +39,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .rays import RefractionProfile1D, airy_profile
+from .rays import RefractionProfile1D, _central_differences, airy_profile
 from .specfun import airy_ai, airy_square_integral
 from .stphase import CfuCoefficients, StationaryPoint, cfu_eval, cfu_match
 from .wigner import PhaseSpaceGrid
@@ -76,9 +76,6 @@ _ROOT_TOL = 1e-10
 # [-_FLUX_K_MAX, _FLUX_K_MAX].
 _FLUX_K_MAX = 3.0
 _FLUX_SAMPLES = 1201
-
-_DIAGONAL = (1, 2)
-_OFFDIAGONAL = (3, 4)
 
 # (sign of sqrt(x + sigma), sign of sqrt(x - sigma)) in F_sigma of branches
 # 1..4; every phase derivative of a branch follows from its pair
@@ -169,16 +166,19 @@ def _phase_sss(a, b, sigma, x, k):
     return -0.25 * (a * (x + sigma) ** -1.5 + b * (x - sigma) ** -1.5)
 
 
+def _diagonal_amplitude(sigma, x, x0):
+    return 0.25 / math.sqrt(x0) * (x * x - sigma * sigma) ** -0.25
+
+
 def wigner_branches(x0: float) -> Tuple[WignerBranchIntegral, ...]:
     """The four branch integrals of the squared two-phase field with
     source abscissa x0, in index order 1..4.  The phase callables take
     scalars or broadcasting arrays."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    amp = 0.25 / math.sqrt(x0)
 
     def d_diag(sigma, x):
-        return complex(amp * (x * x - sigma * sigma) ** -0.25)
+        return complex(_diagonal_amplitude(sigma, x, x0))
 
     def d_plus_minus(sigma, x):
         return -1j * d_diag(sigma, x)
@@ -369,105 +369,118 @@ def stationary_points(
         for loc, c in zip(table.locations, table.curvatures)
         if not np.isnan(loc)
     )
-    if w.index in _DIAGONAL and not _diagonal_sign_ok(w.index, k):
+    if w.index <= 2 and not _diagonal_sign_ok(w.index, k):
         cell = "none (wrong-sign k)"
     else:
-        cell = _CELLS[w.index in _DIAGONAL][int(table.region)]
+        cell = _CELLS[w.index <= 2][int(table.region)]
     return StationaryPointReport(region, points, f"F{w.index} @ {region.value}: {cell}")
 
 
-def diagonal_asymptotics(
-    index: int, x: float, k: float, epsilon: float, x0: float
-) -> float:
-    """Airy-form approximation of a diagonal branch integral.
+def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
+    """Airy-form approximation of the diagonal branch integrals `index`
+    at (x, k), broadcast together; a float for scalars, otherwise an
+    array.
 
-    Between the parabolas the two real stationary points are matched with
-    the cubic canonical integral; on and outside the manifold the
-    coalesced / imaginary pair yields the same canonical data with
-    xi = 2^{2/3} (x - k^2) continued to xi <= 0.
+    Between the parabolas the two real stationary points of
+    stationary_table are matched with the cubic canonical integral; on
+    and outside the manifold the coalesced / imaginary pair yields the
+    same canonical data with xi = 2^{2/3} (x - k^2) continued to xi <= 0.
+    Cells on or inside the conjugate parabola raise; cells with the wrong
+    sign of k give 0 under one NoStationaryPointWarning per call.
     """
-    if index not in _DIAGONAL:
+    index, x, k = np.broadcast_arrays(
+        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    )
+    if not np.all((index == 1) | (index == 2)):
         raise ValueError("diagonal branches are indices 1 and 2")
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
-    region = classify_region(x, k)
-    if region in (RegionLabel.ON_CONJUGATE, RegionLabel.INTERIOR):
+    table = stationary_table(index, x, k)
+    if np.any(table.region >= _ON_CONJUGATE):
         raise ValueError(
             "diagonal Airy asymptotics hold strictly inside the conjugate "
             "parabola (x < 2 k^2)"
         )
-    if not _diagonal_sign_ok(index, k):
+    live = _diagonal_sign_ok(index, k)
+    if not live.all():
         warnings.warn(
-            f"branch {index} has no stationary points for this sign of k; "
+            "a diagonal branch has no stationary points for this sign of k; "
             "its contribution is 0",
             NoStationaryPointWarning,
             stacklevel=2,
         )
-        return 0.0
-    if region is RegionLabel.BETWEEN:
-        w = wigner_branches(x0)[index - 1]
-        sigma0 = 2.0 * abs(k) * math.sqrt(x - k * k)
-        first, second = sorted(
-            (sigma0, -sigma0), key=lambda s: w.F(s, x, k), reverse=True
-        )
-        c = cfu_match(
-            w.F(first, x, k),
-            w.F(second, x, k),
-            w.D(first, x),
-            w.D(second, x),
-            w.F_sigmasigma(first, x, k),
-            w.F_sigmasigma(second, x, k),
-        )
-    else:
-        a0 = 2.0 ** (-4.0 / 3.0) / math.sqrt(x0)
-        c = CfuCoefficients(0.0, 2.0 ** (2.0 / 3.0) * (x - k * k), a0, 0j)
-    return (cfu_eval(c, 1.0 / epsilon) / (math.pi * epsilon)).real
+    between = live & (table.region == _BETWEEN)
+    # the Between pair as (maximum, minimum), by the sign of its table curvature
+    sigma = table.locations.real[between]
+    pair = np.where(table.curvatures[between][:, :1] < 0.0, sigma, sigma[:, ::-1])
+    a = np.where(index[between] == 1, 1.0, -1.0)[:, None]
+    xb, kb = x[between][:, None], k[between][:, None]
+    F, F_ss = (f(a, a, pair, xb, kb) for f in (_phase, _phase_ss))
+    D = _diagonal_amplitude(pair, xb, x0)
+    c = cfu_match(F[:, 0], F[:, 1], D[:, 0], D[:, 1], F_ss[:, 0], F_ss[:, 1])
+    # on and outside the manifold: the canonical data of the fold pair
+    phi0 = np.zeros(x.shape)
+    xi = np.array(2.0 ** (2.0 / 3.0) * (x - k * k))
+    A0 = np.full(x.shape, 2.0 ** (-4.0 / 3.0) / math.sqrt(x0), dtype=complex)
+    B0 = np.zeros(x.shape, dtype=complex)
+    phi0[between], xi[between], A0[between], B0[between] = c.phi0, c.xi, c.A0, c.B0
+    w = cfu_eval(CfuCoefficients(phi0, xi, A0, B0), 1.0 / epsilon) / (math.pi * epsilon)
+    out = np.where(live, w.real, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def offdiagonal_asymptotics(
-    index: int, x: float, k: float, epsilon: float, x0: float
-) -> complex:
-    """Leading contribution of a cross-branch integral.
+def offdiagonal_asymptotics(index, x, k, epsilon: float, x0: float):
+    """Leading contribution of the cross-branch integrals `index` at
+    (x, k), broadcast together; a complex for scalars, otherwise a
+    complex array.
 
     Interior: a single nondegenerate stationary point gives an O(eps^-1/2)
     oscillation; the index-3 and index-4 terms are complex conjugates.
     Exterior: the pair cancels exactly; the individual values are defined
     only up to that cancellation and the convention here puts +E on
     index 3.  Between the parabolas there is no stationary point and the
-    contribution is 0.
+    contribution is 0.  Cells on x = 2 k^2 take the interior limit under
+    one SingularCurvatureWarning per call.
     """
-    if index not in _OFFDIAGONAL:
+    index, x, k = np.broadcast_arrays(
+        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    )
+    if not np.all((index == 3) | (index == 4)):
         raise ValueError("off-diagonal branches are indices 3 and 4")
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
-    region = classify_region(x, k)
-    if region in (RegionLabel.BETWEEN, RegionLabel.ON_MANIFOLD):
-        return 0j
-    if region is RegionLabel.EXTERIOR:
-        q = k * k - x
-        e = (
-            2.0 ** -2.5
-            / math.sqrt(math.pi * epsilon * x0)
-            * q ** -0.25
-            * math.exp(-4.0 * q ** 1.5 / (3.0 * epsilon))
-        )
-        return complex(e) if index == 3 else complex(-e)
-    if region is RegionLabel.ON_CONJUGATE:
+    region = _region_codes(x, k)
+    exterior = region == _EXTERIOR
+    interior = (region == _INTERIOR) | (region == _ON_CONJUGATE)
+    if np.any(region == _ON_CONJUGATE):
         warnings.warn(
             "cross-branch curvature diverges on x = 2 k^2; returning the "
             "interior limit",
             SingularCurvatureWarning,
             stacklevel=2,
         )
-    s = x - k * k
+    # |x - k^2|, with 1 standing in where no power of it is taken
+    q = np.where(exterior | interior, np.abs(x - k * k), 1.0)
+    e = (
+        2.0 ** -2.5
+        / math.sqrt(math.pi * epsilon * x0)
+        * q ** -0.25
+        * np.exp(-4.0 * q ** 1.5 / (3.0 * epsilon))
+    )
     w3 = (
         -1j
         * 2.0 ** -1.5
         / math.sqrt(math.pi * epsilon * x0)
-        * s ** -0.25
-        * cmath.exp(1j * (math.pi / 4.0 + 4.0 * s ** 1.5 / (3.0 * epsilon)))
+        * q ** -0.25
+        * np.exp(1j * (math.pi / 4.0 + 4.0 * q ** 1.5 / (3.0 * epsilon)))
     )
-    return w3 if index == 3 else w3.conjugate()
+    third = index == 3
+    out = np.select(
+        [exterior, interior],
+        [np.where(third, e, -e), np.where(third, w3, w3.conjugate())],
+        0j,
+    )
+    return complex(out) if out.ndim == 0 else out
 
 
 def combined_wkb_wigner(x, k, epsilon: float, x0: float, extended: bool = False):
@@ -496,31 +509,34 @@ def combined_wkb_wigner(x, k, epsilon: float, x0: float, extended: bool = False)
     return out
 
 
-def k_integral_amplitude(
-    x: float, epsilon: float, x0: float, extended: bool = False
-) -> float:
+def k_integral_amplitude(x, epsilon: float, x0: float, extended: bool = False):
     """Zeroth k-moment of the recombined Wigner profile in closed form:
-    pi eps^{-1/3} x0^{-1/2} Ai^2(-eps^{-2/3} x)."""
+    pi eps^{-1/3} x0^{-1/2} Ai^2(-eps^{-2/3} x); a float for scalar x,
+    otherwise an array of its shape."""
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
-    if not extended and x <= 0.0:
+    x = np.asarray(x, dtype=float)
+    if not extended and np.any(x <= 0.0):
         raise ValueError(
             "x must be positive in the illuminated zone; pass extended=True "
             "to evaluate the closed form in the shadow"
         )
     r1 = (2.0 / epsilon) ** (2.0 / 3.0)
-    return 0.5 / math.sqrt(x0) * r1 * airy_square_integral(r1, 0.0, -r1 * x)
+    out = 0.5 / math.sqrt(x0) * r1 * airy_square_integral(r1, 0.0, -r1 * x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def k_integral_flux(x: float, epsilon: float, x0: float) -> float:
-    """First k-moment of the recombined profile on a symmetric grid.
+def k_integral_flux(x, epsilon: float, x0: float):
+    """First k-moment of the recombined profile on a symmetric grid; a
+    float for scalar x, otherwise an array of its shape.
 
     The integrand k * W(x, k) is odd in k, so the trapezoid sum cancels
     pairwise and the value is 0 to roundoff.
     """
     ks = np.linspace(-_FLUX_K_MAX, _FLUX_K_MAX, _FLUX_SAMPLES)
-    w = combined_wkb_wigner(x, ks, epsilon, x0)
-    return float(np.trapezoid(ks * w, ks))
+    w = combined_wkb_wigner(np.asarray(x, dtype=float)[..., None], ks, epsilon, x0)
+    out = np.trapezoid(ks * w, ks, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def liouville_residual(g: PhaseSpaceGrid) -> PhaseSpaceGrid:
@@ -530,11 +546,11 @@ def liouville_residual(g: PhaseSpaceGrid) -> PhaseSpaceGrid:
     Any profile of the form f(x, k) = G(x - k^2) is annihilated exactly;
     the stencil is second order in the grid spacings.
     """
-    return stationary_wigner_residual(airy_profile(), g, g.epsilon)
+    return stationary_wigner_residual(airy_profile(), g)
 
 
 def stationary_wigner_residual(
-    profile: RefractionProfile1D, g: PhaseSpaceGrid, epsilon: float
+    profile: RefractionProfile1D, g: PhaseSpaceGrid
 ) -> PhaseSpaceGrid:
     """Residual k df/dx + (1/2) (eta^2)'(x) df/dk on the interior grid.
 
@@ -544,8 +560,6 @@ def stationary_wigner_residual(
     same equation as the eps -> 0 limit.  Profiles with curvature in
     (eta^2)' are rejected rather than approximated.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     xs = np.asarray(g.xs, dtype=float)
     ks = np.asarray(g.ks, dtype=float)
     if xs.size < 3 or ks.size < 3:
@@ -554,14 +568,13 @@ def stationary_wigner_residual(
     fx = np.gradient(values, xs, axis=0)
     fk = np.gradient(values, ks, axis=1)
     p = profile.eta_squared_prime
-    for xq in np.linspace(xs[0], xs[-1], 7):
-        h = 1e-2 * max(1.0, abs(xq))
-        third = (p(xq + h) - 2.0 * p(xq) + p(xq - h)) / (h * h)
-        if abs(third) > 1e-6 * max(1.0, abs(p(xq))):
-            raise ValueError(
-                "unsupported profile: (eta^2)''' != 0 introduces dispersion "
-                "terms beyond the transport closure"
-            )
-    transport = np.array([p(float(xq)) for xq in xs])
+    probe = np.linspace(xs[0], xs[-1], 7)
+    _, third = _central_differences(p, probe, 1e-2)
+    if np.any(np.abs(third) > 1e-6 * np.maximum(1.0, np.abs(p(probe)))):
+        raise ValueError(
+            "unsupported profile: (eta^2)''' != 0 introduces dispersion "
+            "terms beyond the transport closure"
+        )
+    transport = np.broadcast_to(p(xs), xs.shape)
     res = ks[None, :] * fx + 0.5 * transport[:, None] * fk
     return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res[1:-1, 1:-1], g.epsilon)

@@ -10,15 +10,15 @@ the reference fields the WKB and uniform expansions are checked against.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .rays import LinearLayerParams, RefractionProfile1D
+from .rays import LinearLayerParams, RefractionProfile1D, _central_differences
 from .specfun import airy, airy_ai
 
 __all__ = [
@@ -67,7 +67,6 @@ class BranchField:
 class WkbField:
     branches: Tuple[BranchField, ...]
     epsilon: float
-    alpha0: complex
 
     def value(self, x: float) -> complex:
         if self.epsilon <= 0:
@@ -75,7 +74,7 @@ class WkbField:
         total = 0.0 + 0.0j
         for b in self.branches:
             if b.contains(x):
-                total += b.A(x) * cmath.exp(1j * b.S(x) / self.epsilon)
+                total += b.A(x) * complex(np.exp(1j * b.S(x) / self.epsilon))
         return total
 
 
@@ -83,7 +82,7 @@ def source_amplitude(x0: float) -> complex:
     """WKB amplitude of the wave at the source, alpha0 = e^{-i pi/4} x0^{-1/2}/2."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    return 0.5 * cmath.exp(-1j * math.pi / 4.0) / math.sqrt(x0)
+    return 0.5 * complex(np.exp(-1j * math.pi / 4.0)) / math.sqrt(x0)
 
 
 def airy_wkb_branches(x0: float) -> Tuple[BranchField, BranchField]:
@@ -174,7 +173,7 @@ def airy_greens(x, x0: float, epsilon: float):
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     a = epsilon ** (-2.0 / 3.0)
-    coeff = math.pi * epsilon ** (-1.0 / 3.0) * cmath.exp(-1j * math.pi / 4.0)
+    coeff = math.pi * epsilon ** (-1.0 / 3.0) * complex(np.exp(-1j * math.pi / 4.0))
     v0 = airy(-a * x0)
     x_arr = np.asarray(x, dtype=np.float64)
     v = airy(-a * x_arr)
@@ -196,9 +195,9 @@ def airy_inner_approx(x, x0: float, epsilon: float):
         raise ValueError("epsilon and x0 must be positive")
     coeff = (
         math.sqrt(math.pi)
-        * cmath.exp(-1j * math.pi / 2.0)
+        * complex(np.exp(-1j * math.pi / 2.0))
         * x0 ** (-0.25)
-        * cmath.exp(1j * (2.0 / 3.0) * x0**1.5 / epsilon)
+        * complex(np.exp(1j * (2.0 / 3.0) * x0**1.5 / epsilon))
         * epsilon ** (-1.0 / 6.0)
     )
     x_arr = np.asarray(x, dtype=np.float64)
@@ -207,41 +206,29 @@ def airy_inner_approx(x, x0: float, epsilon: float):
     return complex(u) if np.ndim(x) == 0 else u
 
 
-def _central_first(f: Callable[[float], float], x: float, h: float):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _central_second(f: Callable[[float], float], x: float, h: float):
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
 def eikonal_residual(
-    S: Callable[[float], float],
+    S: Callable[[ArrayLike], ArrayLike],
     profile: RefractionProfile1D,
     xs: Sequence[float],
 ) -> np.ndarray:
-    """(S'(x))^2 - eta^2(x) with S' by central differences."""
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        hx = _EIKONAL_STEP * max(abs(x), 1.0)
-        out[i] = _central_first(S, x, hx) ** 2 - profile.eta_squared(x)
-    return out
+    """(S'(x))^2 - eta^2(x) with S' by central differences; S takes and
+    returns arrays."""
+    xs = np.asarray(xs, dtype=float)
+    sp, _ = _central_differences(S, xs, _EIKONAL_STEP)
+    return sp**2 - profile.eta_squared(xs)
 
 
 def transport_residual(
-    S: Callable[[float], float],
-    A: Callable[[float], complex],
+    S: Callable[[ArrayLike], ArrayLike],
+    A: Callable[[ArrayLike], ArrayLike],
     xs: Sequence[float],
 ) -> np.ndarray:
-    """|2 S' A' + S'' A| with derivatives by central differences."""
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        hx = _TRANSPORT_STEP * max(abs(x), 1.0)
-        sp = _central_first(S, x, hx)
-        spp = _central_second(S, x, hx)
-        ap = (A(x + hx) - A(x - hx)) / (2.0 * hx)
-        out[i] = abs(2.0 * sp * ap + spp * A(x))
-    return out
+    """|2 S' A' + S'' A| with derivatives by central differences; S and A
+    take arrays and return values that broadcast against them."""
+    xs = np.asarray(xs, dtype=float)
+    sp, spp = _central_differences(S, xs, _TRANSPORT_STEP)
+    ap, _ = _central_differences(A, xs, _TRANSPORT_STEP)
+    return np.abs(2.0 * sp * ap + spp * A(xs))
 
 
 def linear_layer_phases(y, z, p: LinearLayerParams):

@@ -79,6 +79,18 @@ def test_criterion_04_k_moments():
     assert report(check_k_moments())
 
 
+def test_criterion_04_fails_on_perturbed_k_moment(monkeypatch):
+    # the library's closed-form k-moment off by 1e-3 (relative): the
+    # quadrature of the recombined profile no longer reproduces it
+    moment = cli.k_integral_amplitude
+    monkeypatch.setattr(
+        cli, "k_integral_amplitude", lambda *a, **kw: moment(*a, **kw) * (1.0 + 1e-3)
+    )
+    result = check_k_moments()
+    assert not result.passed
+    assert result.metric > result.threshold
+
+
 def test_criterion_05_stationary_point_tables():
     # 10^4 random (x, k): every real tabulated point re-found by bracketing
     # and bisection with gradient residual <= 1e-10

@@ -198,3 +198,41 @@ def test_stationary_point_validation():
         StationaryPoint(1.0, "triple", 0.0)
     assert StationaryPoint(1.0, "simple", 1.0).is_real
     assert not StationaryPoint(1.0j, "simple", 1.0).is_real
+
+
+def _random_match_data(n, seed=11):
+    rng = np.random.default_rng(seed)
+    phi2 = rng.uniform(-3.0, 3.0, n)
+    phi1 = phi2 + rng.uniform(1e-3, 5.0, n)
+    f1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f2 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return phi1, phi2, f1, f2, -rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)
+
+
+def test_array_match_equals_scalar_calls_bitwise():
+    data = _random_match_data(500)
+    c = cfu_match(*data)
+    for i in range(500):
+        one = cfu_match(*(v[i].item() for v in data))
+        assert isinstance(one.xi, float) and isinstance(one.A0, complex)
+        assert (one.phi0, one.xi, one.A0, one.B0) == (c.phi0[i], c.xi[i], c.A0[i], c.B0[i])
+
+
+def test_array_match_refuses_if_any_pair_breaks_a_convention():
+    phi1, phi2, f1, f2, c1, c2 = _random_match_data(20)
+    swapped = phi2.copy()
+    swapped[7] = phi1[7] + 1.0
+    with pytest.raises(ValueError, match="ordering"):
+        cfu_match(phi1, swapped, f1, f2, c1, c2)
+    flipped = c1.copy()
+    flipped[3] = 1.0
+    with pytest.raises(ValueError, match="curvature"):
+        cfu_match(phi1, phi2, f1, f2, flipped, c2)
+
+
+def test_array_eval_matches_scalar_calls():
+    c = cfu_match(*_random_match_data(50))
+    got = cfu_eval(c, 30.0)
+    for i in range(50):
+        one = CfuCoefficients(c.phi0[i], c.xi[i], c.A0[i], c.B0[i])
+        assert got[i] == pytest.approx(cfu_eval(one, 30.0), rel=1e-13, abs=1e-15)

@@ -384,6 +384,76 @@ def test_offdiagonal_conjugate_curve_warns():
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
+# peak of the exact transform: Ai is largest, 0.53566..., at -1.01879...
+PEAK = 0.5 / math.sqrt(X0) * (2.0 / EPS) ** (2.0 / 3.0) * airy(-1.018792971647471).ai
+
+
+def _asymptotics_draws():
+    rng = np.random.default_rng(RNG_SEED)
+    return rng.uniform(0.2, 1.9, 1500), rng.uniform(-1.6, 1.6, 1500)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_array_asymptotics_match_scalar_calls(index):
+    xs, ks = _asymptotics_draws()
+    if index in (1, 2):
+        # the diagonal forms hold strictly outside the conjugate parabola
+        outside = stationary_table(index, xs, ks).region < 3
+        xs, ks = xs[outside], ks[outside]
+        asymptotics = diagonal_asymptotics
+    else:
+        asymptotics = offdiagonal_asymptotics
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoStationaryPointWarning)
+        got = asymptotics(index, xs, ks, EPS, X0)
+        want = [asymptotics(index, float(x), float(k), EPS, X0) for x, k in zip(xs, ks)]
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13 * PEAK
+
+
+def test_diagonal_between_cells_match_exact_transform():
+    xs, ks = _asymptotics_draws()
+    between = stationary_table(1, xs, ks).region == 2
+    xs, ks = xs[between], ks[between]
+    # branch 1 carries k > 0, branch 2 k < 0
+    got = diagonal_asymptotics(np.where(ks > 0.0, 1, 2), xs, ks, EPS, X0)
+    err = np.abs(got - wigner_exact_airy(xs, ks, EPS, X0)) / PEAK
+    # next to x = 2 k^2 the pair sits at sigma0 ~ x - (2k^2 - x)^2/(2x), so
+    # rounding sigma0 to a double perturbs x - sigma0, and with it the
+    # amplitudes and curvatures, by up to 1e-8 relative: one draw with
+    # 2k^2 - x = 1.5e-4 is off by 2.6e-10 of the peak
+    near = 2.0 * ks**2 - xs < 1e-2
+    assert np.max(err[~near]) <= 4e-12
+    assert np.max(err[near]) <= 1e-9
+
+
+def test_diagonal_array_zeroes_only_its_wrong_sign_cell():
+    xs, ks = np.array([1.0, 1.0, 1.0]), np.array([0.8, -0.8, 1.2])
+    with pytest.warns(NoStationaryPointWarning) as record:
+        got = diagonal_asymptotics(1, xs, ks, EPS, X0)
+    assert len(record) == 1
+    assert got[1] == 0.0
+    for i in (0, 2):
+        assert got[i] != 0.0
+        assert got[i] == pytest.approx(diagonal_asymptotics(1, xs[i], ks[i], EPS, X0))
+
+
+def test_diagonal_array_with_an_interior_cell_raises():
+    with pytest.raises(ValueError, match="conjugate"):
+        diagonal_asymptotics(1, [1.0, 1.0, 1.0], [0.8, 0.5, 1.2], EPS, X0)
+
+
+def test_offdiagonal_array_warns_once_for_its_conjugate_cells():
+    k = np.array([0.8, 0.9, 0.3, 1.3])
+    x = np.array([2.0 * 0.8**2, 2.0 * 0.9**2, 1.5, 1.0])
+    with pytest.warns(SingularCurvatureWarning) as record:
+        got = offdiagonal_asymptotics(3, x, k, EPS, X0)
+    assert len(record) == 1
+    assert np.all(np.isfinite(got))
+    assert got[2] == offdiagonal_asymptotics(3, 1.5, 0.3, EPS, X0)
+    assert got[3] == offdiagonal_asymptotics(3, 1.0, 1.3, EPS, X0)
+
+
 def test_combined_equals_exact_transform():
     xs = np.linspace(0.05, 1.9, 120)
     ks = np.linspace(-1.6, 1.6, 120)
@@ -495,7 +565,7 @@ def test_liouville_needs_stencil_room():
 def test_stationary_equation_reduces_to_liouville_for_linear_medium():
     g = _airy_grid(201)
     a = liouville_residual(g)
-    b = stationary_wigner_residual(airy_profile(), g, 0.1)
+    b = stationary_wigner_residual(airy_profile(), g)
     assert np.array_equal(a.values, b.values)
 
 
@@ -504,7 +574,7 @@ def test_stationary_equation_constant_medium():
     ks = np.linspace(-1.0, 1.0, 41)
     vals = np.tile(np.exp(-(ks**2)), (41, 1))
     g = PhaseSpaceGrid(xs, ks, vals, 0.1)
-    res = stationary_wigner_residual(constant_profile(1.0), g, 0.1)
+    res = stationary_wigner_residual(constant_profile(1.0), g)
     assert np.max(np.abs(res.values)) < 1e-14
 
 
@@ -515,7 +585,7 @@ def test_stationary_equation_accepts_quadratic_profile():
         name="quadratic",
     )
     g = _airy_grid(41)
-    res = stationary_wigner_residual(prof, g, 0.1)
+    res = stationary_wigner_residual(prof, g)
     assert res.values.shape == (39, 39)
 
 
@@ -526,4 +596,4 @@ def test_stationary_equation_rejects_cubic_profile():
         name="cubic",
     )
     with pytest.raises(ValueError, match="unsupported profile"):
-        stationary_wigner_residual(prof, _airy_grid(41), 0.1)
+        stationary_wigner_residual(prof, _airy_grid(41))

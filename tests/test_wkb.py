@@ -60,7 +60,7 @@ def test_amplitude_squared_times_jacobian_invariant():
 def test_field_value_equals_branch_sum():
     plus, minus = airy_wkb_branches(X0)
     eps = 0.05
-    fld = WkbField(branches=(plus, minus), epsilon=eps, alpha0=source_amplitude(X0))
+    fld = WkbField(branches=(plus, minus), epsilon=eps)
     xs = np.linspace(0.6, 1.9, 11)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CausticZoneWarning)
