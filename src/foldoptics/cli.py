@@ -738,9 +738,11 @@ def check_rays() -> CriterionResult:
     depth = linear_layer_caustic_depth(p)
     depth_err = abs(linear_layer_ray(t_star, 0.0, p)[1] - depth)
     depth_ok = depth_err <= 1e-12 * max(1.0, abs(depth))
+    steps = "steps %d/%d (drift), %d/%d (caustic)" % (*path.steps, *touches.steps)
     return CriterionResult(
         10, "ray tracing", drift <= 1e-9 and t_err <= 1e-6 and depth_ok,
-        drift, 1e-9, f"caustic offset {t_err:.2e}, depth offset {depth_err:.2e}",
+        drift, 1e-9,
+        f"caustic offset {t_err:.2e}, depth offset {depth_err:.2e}; accepted/rejected {steps}",
     )
 
 

@@ -1,9 +1,12 @@
 """Hamiltonian ray tracing for H(x, k) = (k^2 - eta^2(x))/2.
 
-Generic paths are integrated with an adaptive Runge-Kutta scheme; the ray
-Jacobian J(t) = dx(t; x0)/dx0 is obtained from a pair of auxiliary rays
-launched at x0 +- delta with on-shell momenta, sharing the main ray's step
-sequence so that integrator noise cancels in the central difference.
+Generic paths are integrated in numpy by the Dormand-Prince 5(4) pair with
+Shampine's fourth-order dense output (Dormand & Prince 1980; Hairer, Norsett
+& Wanner, Solving ODEs I, II.4-6) under the step control of scipy's RK45:
+rtol 1e-10, atol 1e-12, safety factor 0.9, step factors within [0.2, 10].
+The ray Jacobian J(t) = dx(t; x0)/dx0 is obtained from a pair of auxiliary
+rays launched at x0 +- delta with on-shell momenta, sharing the main ray's
+step sequence so that integrator noise cancels in the central difference.
 
 Closed forms are provided for the two worked media: eta^2 = x (every ray is
 a parabola and the caustic is the turning point x = 0) and the 2-D linear
@@ -47,6 +50,28 @@ _JACOBIAN_DELTA = 1e-5
 _CAUSTIC_J_TOL = 1e-6
 # find_caustic scans J for sign changes over this many equal subintervals.
 _CAUSTIC_SCAN = 2000
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980): stage rows, the
+# fifth-order weights, the error weights (fifth minus fourth order, the last
+# on the derivative at the step end) and Shampine's fourth-order dense output.
+_DP_A = [np.array(row) for row in (
+    (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)]
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# Relative and absolute tolerance of the ray tracer's error norm.
+_RTOL, _ATOL = 1e-10, 1e-12
 
 # check_derivative's tolerance, relative to max(|(eta^2)'|, 1).
 _DERIVATIVE_REL_TOL = 1e-5
@@ -100,7 +125,8 @@ def constant_profile(c_squared: float) -> RefractionProfile1D:
 
 @dataclass
 class RayPath:
-    """A sampled bicharacteristic with Jacobian and accumulated phase."""
+    """A sampled bicharacteristic with Jacobian and accumulated phase;
+    `steps` holds the tracer's accepted and rejected step counts."""
 
     t: np.ndarray
     x: np.ndarray
@@ -111,6 +137,7 @@ class RayPath:
     k0: float
     profile_name: str
     truncated: bool = False
+    steps: tuple = (0, 0)
 
     def hamiltonian(self, profile: RefractionProfile1D) -> np.ndarray:
         return 0.5 * (self.k**2 - profile.eta_squared(self.x))
@@ -181,40 +208,100 @@ def _jacobian_launch(profile: RefractionProfile1D, x0: float, k0: float):
     return delta, *((xb, sgn * math.sqrt(eta2(xb))) for xb in offsets)
 
 
-def _trace(profile: RefractionProfile1D, x0: float, k0: float, t_end: float, **options):
-    """Integrate the ray system from (x0, k0) over [0, t_end] together
-    with the two Jacobian rays (RK45, rtol 1e-10, atol 1e-12); options go
-    to the integrator.  Returns the solution, whose rows are x, k, S, x+, k+,
-    x-, k-, and the Jacobian offset delta."""
-    # deferred: scipy.integrate (which loads scipy.optimize itself) stays
-    # out of `import foldoptics`
-    from scipy import integrate
+def _rms(v):
+    return np.linalg.norm(v) / v.size**0.5
 
+
+class _Touches(list):
+    """find_caustic's (t, x) pairs, with the tracer's (accepted, rejected)
+    step counts as `steps`."""
+
+
+def _trace(profile: RefractionProfile1D, x0: float, k0: float, t_end: float, stop_at_edge=False):
+    """Integrate the ray system from (x0, k0) over [0, t_end] together with
+    the two Jacobian rays, as one state x, k, S, x+, k+, x-, k-, by the
+    Dormand-Prince 5(4) pair with Shampine's dense output (Dormand & Prince
+    1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-6) under scipy's
+    RK45 step control: Hairer's first-step rule; the RMS error norm with
+    scale 1e-12 + 1e-10 max(|y|, |y_new|); the step factor 0.9 err^(-1/5)
+    within [0.2, 10], and at most 1 right after a rejected step.  A step
+    below 10 spacings of t raises.  With stop_at_edge the trace ends with
+    the first step that leaves the closed profile domain from inside it.
+
+    Returns the dense output (the states at 1-D times, as rows), delta, the
+    (accepted, rejected) step counts and the exit time (inf if none).
+    """
     eta2, deta2 = profile.eta_squared, profile.eta_squared_prime
     delta, (xp0, kp0), (xm0, km0) = _jacobian_launch(profile, x0, k0)
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    lo, hi = profile.domain
 
-    def rhs(t, y):
-        x, k, _, xp, kp, xm, km = y
-        return [k, 0.5 * deta2(x), eta2(x), kp, 0.5 * deta2(xp), km, 0.5 * deta2(xm)]
+    def gap(x):
+        return np.minimum(x - lo, hi - x)
 
-    sol = integrate.solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [x0, k0, 0.0, xp0, kp0, xm0, km0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        **options,
-    )
-    if not sol.success:
-        raise RuntimeError(f"ray integration failed: {sol.message}")
-    return sol, delta
+    def rhs(y):
+        f = np.empty(7)
+        f[[0, 3, 5]], f[[1, 4, 6]], f[2] = y[[1, 4, 6]], 0.5 * deta2(y[[0, 3, 5]]), eta2(y[0])
+        return f
+
+    y = np.array([x0, k0, 0.0, xp0, kp0, xm0, km0])
+    f = rhs(y)
+    scale = _ATOL + np.abs(y) * _RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d = max(d1, _rms((rhs(y + h0 * f) - f) / scale) / h0)
+    h_abs = min(100 * h0, t_end, (0.01 / d) ** 0.2 if d > 1e-15 else max(1e-6, h0 * 1e-3))
+    t, accepted, rejected, exited = 0.0, [], 0, False
+    K = np.empty((7, 7))
+    while t < t_end and not exited:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs, retried = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise RuntimeError(f"ray integration failed: step size too small at t = {t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h_abs = t_new - t
+            K[0] = f
+            for s, a in enumerate(_DP_A, 1):
+                K[s] = rhs(y + np.dot(K[:s].T, a) * h_abs)
+            y_new = y + h_abs * np.dot(K[:6].T, _DP_B)
+            K[6] = f_new = rhs(y_new)
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            err = _rms(np.dot(K.T, _DP_E) * h_abs / scale)
+            factor = 10.0 if err == 0 else 0.9 * err**-0.2
+            if err < 1:
+                break
+            h_abs *= max(0.2, factor)
+            retried, rejected = True, rejected + 1
+        accepted.append((t, h_abs, y, K.T.dot(_DP_P)))
+        h_abs *= min(1, factor) if retried else min(10.0, factor)
+        exited = stop_at_edge and gap(y[0]) >= 0 >= gap(y_new[0])
+        t, y, f = t_new, y_new, f_new
+    t0, h, y0, q = map(np.array, zip(*accepted))
+
+    def dense(s):
+        seg = np.searchsorted(t0[1:], s)
+        out = np.empty((7, s.size))
+        # one product per step, as RK45's own dense output forms it, so that
+        # the samples keep its rounding
+        for i in set(seg.tolist()):
+            m = seg == i
+            p = np.array([(s[m] - t0[i]) / h[i]] * 4).cumprod(axis=0)
+            out[:, m] = h[i] * np.dot(q[i], p) + y0[i][:, None]
+        return out
+
+    t_exit = math.inf
+    if exited:  # bisect the last step's dense output
+        g = gap(np.array([y0[-1][0], y[0]]))
+        t_exit = bisect_brackets(
+            lambda s: gap(dense(s)[0]), t0[-1:], np.array([t]), g[:1], g[1:]
+        )[0]
+    return dense, delta, (len(accepted), rejected), t_exit
 
 
 def _jacobian(y, delta: float):
-    """J from rows of a _trace solution: the central difference of the
+    """J from rows of _trace's dense output: the central difference of the
     two Jacobian rays."""
     return (y[3] - y[5]) / (2.0 * delta)
 
@@ -232,39 +319,18 @@ def integrate_hamiltonian(
     rays at x0(1 +- 1e-5) launched on-shell, so J reflects the on-shell
     ray family the amplitude theory uses.
 
-    Returns a RayPath sampled at about 50 times per unit of t, at least
-    129; `truncated` is set if the path left the profile domain before
-    t_end.
+    Returns a RayPath sampled from the dense output at about 50 times per
+    unit of t, at least 129; `truncated` is set if the path left the
+    profile domain before t_end, and the samples then stop at the exit
+    time.
     """
-    events = []
-    lo, hi = profile.domain
-    if math.isfinite(lo):
-        ev_lo = lambda t, y: y[0] - lo  # noqa: E731
-        ev_lo.terminal = True
-        ev_lo.direction = -1
-        events.append(ev_lo)
-    if math.isfinite(hi):
-        ev_hi = lambda t, y: hi - y[0]  # noqa: E731
-        ev_hi.terminal = True
-        ev_hi.direction = -1
-        events.append(ev_hi)
-
-    n = max(129, int(math.ceil(50.0 * t_end)) + 1)
-    sol, delta = _trace(
-        profile, x0, k0, t_end,
-        t_eval=np.linspace(0.0, t_end, n),
-        events=events or None,
-    )
+    dense, delta, steps, t_exit = _trace(profile, x0, k0, t_end, stop_at_edge=True)
+    t = np.linspace(0.0, t_end, max(129, int(math.ceil(50.0 * t_end)) + 1))
+    t = t[t <= t_exit]
+    y = dense(t)
     return RayPath(
-        t=sol.t,
-        x=sol.y[0],
-        k=sol.y[1],
-        J=_jacobian(sol.y, delta),
-        S=sol.y[2],
-        x0=x0,
-        k0=k0,
-        profile_name=profile.name,
-        truncated=(sol.status == 1),
+        t=t, x=y[0], k=y[1], J=_jacobian(y, delta), S=y[2], x0=x0, k0=k0,
+        profile_name=profile.name, truncated=t_exit < math.inf, steps=steps,
     )
 
 
@@ -333,22 +399,25 @@ def find_caustic(
     The numerically differenced Jacobian is scanned for sign changes over
     2000 subintervals; the brackets are bisected together down to adjacent
     doubles in t, and each root is accepted only if |J| < 1e-6 there.
-    Returns a list of (t, x) pairs, possibly empty.  Unlike
+    Returns a list of (t, x) pairs, possibly empty, whose `steps` attribute
+    holds the tracer's accepted and rejected step counts.  Unlike
     integrate_hamiltonian, the scan does not stop where the ray leaves the
     profile domain: on airy_profile the ray touches the domain edge x = 0
     exactly at the caustic.
     """
-    sol, delta = _trace(profile, x0, k0, t_end, dense_output=True)
+    dense, delta, steps, _ = _trace(profile, x0, k0, t_end)
 
     def jac(t):
-        return _jacobian(sol.sol(t), delta)
+        return _jacobian(dense(t), delta)
 
     ts = np.linspace(0.0, t_end, _CAUSTIC_SCAN + 1)
     js = jac(ts)
     cells = np.flatnonzero(js[:-1] * js[1:] < 0.0)
-    if cells.size == 0:
-        return []
-    t_root = bisect_brackets(jac, ts[cells], ts[cells + 1], js[cells], js[cells + 1])
-    x_root = sol.sol(t_root)[0]
-    keep = np.abs(jac(t_root)) < _CAUSTIC_J_TOL
-    return [(float(t), float(x)) for t, x in zip(t_root[keep], x_root[keep])]
+    touches = _Touches()
+    touches.steps = steps
+    if cells.size:
+        t_root = bisect_brackets(jac, ts[cells], ts[cells + 1], js[cells], js[cells + 1])
+        y_root = dense(t_root)
+        keep = np.abs(_jacobian(y_root, delta)) < _CAUSTIC_J_TOL
+        touches.extend(zip(t_root[keep].tolist(), y_root[0][keep].tolist()))
+    return touches

@@ -156,7 +156,8 @@ def airy_wkb_field(x, epsilon: float, x0: float):
     phase0 = np.exp(1j * (2.0 / 3.0) * x0**1.5 / epsilon)
     osc = (2.0 / 3.0) * x_arr**1.5 / epsilon
     amp = x0**0.25 * x_arr ** (-0.25)
-    u = a0 * phase0 * amp * (-1j * np.exp(1j * osc) + np.exp(-1j * osc))
+    # -i e^{i osc} + e^{-i osc} from one cos/sin pair, to the bit
+    u = a0 * phase0 * amp * ((np.cos(osc) + np.sin(osc)) * (1 - 1j))
     return complex(u) if np.ndim(x) == 0 else u
 
 

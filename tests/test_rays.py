@@ -122,7 +122,8 @@ def test_domain_exit_sets_truncated_flag():
     prof = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, "slab", (0.0, 10.0))
     path = integrate_hamiltonian(prof, 5.0, -1.0, 10.0)
     assert path.truncated
-    assert path.t[-1] < 10.0
+    # the samples stop at the exit time t = 5, where the ray meets x = 0
+    assert path.t[-1] == 5.0 and abs(path.x[-1]) <= 1e-12
     path2 = integrate_hamiltonian(prof, 5.0, 1.0, 3.0)
     assert not path2.truncated
 
@@ -237,25 +238,92 @@ def test_layer_beta_raises_below_caustic():
         LAYER.beta(z_c - 1e-6)
 
 
-def test_import_defers_scipy_integrate_and_optimize(tmp_path):
-    # both load only when a ray is integrated: scipy.integrate imports
-    # scipy.optimize itself, so deferring one alone would save nothing.
-    # No other part of scipy is needed by the import or by the field and
-    # wigner commands either.
+def test_no_command_or_tracer_loads_scipy(tmp_path):
+    # the runtime needs numpy only; scipy is a reference of the tests
     src = os.path.dirname(os.path.dirname(os.path.abspath(foldoptics.__file__)))
     code = (
-        "import sys, foldoptics\n"
+        "import math, sys\n"
         "from foldoptics.cli import main\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(loaded())\n"
-        f"assert main(['field', '--nx', '8', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
-        f"assert main(['wigner', '--nx', '8', '--nk', '8', '--out', {str(tmp_path / 'w')!r}]) == 0\n"
-        "print(loaded())\n"
+        "from foldoptics.rays import airy_profile, find_caustic, integrate_hamiltonian\n"
+        "for argv in (['rays'], ['field', '--nx', '8'], ['wigner', '--nx', '8', '--nk', '8'],"
+        " ['validate']):\n"
+        f"    assert main([*argv, '--out', {str(tmp_path)!r} + '/' + argv[0]]) == 0\n"
+        "integrate_hamiltonian(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
+        "find_caustic(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert out.stdout.split("\n")[-2] == "[]"
+
+
+def _scipy_reference(profile, x0, k0, t_end):
+    """integrate_hamiltonian's samples, traced by scipy's RK45 at the same
+    tolerances with the domain edges as terminal events, and its accepted
+    and rejected step counts."""
+    from scipy.integrate import solve_ivp
+
+    eta2, deta2 = profile.eta_squared, profile.eta_squared_prime
+    delta = 1e-5 * max(abs(x0), 1.0)
+    xp, xm = x0 + delta, x0 - delta
+    kp, km = ((1.0 if k0 >= 0 else -1.0) * math.sqrt(eta2(xb)) for xb in (xp, xm))
+
+    def rhs(t, y):
+        x, k, _, xp, kp, xm, km = y
+        return [k, 0.5 * deta2(x), eta2(x), kp, 0.5 * deta2(xp), km, 0.5 * deta2(xm)]
+
+    events = []
+    for edge, sign in zip(profile.domain, (1.0, -1.0)):
+        if math.isfinite(edge):
+            events.append(lambda t, y, edge=edge, sign=sign: sign * (y[0] - edge))
+            events[-1].terminal, events[-1].direction = True, -1
+    n = max(129, int(math.ceil(50.0 * t_end)) + 1)
+    sol = solve_ivp(
+        rhs, (0.0, t_end), [x0, k0, 0.0, xp, kp, xm, km], method="RK45",
+        t_eval=np.linspace(0.0, t_end, n), events=events, dense_output=True,
+        rtol=1e-10, atol=1e-12,
+    )
+    assert sol.success
+    accepted = sol.sol.n_segments
+    # two derivative calls start the integration, six more go to each attempt
+    return sol, delta, (accepted, (sol.nfev - 2) // 6 - accepted)
+
+
+SLAB = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, "slab", (0.0, 10.0))
+HARMONIC = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x, "harmonic")
+STEP = RefractionProfile1D(
+    lambda x: 2.0 + np.tanh(20.0 * x), lambda x: 20.0 / np.cosh(20.0 * x) ** 2, "step"
+)
+
+
+@pytest.mark.parametrize(
+    "profile,x0,k0,t_end",
+    [
+        (airy_profile(), 2.0, -math.sqrt(2.0), 4.0),  # criterion 10's ray
+        (HARMONIC, 0.0, -1.0, 8.5),  # three caustic touches
+        (SLAB, 5.0, -1.0, 10.0),  # leaves the domain at t = 5
+        # crosses a steep layer: retries after a rejected step may not grow
+        (STEP, -1.0, math.sqrt(2.0 + math.tanh(-20.0)), 3.0),
+    ],
+    ids=["airy", "harmonic", "slab-exit", "steep-layer"],
+)
+def test_tracer_matches_scipy_rk45(profile, x0, k0, t_end):
+    sol, delta, steps = _scipy_reference(profile, x0, k0, t_end)
+    path = integrate_hamiltonian(profile, x0, k0, t_end)
+    assert path.steps == steps
+    assert path.truncated == (sol.status == 1)
+    assert path.t.size == sol.t.size and path.t[-1] == sol.t[-1]
+    J = (sol.y[3] - sol.y[5]) / (2.0 * delta)
+    for got, ref in ((path.x, sol.y[0]), (path.k, sol.y[1]), (path.S, sol.y[2]), (path.J, J)):
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_tracer_refuses_a_vanishing_step():
+    # a NaN derivative fails every error test, so the step shrinks to 10
+    # spacings of t and the tracer gives up
+    prof = RefractionProfile1D(lambda x: 1.0 + 0.0 * x, lambda x: math.nan, "broken")
+    with pytest.raises(RuntimeError, match="ray integration failed"):
+        integrate_hamiltonian(prof, 0.0, 1.0, 1.0)

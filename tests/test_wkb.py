@@ -69,6 +69,31 @@ def test_field_value_equals_branch_sum():
     assert np.allclose(summed, direct, rtol=1e-12, atol=0)
 
 
+def _two_exponential_form(x, eps, x0):
+    x = np.asarray(x, dtype=np.float64)
+    phase0 = np.exp(1j * (2.0 / 3.0) * x0**1.5 / eps)
+    osc = (2.0 / 3.0) * x**1.5 / eps
+    amp = x0**0.25 * x ** (-0.25)
+    return source_amplitude(x0) * phase0 * amp * (-1j * np.exp(1j * osc) + np.exp(-1j * osc))
+
+
+@pytest.mark.parametrize("eps,x0", [(0.1, 1.0), (0.05, 2.0), (0.025, 2.0), (0.01, 3.0)])
+def test_field_keeps_the_bits_of_the_two_exponential_form(eps, x0):
+    # one cos/sin pair stands for -i e^{i osc} + e^{-i osc}; every bit,
+    # signed zeros included, must match the two complex exponentials, on
+    # arrays and on scalars (whose numpy scalar arithmetic rounds apart)
+    rng = np.random.default_rng(20240817)
+    xs = np.concatenate([rng.uniform(0.0, x0, 100_000), np.linspace(0.0, x0, 4001)[1:-1]])
+    xs = xs[xs > 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CausticZoneWarning)
+        got = airy_wkb_field(xs, eps, x0)
+        scalars = np.array([airy_wkb_field(float(x), eps, x0) for x in xs[:500]])
+    assert np.array_equal(got.view(np.uint64), _two_exponential_form(xs, eps, x0).view(np.uint64))
+    ref = np.array([complex(_two_exponential_form(x, eps, x0)) for x in xs[:500]])
+    assert np.array_equal(scalars.view(np.uint64), ref.view(np.uint64))
+
+
 def test_field_raises_outside_interval():
     for x in (-0.1, 0.0, X0, X0 + 1.0):
         with pytest.raises(ValueError):
