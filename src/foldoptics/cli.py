@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -247,45 +249,138 @@ def _config_echo(cfg: RunConfig) -> Dict[str, object]:
 # sequence) per header entry.
 Table = Tuple[str, Sequence[str], Sequence[object]]
 
-# CSV cell format by column dtype kind; any other kind is written with %s.
-# Labels hold no comma, quote or newline, so no cell needs quoting.
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+# Float cells per CSV block: the writer's working memory is O(block).
+_BLOCK_CELLS = 8192
 
 
-def _rows(columns: Sequence[object]):
-    """The table's rows, one tuple of Python scalars at a time."""
-    return zip(*(np.asarray(c).tolist() for c in columns))
+def _split(x):
+    """Veltkamp's split x = hi + lo into halves of at most 26 bits."""
+    hi = x * 134217729.0 - (x * 134217729.0 - x)  # 2^27 + 1
+    return hi, x - hi
+
+
+# 10^p as exact double-doubles hi + lo (5^45 < 2^106), hi split for Dekker's product;
+# by e + 29, the '0.000' of 1e-4 <= |x| < 1 and the 'e-XX' of |x| < 1e-4 as word bytes;
+# _LOW[j] keeps a word's lowest j bytes; _DOT[w, q] is the point after digit q of word w.
+_TEN_HI = np.array([float(10**p) for p in range(46)])
+_TEN_LO = np.array([float(10**p - int(float(10**p))) for p in range(46)])
+_TEN_HH, _TEN_HL = _split(_TEN_HI)
+_PREFIX, _SUFFIX = (np.array([int.from_bytes(b"\0" + text, "little") for text in texts],
+                             dtype=np.uint64) for texts in (
+    [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in range(-29, 17)],
+    [b"e-%02d" % -e if e < -4 else b"" for e in range(-29, 17)]))
+_LOW = np.array([2 ** (8 * j) - 1 for j in range(9)], dtype=np.uint64)
+_DOT = np.array([[0x2E << 8 * (q - w) if w <= q < w + 8 else 0 for q in range(17)]
+                 for w in (0, 8)], dtype=np.uint64)
+
+
+def _format_g17(v):
+    """'%.17g' % x for each x of the float64 array v, as four little-endian uint64
+    words a cell (v.shape + (4,)) with NUL gaps and padding, and the number of
+    cells Python formatted.  NaN, +-inf and +-0 are constants."""
+    a = np.abs(v)
+    exact = (a >= 1e-27) & (a < 1e16)
+    a[~exact] = 1.0
+    # e = floor(log10 a), or one less within 2.3e-12 (relative) above a power of ten
+    e = np.floor(np.log10(a) - 1e-12).astype(np.int64)
+    # D = round(a 10^(16 - e)) from h + s = a (hi + lo) by Dekker's product, s within
+    # 3e-15; Python formats D within 1e-9 of a tie and the 18-digit D of e - 1
+    p = 16 - e
+    h = a * np.take(_TEN_HI, p)
+    (ah, al), hh, hl = _split(a), np.take(_TEN_HH, p), np.take(_TEN_HL, p)
+    s = ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * np.take(_TEN_LO, p)
+    r = np.rint(s)
+    D = (h.astype(np.int64) + r.astype(np.int64)).view(np.uint64)
+    exact &= (10**16 <= D) & (D < 10**17) & (np.abs(np.abs(s - r) - 0.5) > 1e-9)
+    del a, p, h, ah, al, hh, hl, s, r
+    # words: sign, prefix, first digit; digits 1-8 and 9-16 with the point; the digit
+    # the point pushed out, suffix.  Digits 1-8, 9-16: /100, /10 in 32-bit lanes of 4
+    F = np.empty(v.shape + (4,), dtype=np.uint64)
+    F[..., 0] = np.take(_PREFIX, e + 29) | (D // 10**16 + 48) << 48
+    D = np.stack([D // 10**8 % 10**8, D % 10**8])
+    D = D // 10000 | (D % 10000) << 32
+    Q = (D * 10486 >> 20) & 0x7F0000007F
+    D = Q | (D - Q * 100) << 16
+    Q = (D * 103 >> 10) & 0x000F000F000F000F
+    B, C = Q | (D - Q * 10) << 8
+    # '%g' is fixed for -4 <= e < 17, the point after digit q = max(e, 0), else after
+    # the first digit; digits past the last nonzero one and the point stay NUL
+    last = np.frexp(np.stack([B, C]).astype(np.float64))[1] - 1 >> 3  # top nonzero bytes
+    last = np.maximum(last[0] + 1, np.where(C != 0, last[1] + 9, 0))
+    q = np.maximum(e, 0)
+    B |= np.take(_LOW, np.maximum(last, q), mode="clip") & 0x3030303030303030
+    C |= np.take(_LOW, np.maximum(last, q) - 8, mode="clip") & 0x3030303030303030
+    point = ((last > q) & ((e >= 0) | (e < -4))).astype(np.uint64)
+    del D, Q, last
+    low = np.take(_LOW, q, mode="clip")
+    F[..., 1] = (B & low) | (B & ~low) << 8 | np.take(_DOT[0], q) * point
+    B &= ~low
+    low = np.take(_LOW, q - 8, mode="clip")
+    F[..., 2] = (C & low) | (C & ~low) << 8 | B >> 56 | np.take(_DOT[1], q) * point
+    F[..., 3] = C >> 56 | np.take(_SUFFIX, e + 29)
+    special = ~np.isfinite(v) | (v == 0.0)  # their a = 1 left words 1-3 empty
+    F[special, 0] = np.where(np.isnan(v[special]), 0x6E616E00,  # nan, inf, 0
+                             np.where(np.isinf(v[special]), 0x666E6900, 0x3000))
+    F[..., 0] |= (np.signbit(v) & ~np.isnan(v)) * np.uint64(0x2D)
+    fallback = ~(exact | special)
+    texts = np.array([b"%.17g" % x for x in v[fallback].tolist()], dtype="S32")
+    F[fallback] = texts.view("<u8").reshape(-1, 4)
+    return F, int(np.count_nonzero(fallback))
+
+
+def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
+    """A table's CSV bytes and Python-formatted cells, a block at a time: a slot
+    of words per cell, ending in ',' or newline, joined without NULs.  Floats via
+    _format_g17, other columns by one astype to bytes (ints as '%d', labels as
+    they are: ASCII without comma, quote, newline or NUL)."""
+    yield (",".join(header) + "\n").encode(), 0
+    cols = [np.asarray(c) for c in columns]
+    floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+    step = max(1, _BLOCK_CELLS // max(1, len(floats)))
+    for start in range(0, len(cols[0]), step):
+        block = [c[start:start + step] for c in cols]
+        frames, fallback = _format_g17(np.stack([block[j] for j in floats], axis=-1, dtype=float)
+                                       if floats else np.empty((len(block[0]), 0)))
+        text = {j: c.astype(np.bytes_) for j, c in enumerate(block) if j not in floats}
+        width = max([4] + [t.itemsize // 8 + 1 for t in text.values()])
+        cells = np.zeros((len(block[0]), len(cols), 8 * width), dtype=np.uint8)
+        cells.view("<u8")[:, floats, :4] = frames
+        for j, t in text.items():
+            cells[:, j, :t.itemsize] = t.view(np.uint8).reshape(len(t), -1)
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
+        yield cells[cells != 0], fallback
+        del frames, cells  # before the next block is formatted
+
+
+def _json_chunks(header: Sequence[str], columns: Sequence[object]):
+    """The bytes json.dump({"columns": ..., "rows": ...}, sort_keys=True) writes."""
+    yield f'{{"columns": {json.dumps(list(header))}, "rows": ['.encode(), 0
+    for i, row in enumerate(zip(*(np.asarray(c).tolist() for c in columns))):
+        yield (", " * (i > 0) + json.dumps(row)).encode(), 0
+    yield b"]}\n", 0
 
 
 def _write_tables(
     cfg: RunConfig, command: str, tables: Sequence[Table], started: float
 ) -> None:
-    """Write each table in the configured formats, streaming it row by row,
-    then the manifest, atomically and last."""
+    """Write each table in the configured formats, hashing each file as it is
+    written, then the manifest, atomically and last.  CSV goes out in blocks of
+    _BLOCK_CELLS float cells, each the bytes of '%.17g' % x, computed in numpy
+    for |x| in [1e-27, 1e16) but within 1e-9 of a decimal tie (exact ties too)
+    or 2.3e-12 above a power of ten; Python formats the other finite nonzero
+    cells, which the manifest entry counts as `cells_fallback`."""
     os.makedirs(cfg.out, exist_ok=True)
     outputs: List[Dict[str, object]] = []
-    for name, header, columns in tables:
-        n_rows = len(columns[0])
-        if "csv" in cfg.formats:
-            path = os.path.join(cfg.out, f"{name}.csv")
-            fmt = ",".join(
-                _CELL_FORMATS.get(np.asarray(c).dtype.kind, "%s") for c in columns
-            ) + "\n"
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(",".join(header) + "\n")
-                f.writelines(fmt % row for row in _rows(columns))
-            outputs.append(_output_entry(cfg.out, f"{name}.csv", n_rows))
-        if "json" in cfg.formats:
-            path = os.path.join(cfg.out, f"{name}.json")
-            # the bytes json.dump({"columns": ..., "rows": ...}, sort_keys=True) writes
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(f'{{"columns": {json.dumps(list(header))}, "rows": [')
-                sep = ""
-                for row in _rows(columns):
-                    f.write(sep + json.dumps(list(row)))
-                    sep = ", "
-                f.write("]}\n")
-            outputs.append(_output_entry(cfg.out, f"{name}.json", n_rows))
+    for (name, header, columns), fmt in itertools.product(tables, sorted(cfg.formats)):
+        digest, fallback = hashlib.sha256(), 0
+        with open(os.path.join(cfg.out, f"{name}.{fmt}"), "wb") as f:
+            for data, cells in (_csv_chunks if fmt == "csv" else _json_chunks)(header, columns):
+                digest.update(data)
+                f.write(data)
+                fallback += cells
+        outputs.append({"path": f"{name}.{fmt}", "sha256": digest.hexdigest(),
+                        "rows": len(columns[0]), "cells_fallback": fallback})
     manifest = {
         "command": command,
         "config": _config_echo(cfg),
@@ -294,13 +389,6 @@ def _write_tables(
         "outputs": outputs,
     }
     _write_json_atomic(os.path.join(cfg.out, f"{command}_manifest.json"), manifest)
-
-
-def _output_entry(outdir: str, name: str, rows: int) -> Dict[str, object]:
-    digest = hashlib.sha256()
-    with open(os.path.join(outdir, name), "rb") as f:
-        digest.update(f.read())
-    return {"path": name, "sha256": digest.hexdigest(), "rows": rows}
 
 
 def _write_json_atomic(path: str, payload: Dict[str, object]) -> None:
@@ -848,7 +936,9 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="foldoptics",
         description="Fold-caustic wave fields and their phase-space transforms.",

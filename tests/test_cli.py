@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foldoptics.cli as cli
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
@@ -427,22 +429,161 @@ def test_csv_cells_carry_full_precision(tmp_path):
     assert rows[0][0] == "0.10000000000000001"
 
 
-def test_csv_writer_matches_csv_module_reference(tmp_path):
+def _csv_reference(header, columns):
     # the csv module with format(v, ".17g") per float cell is the reference
-    columns = (
-        np.array(["down", "up", "up"]),
-        np.array([3, -1, 0]),
-        np.array([0.1, -0.0, math.nan]),
-        [1e-300, math.inf, 2.0 / 3.0],
-    )
-    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
-    cli._write_tables(cfg, "test", [("table", ("a", "b", "c", "d"), columns)], 0.0)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(("a", "b", "c", "d"))
+    writer.writerow(header)
     for row in zip(*(np.asarray(c).tolist() for c in columns)):
         writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
-    assert (tmp_path / "table.csv").read_bytes() == ref.getvalue().encode()
+    return ref.getvalue().encode()
+
+
+def test_csv_writer_matches_csv_module_reference(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = 3 * (cli._BLOCK_CELLS // 3) + 357  # three float columns: four blocks
+    specials = [0.1, -0.0, 0.0, math.nan, -math.inf, 1e-300, 1e20, 1e15 + 0.25, 2.0 / 3.0]
+    x = np.concatenate([specials, rng.uniform(-2.0, 2.0, rows - len(specials))])
+    y = np.exp(rng.uniform(-80.0, 50.0, rows)) * rng.choice([-1.0, 1.0], rows)
+    tables = [
+        ("table", ("a", "b", "c", "d"), (
+            np.array(["down", "up", "up"]), np.array([3, -1, 0]),
+            np.array([0.1, -0.0, math.nan]), [1e-300, math.inf, 2.0 / 3.0])),
+        ("blocks", ("label", "count", "x", "y", "z"), (
+            rng.choice(["incident", "Between", "up"], rows),
+            rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True), x, y, np.linspace(0.1, 1.9, rows))),
+        ("empty", ("ray_id", "t"), ((), ())),
+    ]
+    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cli._write_tables(cfg, "test", tables, 0.0)
+    for name, header, columns in tables:
+        assert (tmp_path / f"{name}.csv").read_bytes() == _csv_reference(header, columns), name
+    assert (tmp_path / "empty.csv").read_bytes() == b"ray_id,t\n"
+
+
+def _g17(values):
+    """_format_g17's cells as bytes, NULs dropped, and its fallback count."""
+    frames, fallback = cli._format_g17(np.asarray(values, dtype=np.float64))
+    cells = np.zeros((len(frames), 33), dtype=np.uint8)
+    cells[:, :32] = frames.astype("<u8").view(np.uint8)
+    cells[:, 32] = ord("\n")
+    return cells[cells != 0].tobytes().split(b"\n")[:-1], fallback
+
+
+def _assert_g17(values):
+    values = np.asarray(values, dtype=np.float64)
+    got, fallback = _g17(values)
+    want = [b"%.17g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+    return fallback
+
+
+def test_format_g17_matches_percent_format_on_random_doubles():
+    rng = np.random.default_rng(20240911)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    _assert_g17(bits)  # every exponent, NaN payloads, subnormals
+    n = 200_000
+    in_range = np.exp(rng.uniform(math.log(1e-28), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+    fallback = _assert_g17(in_range)
+    assert fallback < 0.1 * n  # the numpy path carries the range
+
+
+def _decimal_ties(rng):
+    """Doubles q 2^-j whose exact decimal expansion q 5^j has 18 digits and
+    ends in 5, so that 17 digits are an exact tie."""
+    ties = []
+    for j in range(2, 25):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        for q in rng.integers(lo, hi, 20):
+            if int(q) | 1 < hi:
+                ties.append(math.ldexp(float(int(q) | 1), -j))
+    return ties
+
+
+def test_format_g17_edge_values():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, tiny, -tiny,
+             2.2250738585072009e-308, 2.2250738585072014e-308, huge, -huge,
+             np.uint64(0x7FF0000000000001).view(np.float64), 9999999999999998.0, 1e15 + 0.25]
+    for k in range(-30, 23):
+        p = float(f"1e{k}")
+        edges += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    for end in (1e-27, 1e16):
+        edges += [end, np.nextafter(end, 0.0), np.nextafter(end, math.inf)]
+    edges += [float(2.0**k) for k in range(-100, 60)] + [3.0 * 2.0**k for k in range(-100, 60)]
+    _assert_g17(edges + [-v for v in edges])
+    ties = _decimal_ties(np.random.default_rng(3))
+    assert len(ties) > 300
+    assert _assert_g17(ties) == len(ties)  # every exact tie takes the fallback
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_format_g17_property(values):
+    _assert_g17(values)
+
+
+def test_manifest_counts_fallback_cells(tmp_path):
+    # outside [1e-27, 1e16), an exact tie, or just above a power of ten: per cell;
+    # NaN, inf and zeros are constants
+    column = np.array([1e-300, 5e-324, -1e20, 1e15 + 0.25, 1.0, 0.0, -0.0, math.nan, math.inf, 0.5])
+    cfg = RunConfig(out=str(tmp_path), formats=("csv", "json"))
+    cli._write_tables(cfg, "test", [("table", ("v",), (column,))], 0.0)
+    manifest = json.loads((tmp_path / "test_manifest.json").read_text())
+    fallback = {o["path"]: o["cells_fallback"] for o in manifest["outputs"]}
+    assert fallback == {"table.csv": 5, "table.json": 0}
+    assert (tmp_path / "table.csv").read_bytes() == _csv_reference(("v",), (column,))
+
+
+# label and int columns; every other column holds floats
+_NOT_FLOAT = {"ray_id", "region", "n_stationary"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rays", "--scenario", "airy"], ["rays", "--scenario", "linear_layer"],
+     ["field", "--scenario", "airy"], ["field", "--scenario", "linear_layer"], ["wigner"]],
+    ids=["rays-airy", "rays-layer", "field-airy", "field-layer", "wigner"],
+)
+def test_default_exports_round_trip_every_float_cell(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    checked = 0
+    for entry in manifest["outputs"]:
+        header, rows = read_csv(tmp_path / entry["path"])
+        for j, name in enumerate(header):
+            if name not in _NOT_FLOAT:
+                cells = [row[j] for row in rows]
+                assert [format(float(c), ".17g") for c in cells] == cells, (entry["path"], name)
+                checked += len(cells)
+    assert checked > 0
+
+
+def test_parser_is_built_once_and_reuse_writes_what_fresh_parsers_write(tmp_path):
+    runs = [
+        ["rays", "--scenario", "linear_layer", "--nt", "16", "--format", "csv,json"],
+        ["field", "--nx", "16", "--xmin", "-0.5"],
+        ["wigner", "--nx", "8", "--nk", "8", "--sigma-samples", "256"],
+    ]
+
+    def run_all(root, fresh):
+        for i, argv in enumerate(runs):
+            if fresh:
+                cli.build_parser.cache_clear()
+            assert main(argv + ["--out", str(root / str(i))]) == 0
+            if i == 0:  # usage errors in between
+                with pytest.raises(SystemExit) as exit_info:
+                    main(["field", "--no-such-flag", "1"])
+                assert exit_info.value.code == 2
+                assert main(["wigner", "--nx", "4", "--out", str(root / "bad")]) == 2
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                if p.suffix in (".csv", ".json") and not p.name.endswith("_manifest.json")}
+
+    reused = run_all(tmp_path / "reused", fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    fresh = run_all(tmp_path / "fresh", fresh=True)
+    assert len(fresh) == 6 and reused == fresh
 
 
 # -- validate ---------------------------------------------------------------
