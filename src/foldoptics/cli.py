@@ -328,11 +328,21 @@ def _format_g17(v):
     return F, int(np.count_nonzero(fallback))
 
 
+def _column_bytes(column: np.ndarray) -> np.ndarray:
+    """An int or label column as the fixed-width bytes of astype(np.bytes_); ASCII
+    labels by a view cast of their code points, a hundred times faster."""
+    if column.dtype.kind == "U":
+        codes = np.ascontiguousarray(column).view(np.uint32)
+        if codes.max(initial=0) < 128:
+            return codes.astype(np.uint8).view(f"S{column.dtype.itemsize // 4}")
+    return column.astype(np.bytes_)
+
+
 def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
     """A table's CSV bytes and Python-formatted cells, a block at a time: a slot
     of words per cell, ending in ',' or newline, joined without NULs.  Floats via
-    _format_g17, other columns by one astype to bytes (ints as '%d', labels as
-    they are: ASCII without comma, quote, newline or NUL)."""
+    _format_g17, other columns via _column_bytes (ints as '%d', labels as they
+    are: ASCII without comma, quote, newline or NUL)."""
     yield (",".join(header) + "\n").encode(), 0
     cols = [np.asarray(c) for c in columns]
     floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
@@ -341,7 +351,7 @@ def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
         block = [c[start:start + step] for c in cols]
         frames, fallback = _format_g17(np.stack([block[j] for j in floats], axis=-1, dtype=float)
                                        if floats else np.empty((len(block[0]), 0)))
-        text = {j: c.astype(np.bytes_) for j, c in enumerate(block) if j not in floats}
+        text = {j: _column_bytes(c) for j, c in enumerate(block) if j not in floats}
         width = max([4] + [t.itemsize // 8 + 1 for t in text.values()])
         cells = np.zeros((len(block[0]), len(cols), 8 * width), dtype=np.uint8)
         cells.view("<u8")[:, floats, :4] = frames

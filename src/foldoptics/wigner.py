@@ -53,7 +53,7 @@ _BOUNDARY_MASS_TOL = 1e-8
 
 # wigner_numeric transforms rows in chunks whose (rows, FFT length) work
 # arrays hold about this many complex elements; chord_points scans blocks
-# of points with about this many node values.
+# of rows with about this many node values.
 _CHUNK_ELEMENTS = 2**14
 
 
@@ -146,17 +146,9 @@ def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_window(psi: WaveFunctionSampler, x: float) -> float:
-    """Half-width of the largest symmetric window about x inside the
-    sampler support."""
-    a, b = psi.support
-    if not a <= x <= b:
-        raise ValueError(f"x = {x} outside sampler support [{a}, {b}]")
-    return min(x - a, b - x)
-
-
-def _required_samples(k_max: float, sigma_max: float, epsilon: float) -> int:
-    return int(math.ceil(4.0 * k_max * sigma_max / (math.pi * epsilon)))
+def _required_samples(k_max, sigma_max, epsilon: float):
+    """Samples the kernel needs on windows of half-width sigma_max (a float array)."""
+    return np.ceil(4.0 * k_max * sigma_max / (math.pi * epsilon))
 
 
 def wigner_numeric(
@@ -184,16 +176,20 @@ def wigner_numeric(
     grid = PhaseSpaceGrid(xs=xs, ks=ks, values=np.zeros((xs.size, ks.size)), epsilon=psi.epsilon)
     eps, n, nk = psi.epsilon, q.sigma_samples, ks.size
     k_max = float(np.max(np.abs(ks))) if nk else 0.0
-    sigma_max = np.zeros(xs.size)
-    for i, x in enumerate(xs):
-        sigma_max[i] = s = _sigma_window(psi, float(x))
-        needed = _required_samples(k_max, s, eps)
-        if s > 0.0 and n < needed:
-            raise ValueError(
-                f"sigma-quadrature undersampled at x = {x}: "
-                f"{n} samples < {needed} required for "
-                f"k_max = {k_max}, sigma_max = {s:.6g}, eps = {eps}"
-            )
+    a, b = psi.support  # each row's window: the largest symmetric one inside it
+    sigma_max = np.minimum(xs - a, b - xs)
+    needed = _required_samples(k_max, sigma_max, eps)
+    outside = ~((a <= xs) & (xs <= b))
+    refused = outside | ((sigma_max > 0.0) & ~(n >= needed))  # NaN k refused too
+    if refused.any():
+        i = int(refused.argmax())
+        if outside[i]:
+            raise ValueError(f"x = {float(xs[i])} outside sampler support [{a}, {b}]")
+        raise ValueError(
+            f"sigma-quadrature undersampled at x = {xs[i]}: "
+            f"{n} samples < {needed[i]:.0f} required for "
+            f"k_max = {k_max}, sigma_max = {sigma_max[i]:.6g}, eps = {eps}"
+        )
 
     k0 = ks[0] if nk else 0.0
     dk = (ks[-1] - ks[0]) / (nk - 1) if nk > 1 else 0.0
@@ -258,55 +254,65 @@ def chord_points(
     """Positive solution sigma0 of S'(x+sigma) + S'(x-sigma) = 2k.
 
     Batched scan + bisection, array in/array out: x, k and the bracket
-    ends broadcast together, and S' must map an array to an array of its
-    shape, also for scalar inputs.  The scan evaluates S' at _SCAN_NODES
-    equispaced nodes of each point's bracket, for blocks of points in one
-    call each (about _CHUNK_ELEMENTS node values per block, so memory
-    stays O(points)), and keeps each point's first sign change; vectorised
-    bisection then shrinks that cell to adjacent doubles and keeps the end
-    with the smaller residual.  The result is 0 where the chord
-    degenerates to the tangent point (k = S'(x)) and no root where the
-    bracket holds no sign change.  Scalar inputs give a float, 0.0 or
-    None; array inputs give an array with NaN for no root.
+    ends broadcast together.  S' maps an array to an array of its shape,
+    or to a plain number where it is constant.  The left side g(sigma)
+    does not depend on k, so the scan evaluates S' once per (x, bracket)
+    row and node: at _SCAN_NODES equispaced nodes of the bracket, for
+    blocks of rows in one call each.  Each point's own work is in k alone:
+    in blocks of about _CHUNK_ELEMENTS node values (memory stays
+    O(points)) it keeps its first scan cell [s_i, s_i+1] with residual
+    product (g(s_i) - 2k)(g(s_i+1) - 2k) <= 0; vectorised bisection then
+    shrinks only those cells to adjacent doubles and keeps the end with
+    the smaller residual.  The result is 0 where the chord degenerates to
+    the tangent point (k = S'(x)) and no root where the bracket holds no
+    sign change.  Scalar inputs give a float, 0.0 or None; array inputs
+    give an array with NaN for no root.
     """
     inputs = (x, k, np.maximum(bracket[0], 0.0), bracket[1])
-    # [()] turns 0-d arrays into numpy scalars, whose arithmetic is cheaper
-    x, k, lo, hi = (
-        v[()] for v in np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in inputs))
-    )
-    shape = np.shape(x)
+    x, k, lo, hi = (np.asarray(u, dtype=float) for u in inputs)
+    x, lo, hi = np.broadcast_arrays(x, lo, hi)
+    shape = np.broadcast_shapes(x.shape, k.shape)
+    c = 2.0 * k
 
-    def f(sigma, x=x, k=k):
-        return S_prime(x + sigma) + S_prime(x - sigma) - 2.0 * k
+    def g(x, sigma):
+        u = x + sigma  # S' may come back as a plain number where it is constant
+        return np.add(S_prime(u), S_prime(x - sigma), out=np.empty(np.shape(u)))
 
-    f0 = f(0.0)
+    f0 = g(x, 0.0) - c
     if np.any((hi <= lo) & (f0 != 0.0)):
         raise ValueError("bracket must contain a positive interval")
+    # each point's row (its place in x's shape) and 2k; points grouped by row
+    rows = np.broadcast_to(np.arange(x.size).reshape(x.shape), shape).ravel()
+    c = np.broadcast_to(c, shape).ravel()
+    order = np.argsort(rows, kind="stable")
+    x, lo, hi = x.ravel(), lo.ravel(), hi.ravel()
     step = (hi - lo) / (_SCAN_NODES - 1)
 
-    # first sign change over the scan nodes: the cell [a, b] with f(a), f(b)
-    xf, kf, lof, hif, stepf = (np.reshape(v, -1) for v in (x, k, lo, hi, step))
+    # each point's first scan cell with a sign change, or -1
     nodes = np.arange(_SCAN_NODES, dtype=float)[:, None]
-    a, b, fa, fb = (np.empty(xf.size) for _ in range(4))
-    found = np.empty(xf.size, dtype=bool)
+    first = np.full(rows.size, -1)
     block = max(1, _CHUNK_ELEMENTS // _SCAN_NODES)
-    for start in range(0, xf.size, block):
+    ends = np.searchsorted(rows[order], np.arange(0, x.size + block, block))
+    for start, i0, i1 in zip(range(0, x.size, block), ends, ends[1:]):
         cut = slice(start, start + block)
-        s = nodes * stepf[cut] + lof[cut]
-        s[-1] = hif[cut]
-        fs = f(s, xf[cut], kf[cut])
-        hit = fs[:-1] * fs[1:] <= 0.0
-        first = hit.argmax(axis=0)
-        cols = np.arange(len(first))
-        found[cut] = hit[first, cols]
-        a[cut], fa[cut] = s[first, cols], fs[first, cols]
-        b[cut], fb[cut] = s[first + 1, cols], fs[first + 1, cols]
-    # cells without a sign change collapse to a point, which bisection skips
-    b, fb = np.where(found, b, a), np.where(found, fb, fa)
-    a, b, fa, fb, found = (v.reshape(shape)[()] for v in (a, b, fa, fb, found))
+        s = nodes * step[cut] + lo[cut]
+        s[-1] = hi[cut]
+        gs = g(x[cut], s)
+        for pts in (order[j : j + block] for j in range(i0, i1, block)):
+            fs = gs[:, rows[pts] - start] - c[pts]
+            hit = fs[:-1] * fs[1:] <= 0.0
+            i = hit.argmax(axis=0)
+            first[pts] = np.where(hit[i, np.arange(i.size)], i, -1)
 
-    root = bisect_brackets(f, a, b, fa, fb)
-    root = np.where(f0 == 0.0, 0.0, np.where(found, root, np.nan))
+    # bisect those cells [a, b], with the scan's nodes and residuals
+    pts = np.flatnonzero(first >= 0)
+    i, r, cp = first[pts], rows[pts], c[pts]
+    a = i * step[r] + lo[r]
+    b = np.where(i + 1 < _SCAN_NODES - 1, (i + 1) * step[r] + lo[r], hi[r])
+    root, xp = np.full(rows.size, np.nan), x[r]
+    root[pts] = bisect_brackets(lambda s: g(xp, s) - cp, a, b, g(xp, a) - cp, g(xp, b) - cp)
+    root[np.ravel(f0) == 0.0] = 0.0
+    root = root.reshape(shape)
     if root.ndim == 0:
         return None if np.isnan(root) else float(root)
     return root
@@ -317,13 +323,13 @@ def _chord_amplitude(A: Callable, x, sigma):
 
 
 def _fold_inputs(S: SmoothPhase, x, k, epsilon: float):
-    """Broadcast (x, k), refuse eps <= 0 and S''' = 0, and solve the chords
-    over 0 <= sigma <= x, where the branch phases are real.  A root at the
-    edge sigma = x, where S''(x - sigma) and A(x - sigma) diverge, counts as
-    no chord: NaN, like a point without one."""
+    """Refuse eps <= 0 and S''' = 0, and solve the chords over 0 <= sigma <= x,
+    where the branch phases are real; x and k are not broadcast, so what
+    depends on x alone runs once per x.  A root at the edge sigma = x, where
+    S''(x - sigma) and A(x - sigma) diverge, counts as no chord: NaN."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
     s3 = S.s3(x)
     if np.any(s3 == 0.0):
         raise ValueError("degenerate fold: S'''(x) = 0")
@@ -463,7 +469,7 @@ def wigner_via_fourier(psi_hat: WaveFunctionSampler, x: float, k: float) -> floa
     sigma_max = min(k - a, b - k)
     if sigma_max <= 0.0:
         return 0.0
-    n = max(512, 2 * _required_samples(abs(x), sigma_max, psi_hat.epsilon))
+    n = max(512, 2 * int(_required_samples(abs(x), sigma_max, psi_hat.epsilon)))
     return float(wigner_numeric(psi_hat, k, -x, QuadraturePolicy(n)).values[0, 0])
 
 

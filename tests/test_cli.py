@@ -21,6 +21,7 @@ import foldoptics.cli as cli
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
 from foldoptics.kl import kl_field
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
+from foldoptics.surgery import RegionLabel
 from foldoptics.wkb import (
     CausticZoneWarning,
     airy_greens,
@@ -459,6 +460,16 @@ def test_csv_writer_matches_csv_module_reference(tmp_path):
     for name, header, columns in tables:
         assert (tmp_path / f"{name}.csv").read_bytes() == _csv_reference(header, columns), name
     assert (tmp_path / "empty.csv").read_bytes() == b"ray_id,t\n"
+
+
+def test_label_columns_render_the_bytes_of_astype():
+    regions = np.array([r.value for r in RegionLabel])
+    for labels in (np.repeat(["down", "up"], 5), np.full(3, "incident"), regions,
+                   np.array([], dtype=str)):
+        got, want = cli._column_bytes(labels), labels.astype(np.bytes_)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(UnicodeEncodeError):
+        cli._column_bytes(np.array(["up", "\u00e9"]))
 
 
 def _g17(values):

@@ -255,6 +255,25 @@ def test_undersampling_refused_with_diagnostic():
         wigner_numeric(psi, [0.0], ks, QuadraturePolicy(sigma_samples=64))
 
 
+def test_window_refusals_name_the_first_offending_row():
+    # x = 2 sits on the support edge (an empty window, skipped); the next
+    # row is undersampled or outside the support, whichever comes first
+    psi = gaussian_sampler()
+    ks = np.linspace(-40.0, 40.0, 11)
+    q = QuadraturePolicy(sigma_samples=64)
+    with pytest.raises(ValueError) as refused:
+        wigner_numeric(psi, [2.0, 1.5, 3.0], ks, q)
+    assert str(refused.value) == (
+        "sigma-quadrature undersampled at x = 1.5: 64 samples < 510 required "
+        "for k_max = 40.0, sigma_max = 0.5, eps = 0.05"
+    )
+    with pytest.raises(ValueError) as refused:
+        wigner_numeric(psi, [2.0, 3.0, 1.5], ks, q)
+    assert str(refused.value) == "x = 3.0 outside sampler support [-2.0, 2.0]"
+    with pytest.raises(ValueError, match="undersampled at x = 0.5: 64 samples < nan required"):
+        wigner_numeric(psi, [0.5], [math.nan], q)
+
+
 def test_fundamental_solution_matches_exact_wigner():
     eps = EPS
     psi = fundamental_sampler(eps)
@@ -368,6 +387,108 @@ def test_chord_solver_returns_the_first_of_two_chords():
     assert chord_points(np.sin, math.pi / 2, 0.3, (0.0, 6.0)) == sigma0[1, 2]
     # no chord where |k| > |sin x|
     assert chord_points(np.sin, 0.5, 0.6, (0.0, 6.0)) is None
+
+
+def _chord_reference(S_prime, x, k, bracket):
+    """The per-point chord solver that the row scan replaced: S' at every
+    point's own _SCAN_NODES nodes, its first scan cell with a residual
+    product <= 0, then bisection of every point."""
+    x, k, lo, hi = np.broadcast_arrays(
+        *(np.asarray(u, dtype=float) for u in (x, k, np.maximum(bracket[0], 0.0), bracket[1]))
+    )
+    shape, (x, k, lo, hi) = x.shape, (np.ravel(v) for v in (x, k, lo, hi))
+
+    def f(sigma):
+        u = x + sigma
+        return np.broadcast_to(S_prime(u) + S_prime(x - sigma), u.shape) - 2.0 * k
+
+    nodes = np.arange(wigner_module._SCAN_NODES, dtype=float)[:, None]
+    s = nodes * ((hi - lo) / (wigner_module._SCAN_NODES - 1)) + lo
+    s[-1] = hi
+    fs = f(s)
+    hit = fs[:-1] * fs[1:] <= 0.0
+    first, cols = hit.argmax(axis=0), np.arange(x.size)
+    found = hit[first, cols]
+    a, b = s[first, cols], np.where(found, s[first + 1, cols], s[first, cols])
+    fa, fb = fs[first, cols], np.where(found, fs[first + 1, cols], fs[first, cols])
+    root = wigner_module.bisect_brackets(f, a, b, fa, fb)
+    root = np.where(f(0.0) == 0.0, 0.0, np.where(found, root, np.nan)).reshape(shape)
+    return (None if np.isnan(root) else float(root)) if root.ndim == 0 else root
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _chord_cases():
+    rng = np.random.default_rng(14)
+    cases = {}
+    for nx, nk in ((8, 32), (64, 64)):
+        xs = np.linspace(0.1, 1.9, nx)
+        ks = np.abs(np.linspace(-1.6, 1.6, nk))
+        x, k = xs[:, None], ks[None, :]
+        cases[f"{nx}x{nk}"] = (np.sqrt, x, k, (0.0, x))
+        cases[f"{nx}x{nk}-transposed"] = (np.sqrt, x.T, k.T, (0.0, x.T))
+        full_x, full_k = np.repeat(x, nk, axis=1), np.repeat(k, nx, axis=0)
+        cases[f"{nx}x{nk}-full"] = (np.sqrt, full_x, full_k, (0.0, full_x))
+    x, k = rng.uniform(0.1, 1.9, 5000), rng.uniform(-1.6, 1.6, 5000)
+    cases["random-cells"] = (np.sqrt, x, k, (0.0, x))
+    cases["sin"] = (np.sin, np.array([1.2, math.pi / 2, 2.0])[:, None],
+                    np.array([-0.7, -0.2, 0.3, 0.85])[None, :], (0.0, 6.0))
+    cases["constant"] = (lambda u: 1.0, np.array([0.5, 1.0, 1.5])[:, None],
+                         np.array([0.3, 1.0, 1.2])[None, :], (0.0, 0.9))
+    cases["constant-scalar"] = (lambda u: 1.0, 1.0, 0.3, (0.0, 0.9))
+    cases["constant-scalar-tangent"] = (lambda u: 1.0, 1.0, 1.0, (0.0, 0.9))
+    for k in (0.8, 1.0, 1.2):
+        cases[f"scalar-{k}"] = (np.sqrt, 1.0, k, (0.0, 0.999))
+    # The residual product itself decides where it underflows to 0 (k near 0),
+    # where a residual overflows next to a zero one (inf * 0), and where S' or
+    # k is not finite; the signs of the residuals alone would differ there.
+    x = np.linspace(0.2, 1.0, 5)[:, None]
+    cases["underflow"] = (lambda u: 1e-200 * (u - 0.5), x,
+                          np.linspace(-1e-200, 1e-200, 9)[None, :], (0.0, x))
+    # on the row x = 1, g(s) = S'(1 + s): -1.5e308 up to the node s = 1/2, then
+    # above 2k = 5e307 until the next node, where it equals 2k
+    cases["overflow"] = (
+        lambda u: np.select([u <= 1.0, u <= 1.5, u < 1.50390625], [0.0, -1.5e308, 1e308], 5e307),
+        np.array([[1.0]]), np.array([[2.5e307, 1.0, -3e307]]), (0.0, 1.0))
+    cases["nan"] = (lambda u: np.sqrt(u - 0.5), np.array([[1.0]]),
+                    np.array([[0.55, 0.6, 0.65, 0.8]]), (0.0, 0.9))
+    cases["infinite"] = (lambda u: 1.0 / u - 2.0, x,
+                         np.array([-1.0, 0.5, 3.0, np.inf])[None, :], (0.0, x))
+    return cases
+
+
+_CHORD_CASES = _chord_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CHORD_CASES))
+def test_chord_points_matches_per_point_reference_bit_for_bit(name):
+    S_prime, x, k, bracket = _CHORD_CASES[name]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = chord_points(S_prime, x, k, bracket)
+        want = _chord_reference(S_prime, x, k, bracket)
+    _assert_same_bits(got, want)
+
+
+def test_chord_points_on_a_constant_slope():
+    # S' = 1 everywhere: a chord only where k = 1, and there it is the tangent point
+    got = chord_points(lambda u: 1.0, np.array([1.0, 1.5]), np.array([0.3, 1.0]), (0.0, 0.9))
+    _assert_same_bits(got, np.array([np.nan, 0.0]))
+    assert chord_points(lambda u: 1.0, 1.0, 0.3, (0.0, 0.9)) is None
+    assert chord_points(lambda u: 1.0, 1.0, 1.0, (0.0, 0.9)) == 0.0
+
+
+@pytest.mark.parametrize("form", [semiclassical_wigner_uniform, semiclassical_wigner_local])
+def test_semiclassical_grid_layout_matches_pre_broadcast_arrays(form):
+    S, A = airy_plus_phase()
+    x = np.linspace(0.1, 1.9, 64)[:, None]
+    k = np.abs(np.linspace(-1.6, 1.6, 64))[None, :]
+    _assert_same_bits(
+        form(S, A, x, k, EPS), form(S, A, np.repeat(x, 64, axis=1), np.repeat(k, 64, axis=0), EPS)
+    )
 
 
 def test_local_exact_on_manifold():
