@@ -86,24 +86,6 @@ __all__ = [
 _SCENARIOS = ("airy", "linear_layer")
 _FORMATS = ("csv", "json")
 
-_FLOAT_KEYS = (
-    "epsilon",
-    "x0",
-    "xmin",
-    "xmax",
-    "kmin",
-    "kmax",
-    "tmin",
-    "tmax",
-    "taper_fraction",
-    "mu0",
-    "mu1",
-    "h",
-    "psi",
-)
-_INT_KEYS = ("nx", "nk", "nt", "sigma_samples", "seed")
-_STR_KEYS = ("scenario", "out")
-
 
 class ConfigError(Exception):
     """A configuration problem attributable to one field."""
@@ -115,7 +97,8 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """One run's parameters; every key can come from file or flag."""
+    """One run's parameters.  Each field is a config-file key and a flag of every
+    subcommand, `formats` as `format`: a comma-separated subset of csv,json."""
 
     scenario: str = "airy"
     epsilon: float = 0.05
@@ -181,22 +164,26 @@ class RunConfig:
         return LinearLayerParams(mu0=self.mu0, mu1=self.mu1, h=self.h, psi=self.psi)
 
 
-def _convert(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(key, f"expected a number, got {raw!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-    if key in _STR_KEYS:
-        return raw
-    if key == "format":
+# option name (`formats` spelled `format`) -> the type of its RunConfig field's default,
+# tmax's None read as float
+_OPTIONS = {
+    "format" if f.name == "formats" else f.name: float if f.default is None else type(f.default)
+    for f in dataclasses.fields(RunConfig)
+}
+
+
+def _convert(key: str, raw):
+    """A config-file or flag value as the type of its option."""
+    kind = _OPTIONS.get(key)
+    if kind is None:
+        raise ConfigError(key, "unknown configuration key")
+    if kind is tuple:
         return tuple(sorted({part.strip() for part in raw.split(",") if part.strip()}))
-    raise ConfigError(key, "unknown configuration key")
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
 
 
 def load_config_file(path: str) -> Dict[str, object]:
@@ -216,34 +203,25 @@ def load_config_file(path: str) -> Dict[str, object]:
                 "config", f"{path}:{lineno}: expected key=value, got {text!r}"
             )
         key, raw = (part.strip() for part in text.split("=", 1))
-        values["formats" if key == "format" else key] = _convert(key, raw)
+        values[key] = _convert(key, raw)
     return values
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then explicit flags; then validate."""
+    values = load_config_file(args.config) if args.config is not None else {}
+    for key in _OPTIONS:
+        if getattr(args, key, None) is not None:
+            values[key] = _convert(key, getattr(args, key))
     cfg = RunConfig()
-    if args.config is not None:
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if getattr(args, "format", None) is not None:
-        cfg.formats = _convert("format", args.format)
+    for key, value in values.items():
+        setattr(cfg, "formats" if key == "format" else key, value)
     cfg.validate()
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-def _config_echo(cfg: RunConfig) -> Dict[str, object]:
-    echo = dataclasses.asdict(cfg)
-    echo["formats"] = sorted(cfg.formats)
-    return echo
-
 
 # A table is (name, header, columns): one equal-length column (array or
 # sequence) per header entry.
@@ -393,7 +371,7 @@ def _write_tables(
                         "rows": len(columns[0]), "cells_fallback": fallback})
     manifest = {
         "command": command,
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
         "duration_seconds": time.time() - started,
         "outputs": outputs,
@@ -463,6 +441,14 @@ def cmd_rays(cfg: RunConfig) -> int:
     return 0
 
 
+def _wkb_field(x, epsilon: float, x0: float):
+    """airy_wkb_field with only its CausticZoneWarning silenced: each caller
+    evaluates it next to the caustic on purpose."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CausticZoneWarning)
+        return airy_wkb_field(x, epsilon, x0)
+
+
 def _airy_kl_callables(x0: float):
     plus, minus = airy_wkb_branches(x0)
     coords = kl_coordinates(plus.S, minus.S)
@@ -479,9 +465,7 @@ def cmd_field(cfg: RunConfig) -> int:
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
         coords, amps = _airy_kl_callables(cfg.x0)
         two_branch = (0.0 < xs) & (xs < cfg.x0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CausticZoneWarning)
-            w = airy_wkb_field(np.where(two_branch, xs, 0.5 * cfg.x0), cfg.epsilon, cfg.x0)
+        w = _wkb_field(np.where(two_branch, xs, 0.5 * cfg.x0), cfg.epsilon, cfg.x0)
         lit = xs > 0.0
         u_kl = kl_field(coords, amps, cfg.epsilon, np.where(lit, xs, 1.0))
         fields = (
@@ -615,9 +599,7 @@ def band_comparison_metric(epsilon: float) -> float:
         out = np.zeros(u.shape, dtype=complex)
         live = (u > _BAND_CUT) & (u < _BAND_X0)
         if live.any():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CausticZoneWarning)
-                out[live] = airy_wkb_field(u[live], epsilon, _BAND_X0)
+            out[live] = _wkb_field(u[live], epsilon, _BAND_X0)
         return out
 
     sampler = WaveFunctionSampler(value, (_BAND_CUT, _BAND_X0), epsilon)
@@ -769,9 +751,7 @@ def check_kl_uniformization() -> CriterionResult:
     devs = []
     for e in (0.1, 0.05, 0.025):
         kl_vals = kl_field(coords, amps, e, window)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CausticZoneWarning)
-            wkb_vals = airy_wkb_field(window, e, x0)
+        wkb_vals = _wkb_field(window, e, x0)
         devs.append(float(np.max(np.abs(kl_vals - wkb_vals)) / np.max(np.abs(kl_vals))))
     monotone = devs[0] > devs[1] > devs[2]
     return CriterionResult(
@@ -786,9 +766,7 @@ def check_wkb_convergence() -> CriterionResult:
     xs = np.linspace(0.5, 1.8, 200)
     errs = []
     for eps in (0.1, 0.05, 0.025):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CausticZoneWarning)
-            u_wkb = airy_wkb_field(xs, eps, x0)
+        u_wkb = _wkb_field(xs, eps, x0)
         u_ref = airy_greens(xs, x0, eps)
         errs.append(float(np.max(np.abs(u_wkb - u_ref)) / np.max(np.abs(u_ref))))
     r1 = errs[0] / errs[1]
@@ -921,7 +899,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         )
     os.makedirs(cfg.out, exist_ok=True)
     report = {
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
         "duration_seconds": time.time() - started,
         "all_passed": all(r.passed for r in results),
@@ -936,14 +914,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value configuration file")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--format", help="comma-separated subset of csv,json")
-    sp.add_argument("--seed", type=int, help="seed for randomized sweeps")
-    sp.add_argument("--scenario", help="airy or linear_layer")
-    for key in _FLOAT_KEYS:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    for key in ("nx", "nk", "nt", "sigma_samples"):
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
+    for key, kind in _OPTIONS.items():  # `format` is converted by merge_config
+        sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                        type=None if kind is tuple else kind)
 
 
 @functools.cache

@@ -79,9 +79,6 @@ class SmallAlphaPoints:
     xi: float
     imaginary: bool
 
-    def __iter__(self):
-        return iter((self.x1, self.x2, self.xi))
-
 
 def standard_spa(f_at: complex, phi_at: float, phi_xx: float, lam: float) -> complex:
     """Single nondegenerate stationary-point contribution
@@ -166,12 +163,7 @@ def cfu_small_alpha(
         raise ValueError("phi_xxx must be nonzero for a fold unfolding")
     radicand = -2.0 * phi_xxx * phi_x_alpha * alpha
     xi = -(2.0 ** (1.0 / 3.0)) * phi_x_alpha * alpha / np.cbrt(phi_xxx)
-    if radicand >= 0.0:
-        root = math.sqrt(radicand)
-        return SmallAlphaPoints(
-            x1=-root / phi_xxx, x2=root / phi_xxx, xi=float(xi), imaginary=False
-        )
-    root = 1j * math.sqrt(-radicand)
+    root = math.sqrt(radicand) if radicand >= 0.0 else 1j * math.sqrt(-radicand)
     return SmallAlphaPoints(
-        x1=-root / phi_xxx, x2=root / phi_xxx, xi=float(xi), imaginary=True
+        x1=-root / phi_xxx, x2=root / phi_xxx, xi=float(xi), imaginary=radicand < 0.0
     )

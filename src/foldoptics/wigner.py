@@ -98,12 +98,9 @@ class PhaseSpaceGrid:
         if self.values.shape != (self.xs.size, self.ks.size):
             raise ValueError("values must have shape (len(xs), len(ks))")
         dk = np.diff(self.ks)
-        if dk.size and (dk.min() <= 0 or np.max(np.abs(dk - dk[0])) > 1e-9 * dk[0]):
+        # written so that a NaN spacing is refused too
+        if dk.size and not (dk.min() > 0 and np.max(np.abs(dk - dk[0])) <= 1e-9 * dk[0]):
             raise ValueError("k-grid must be uniformly spaced and increasing")
-
-    @property
-    def k_spacing(self) -> float:
-        return float(self.ks[1] - self.ks[0])
 
 
 @dataclass(frozen=True)

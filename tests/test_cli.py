@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -131,6 +132,36 @@ def test_subcommands_share_every_run_flag(capsys):
         args = vars(cli.build_parser().parse_args([command] + argv))
         assert args.pop("command") == command
         assert len(args) == len(flags) and set(args.values()) <= {1, "1"}, command
+
+
+def test_every_run_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
+    # RunConfig's fields are the one list of run options: each is a flag of
+    # every subcommand and a config-file key, `formats` spelled `format`
+    keys = ["format" if f.name == "formats" else f.name for f in dataclasses.fields(RunConfig)]
+    flags = {"--config"} | {"--" + key.replace("_", "-") for key in keys}
+    assert len(flags) == 22
+    for command in ("rays", "field", "wigner", "validate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == flags, command
+    # every key at its default (tmax has none), from a file or from flags
+    want = RunConfig(tmax=5.0, out=str(tmp_path))
+    text = {key: str(getattr(want, key, "csv")) for key in keys}
+    (tmp_path / "all.cfg").write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    argvs = (["--config", str(tmp_path / "all.cfg")],
+             [word for k, v in text.items() for word in ("--" + k.replace("_", "-"), v)])
+    for argv in argvs:
+        cfg = merge_config(cli.build_parser().parse_args(["rays"] + argv))
+        assert cfg == want
+        assert [type(v) for v in vars(cfg).values()] == [type(v) for v in vars(want).values()]
+    (tmp_path / "bad.cfg").write_text("wavelength=3\n")
+    assert main(["rays", "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: wavelength:")
+    for argv in (["--nx", "2.5"], ["--epsilon", "abc"], ["--wavelength", "3"]):
+        with pytest.raises(SystemExit) as exc:  # argparse refuses bad flags
+            main(["rays"] + argv)
+        assert exc.value.code == 2
 
 
 def test_run_config_validate_direct():

@@ -219,6 +219,17 @@ def test_nonuniform_k_grid_refused_before_sampling():
     assert calls == [(2, 256), (2, 256)]
 
 
+def test_nan_k_grid_is_refused_as_non_uniform():
+    # a NaN spacing fails the check, not the later undersampling test
+    psi = gaussian_sampler()
+    q = QuadraturePolicy(sigma_samples=64)
+    for ks in ([0.0, math.nan, 1.0], [math.nan, 0.0], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="k-grid must be uniformly spaced"):
+            wigner_numeric(psi, [0.5], ks, q)
+        with pytest.raises(ValueError, match="k-grid must be uniformly spaced"):
+            PhaseSpaceGrid(np.array([0.5]), ks, np.zeros((1, len(ks))), EPS)
+
+
 def test_rows_split_across_a_chunk_boundary_agree():
     psi = fundamental_sampler(EPS)
     q = QuadraturePolicy(sigma_samples=2048)
