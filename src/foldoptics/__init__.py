@@ -8,13 +8,11 @@ from .rays import (
     LinearLayerParams,
     RayPath,
     RefractionProfile1D,
-    airy_arrivals,
     airy_profile,
     airy_ray_closed,
     constant_profile,
     find_caustic,
     integrate_hamiltonian,
-    linear_layer_arrivals,
     linear_layer_caustic_depth,
     linear_layer_jacobian,
     linear_layer_momentum,
@@ -36,7 +34,6 @@ from .kl import KlAmplitudes, KlCoordinates, kl_amplitudes, kl_coordinates, kl_f
 from .stphase import (
     CfuCoefficients,
     SmallAlphaPoints,
-    StationaryPoint,
     cfu_eval,
     cfu_match,
     cfu_small_alpha,
@@ -56,25 +53,20 @@ from .wigner import (
     wigner_moment0,
     wigner_moment1,
     wigner_numeric,
-    wigner_via_fourier,
 )
 from .surgery import (
     NoStationaryPointWarning,
     RegionLabel,
     SingularCurvatureWarning,
-    StationaryPointReport,
     StationaryTable,
     WignerBranchIntegral,
-    classify_region,
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
     k_integral_flux,
     liouville_residual,
     offdiagonal_asymptotics,
-    stationary_points,
     stationary_table,
     stationary_wigner_residual,
     wigner_branches,
-    wigner_phase_eval,
 )

@@ -123,6 +123,10 @@ class RunConfig:
     seed: int = 20240911
 
     def validate(self) -> None:
+        # NaN and inf pass or fail the range checks below as each comparison happens to go
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(name, "must be a finite number")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 "scenario", f"must be one of {', '.join(_SCENARIOS)}"

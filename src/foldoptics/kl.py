@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .rays import RefractionProfile1D, _central_differences
+from .rays import _central_differences
 from .specfun import airy
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "kl_coordinates",
     "kl_amplitudes",
     "kl_field",
-    "kl_phase_residual",
     "kl_phase_residual_2d",
 ]
 
@@ -129,33 +128,17 @@ def kl_field(coords: KlCoordinates, amps: KlAmplitudes, epsilon: float, x):
     return complex(u) if np.ndim(u) == 0 else u
 
 
-def kl_phase_residual(
-    coords: KlCoordinates,
-    profile: RefractionProfile1D,
-    xs: Sequence[float],
-) -> list:
-    """Residuals of the phase system:
-    r1 = (phi')^2 + rho (rho')^2 - eta^2,  r2 = phi' rho',
-    with derivatives by central differences: kl_phase_residual_2d on the
-    points (0, x), with fields that do not depend on y.
-    Returns [(r1, r2), ...]."""
-    return kl_phase_residual_2d(
-        lambda y, z: coords.phi(z),
-        lambda y, z: coords.rho(z),
-        lambda y, z: profile.eta_squared(z),
-        [(0.0, x) for x in xs],
-    )
-
-
 def kl_phase_residual_2d(
     phi: Callable[[ArrayLike, ArrayLike], ArrayLike],
     rho: Callable[[ArrayLike, ArrayLike], ArrayLike],
     eta_squared: Callable[[ArrayLike, ArrayLike], ArrayLike],
     points: Sequence,
 ) -> list:
-    """Two-dimensional version of the phase-system residual on (y, z)
-    points: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2, r2 = grad phi . grad rho.
-    phi, rho and eta_squared take arrays of y and z."""
+    """Residuals of the phase system on (y, z) points, with derivatives by
+    central differences: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2,
+    r2 = grad phi . grad rho.  phi, rho and eta_squared take arrays of y
+    and z; a one-dimensional system is the case y = 0 with fields that do
+    not depend on y.  Returns [(r1, r2), ...]."""
     y, z = np.asarray(points, dtype=float).reshape(-1, 2).T
     fields = (phi, rho)
     py, ry = (_central_differences(lambda u: f(u, z), y, _FD_STEP)[0] for f in fields)

@@ -28,16 +28,13 @@ __all__ = [
     "RefractionProfile1D",
     "RayPath",
     "LinearLayerParams",
-    "AiryArrivalData",
     "airy_profile",
     "constant_profile",
     "integrate_hamiltonian",
     "airy_ray_closed",
-    "airy_arrivals",
     "linear_layer_ray",
     "linear_layer_momentum",
     "linear_layer_jacobian",
-    "linear_layer_arrivals",
     "linear_layer_caustic_depth",
     "find_caustic",
 ]
@@ -178,16 +175,6 @@ class LinearLayerParams:
         if np.any(val < 0):
             raise ValueError("point lies below the caustic (beta imaginary)")
         return np.sqrt(val)
-
-
-@dataclass(frozen=True)
-class AiryArrivalData:
-    """Arrival times and Jacobians of the two rays through 0 < x < x0."""
-
-    t_minus: float
-    t_plus: float
-    J_minus: float
-    J_plus: float
 
 
 def _jacobian_launch(profile: RefractionProfile1D, x0: float, k0: float):
@@ -339,23 +326,6 @@ def airy_ray_closed(t: float, x0: float, k0: float):
     return t * t / 4.0 + k0 * t + x0, t / 2.0 + k0
 
 
-def airy_arrivals(x: float, x0: float) -> AiryArrivalData:
-    """Times and Jacobians of the direct and reflected arrivals at x.
-
-    Valid in the two-arrival region 0 < x < x0 of the left-launched ray:
-    t_-/t_+ = 2(sqrt(x0) -+ sqrt(x)), J_-/J_+ = +-sqrt(x)/sqrt(x0).
-    """
-    if not 0.0 < x < x0:
-        raise ValueError("two-arrival region requires 0 < x < x0")
-    rx, r0 = math.sqrt(x), math.sqrt(x0)
-    return AiryArrivalData(
-        t_minus=2.0 * (r0 - rx),
-        t_plus=2.0 * (r0 + rx),
-        J_minus=rx / r0,
-        J_plus=-rx / r0,
-    )
-
-
 def linear_layer_ray(t: float, xi: float, p: LinearLayerParams):
     """Parametric layer ray launched at (xi, h):
     y = xi + eta0 t sin(psi), z = (mu1/4) t^2 - eta0 t cos(psi) + h."""
@@ -373,14 +343,6 @@ def linear_layer_jacobian(t: float, p: LinearLayerParams) -> float:
     """J(t) = (eta0 cos(psi) - (mu1/2) t) / (eta0 cos(psi)); J(0) = 1."""
     c = p.eta0 * math.cos(p.psi)
     return (c - 0.5 * p.mu1 * t) / c
-
-
-def linear_layer_arrivals(z: float, p: LinearLayerParams):
-    """The two ray parameters reaching depth z:
-    t_-+ = (2/mu1)(eta0 cos(psi) -+ beta(z))."""
-    b = p.beta(z)
-    c = p.eta0 * math.cos(p.psi)
-    return 2.0 * (c - b) / p.mu1, 2.0 * (c + b) / p.mu1
 
 
 def linear_layer_caustic_depth(p: LinearLayerParams) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from .specfun import airy
 
 __all__ = [
-    "StationaryPoint",
     "CfuCoefficients",
     "SmallAlphaPoints",
     "standard_spa",
@@ -25,35 +24,6 @@ __all__ = [
     "cfu_eval",
     "cfu_small_alpha",
 ]
-
-_MULTIPLICITIES = ("simple", "double")
-
-
-@dataclass(frozen=True)
-class StationaryPoint:
-    """A root of phi' with its order and local curvature.
-
-    Simple points carry the (nonzero) signed second derivative; double
-    points have vanishing second derivative by definition, and the caller
-    tracks the third derivative separately.
-    """
-
-    location: complex
-    multiplicity: str
-    second_derivative: float
-
-    def __post_init__(self):
-        if self.multiplicity not in _MULTIPLICITIES:
-            raise ValueError(f"multiplicity must be one of {_MULTIPLICITIES}")
-        if self.multiplicity == "simple" and self.second_derivative == 0.0:
-            raise ValueError("simple stationary point requires phi'' != 0")
-        if self.multiplicity == "double" and self.second_derivative != 0.0:
-            raise ValueError("double stationary point requires phi'' = 0")
-
-    @property
-    def is_real(self) -> bool:
-        return complex(self.location).imag == 0.0
-
 
 @dataclass(frozen=True)
 class CfuCoefficients:

@@ -16,7 +16,6 @@ takes broadcast branch indices and (x, k) and returns region codes, the
 number of real points, and up to two points per cell with their
 curvatures, NaN-padded, after one vectorised pass that polishes the real
 points and checks every point against the phase gradient.
-`classify_region` and `stationary_points` are scalar views of it, and
 `diagonal_asymptotics` matches its Between pairs.
 
 Unfolding-parameter and sign conventions, frozen once:
@@ -41,7 +40,7 @@ import numpy as np
 
 from .rays import RefractionProfile1D, _central_differences, airy_profile
 from .specfun import airy_ai, airy_square_integral
-from .stphase import CfuCoefficients, StationaryPoint, cfu_eval, cfu_match
+from .stphase import CfuCoefficients, cfu_eval, cfu_match
 from .wigner import PhaseSpaceGrid
 
 __all__ = [
@@ -50,12 +49,8 @@ __all__ = [
     "NoStationaryPointWarning",
     "SingularCurvatureWarning",
     "WignerBranchIntegral",
-    "StationaryPointReport",
     "StationaryTable",
     "wigner_branches",
-    "classify_region",
-    "wigner_phase_eval",
-    "stationary_points",
     "stationary_table",
     "diagonal_asymptotics",
     "offdiagonal_asymptotics",
@@ -91,26 +86,7 @@ class RegionLabel(enum.Enum):
 
 
 # region codes of the array core: positions in RegionLabel
-_REGIONS = tuple(RegionLabel)
-_EXTERIOR, _ON_MANIFOLD, _BETWEEN, _ON_CONJUGATE, _INTERIOR = range(len(_REGIONS))
-
-# table cell per (diagonal branch?, region code)
-_CELLS = {
-    True: (
-        "imaginary conjugate pair, simple",
-        "sigma = 0, double (fold point)",
-        "real pair +/-sigma0, simple",
-        "real pair at the window edge, curvature diverges",
-        "none",
-    ),
-    False: (
-        "none",
-        "none",
-        "none",
-        "window-edge point, curvature diverges",
-        "single real point, simple",
-    ),
-}
+_EXTERIOR, _ON_MANIFOLD, _BETWEEN, _ON_CONJUGATE, _INTERIOR = range(len(RegionLabel))
 
 
 class NoStationaryPointWarning(UserWarning):
@@ -136,16 +112,6 @@ class WignerBranchIntegral:
     def __post_init__(self):
         if self.index not in (1, 2, 3, 4):
             raise ValueError("branch index must be 1, 2, 3 or 4")
-
-
-@dataclass(frozen=True)
-class StationaryPointReport:
-    """Stationary set of one branch at one phase-space point, labeled by
-    the classification cell it instantiates."""
-
-    region: RegionLabel
-    points: Tuple[StationaryPoint, ...]
-    table_cell: str
 
 
 def _phase(a, b, sigma, x, k):
@@ -203,28 +169,6 @@ def _region_codes(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         [np.abs(x - kk) <= tol, x < kk, np.abs(x - 2.0 * kk) <= tol, x < 2.0 * kk],
         [_ON_MANIFOLD, _EXTERIOR, _ON_CONJUGATE, _BETWEEN],
         _INTERIOR,
-    )
-
-
-def classify_region(x: float, k: float) -> RegionLabel:
-    """Place (x, k) relative to the parabolas x = k^2 and x = 2 k^2."""
-    code = _region_codes(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
-    return _REGIONS[int(code)]
-
-
-def wigner_phase_eval(
-    w: WignerBranchIntegral, sigma: float, x: float, k: float
-) -> Tuple[float, float, float, float]:
-    """(F, F_sigma, F_sigmasigma, F_sigmasigmasigma) at real sigma."""
-    if abs(sigma) >= x:
-        raise ValueError(
-            "complex phase: |sigma| >= x leaves the illuminated zone x - |sigma| > 0"
-        )
-    return (
-        w.F(sigma, x, k),
-        w.F_sigma(sigma, x, k),
-        w.F_sigmasigma(sigma, x, k),
-        w.F_sigmasigmasigma(sigma, x, k),
     )
 
 
@@ -354,26 +298,6 @@ def stationary_table(index, x, k) -> StationaryTable:
         )
     n_real = np.count_nonzero(real, axis=-1)
     return StationaryTable(region, n_real, loc, curv)
-
-
-def stationary_points(
-    w: WignerBranchIntegral, x: float, k: float
-) -> StationaryPointReport:
-    """Closed-form stationary set of branch w at (x, k), each point
-    re-verified against the phase gradient; a scalar view of
-    stationary_table."""
-    table = stationary_table(w.index, x, k)
-    region = _REGIONS[int(table.region)]
-    points = tuple(
-        StationaryPoint(complex(loc), "double" if c == 0.0 else "simple", float(c))
-        for loc, c in zip(table.locations, table.curvatures)
-        if not np.isnan(loc)
-    )
-    if w.index <= 2 and not _diagonal_sign_ok(w.index, k):
-        cell = "none (wrong-sign k)"
-    else:
-        cell = _CELLS[w.index <= 2][int(table.region)]
-    return StationaryPointReport(region, points, f"F{w.index} @ {region.value}: {cell}")
 
 
 def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):

@@ -35,7 +35,6 @@ __all__ = [
     "semiclassical_wigner_uniform",
     "wigner_moment0",
     "wigner_moment1",
-    "wigner_via_fourier",
     "weak_limit_pairing",
 ]
 
@@ -447,27 +446,6 @@ def wigner_moment1(g: PhaseSpaceGrid) -> np.ndarray:
         raise ValueError("flux moment requires a k-grid symmetric about 0")
     _check_boundary_mass(g)
     return np.trapezoid(g.values * g.ks, g.ks, axis=1)
-
-
-def wigner_via_fourier(psi_hat: WaveFunctionSampler, x: float, k: float) -> float:
-    """Wigner value from the momentum-side definition
-
-    W(x, k) = (1/(2 pi eps)) Integral psihat(k+p/2) conj(psihat)(k-p/2)
-              e^{i p x/eps} dp,
-
-    with psihat(q) = (2 pi eps)^{-1/2} Integral psi(u) e^{-i q u/eps} du.
-    With p = 2 sigma this is the position-side integral of psihat at
-    (k, -x), so wigner_numeric evaluates it over the largest symmetric
-    window inside the declared support, with twice the samples its kernel
-    oscillation needs, and at least 512.  It is 0 where k is not inside
-    the support.
-    """
-    a, b = psi_hat.support
-    sigma_max = min(k - a, b - k)
-    if sigma_max <= 0.0:
-        return 0.0
-    n = max(512, 2 * int(_required_samples(abs(x), sigma_max, psi_hat.epsilon)))
-    return float(wigner_numeric(psi_hat, k, -x, QuadraturePolicy(n)).values[0, 0])
 
 
 def weak_limit_pairing(g: PhaseSpaceGrid, Q: Callable[[float, float], float]) -> float:

@@ -70,6 +70,7 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path):
         ("epsilon=abc", "epsilon"),
         ("nx=2.5", "nx"),
         ("wavelength=3", "wavelength"),
+        ("x0 = inf", "x0"),
     ],
 )
 def test_config_file_diagnostics_name_the_field(tmp_path, capsys, line, field):
@@ -110,6 +111,27 @@ def test_invariant_violations_exit_2_with_field_name(capsys, argv, field):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {field}:")
     assert not os.path.exists("/tmp/never-written")
+
+
+# tmax, default None, is the one float option without a float default
+FLOAT_FIELDS = [
+    f.name
+    for f in dataclasses.fields(RunConfig)
+    if isinstance(f.default, float) or f.default is None
+]
+
+
+@pytest.mark.parametrize("command", ["rays", "field", "wigner", "validate"])
+def test_non_finite_floats_exit_2_with_field_name(monkeypatch, capsys, tmp_path, command):
+    # a config that got past validation runs nothing here: it returns 0
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: 0)
+    assert len(FLOAT_FIELDS) == 13
+    for name in FLOAT_FIELDS:
+        for value in ("nan", "inf", "-inf"):
+            flag = f"--{name.replace('_', '-')}={value}"
+            assert main([command, flag, "--out", str(tmp_path)]) == 2, flag
+            assert capsys.readouterr().err.startswith(f"usage error: {name}:"), flag
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_flag_exits_2():

@@ -12,7 +12,6 @@ from foldoptics.kl import (
     kl_amplitudes,
     kl_coordinates,
     kl_field,
-    kl_phase_residual,
     kl_phase_residual_2d,
 )
 from foldoptics.rays import LinearLayerParams, airy_profile
@@ -129,9 +128,19 @@ def test_epsilon_must_be_positive():
         kl_field(coords, amps, 0.0, 1.0)
 
 
+def _phase_residual_1d(coords, profile, xs):
+    # the one-dimensional system: fields on the points (0, x), constant in y
+    return kl_phase_residual_2d(
+        lambda y, z: coords.phi(z),
+        lambda y, z: coords.rho(z),
+        lambda y, z: profile.eta_squared(z),
+        [(0.0, x) for x in xs],
+    )
+
+
 def test_phase_residual_vanishes_for_airy():
     coords, _ = airy_kl_data(X0)
-    res = kl_phase_residual(coords, airy_profile(), np.linspace(0.2, 1.8, 9))
+    res = _phase_residual_1d(coords, airy_profile(), np.linspace(0.2, 1.8, 9))
     r1 = np.array([r[0] for r in res])
     r2 = np.array([r[1] for r in res])
     assert np.max(np.abs(r1)) < 1e-8
@@ -141,7 +150,7 @@ def test_phase_residual_vanishes_for_airy():
 def test_phase_residual_detects_perturbed_rho():
     coords, _ = airy_kl_data(X0)
     bad = KlCoordinates(phi=coords.phi, rho=lambda x: 1.01 * coords.rho(x))
-    res = kl_phase_residual(bad, airy_profile(), [0.5, 1.0, 1.5])
+    res = _phase_residual_1d(bad, airy_profile(), [0.5, 1.0, 1.5])
     assert max(abs(r[0]) for r in res) > 1e-3
 
 

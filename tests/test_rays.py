@@ -11,16 +11,13 @@ import pytest
 import foldoptics
 
 from foldoptics.rays import (
-    AiryArrivalData,
     LinearLayerParams,
     RefractionProfile1D,
-    airy_arrivals,
     airy_profile,
     airy_ray_closed,
     constant_profile,
     find_caustic,
     integrate_hamiltonian,
-    linear_layer_arrivals,
     linear_layer_caustic_depth,
     linear_layer_jacobian,
     linear_layer_momentum,
@@ -159,36 +156,38 @@ def test_no_caustic_without_turning():
     assert hits == []
 
 
+def _airy_jacobian(t, x0, delta=1e-6):
+    """dx/dx0 at time t over the on-shell family launched leftwards, k0 = -sqrt(x0)."""
+    hi, lo = (airy_ray_closed(t, x, -math.sqrt(x))[0] for x in (x0 + delta, x0 - delta))
+    return (hi - lo) / (2.0 * delta)
+
+
 @pytest.mark.parametrize(
     "x,x0,expected",
     [
-        (1.0, 4.0, AiryArrivalData(2.0, 6.0, 0.5, -0.5)),
-        (0.25, 1.0, AiryArrivalData(1.0, 3.0, 0.5, -0.5)),
+        (1.0, 4.0, (2.0, 6.0, 0.5, -0.5)),
+        (0.25, 1.0, (1.0, 3.0, 0.5, -0.5)),
     ],
 )
 def test_airy_arrivals_closed_form(x, x0, expected):
-    got = airy_arrivals(x, x0)
-    assert np.allclose(
-        [got.t_minus, got.t_plus, got.J_minus, got.J_plus],
-        [expected.t_minus, expected.t_plus, expected.J_minus, expected.J_plus],
-        atol=1e-14,
-    )
+    # the direct and reflected rays through 0 < x < x0 arrive at
+    # t_-+ = 2(sqrt(x0) -+ sqrt(x)) with J_-+ = +-sqrt(x)/sqrt(x0)
+    t_minus, t_plus, j_minus, j_plus = expected
+    for t, j in ((t_minus, j_minus), (t_plus, j_plus)):
+        xt, _ = airy_ray_closed(t, x0, -math.sqrt(x0))
+        assert xt == pytest.approx(x, abs=1e-14)
+        assert _airy_jacobian(t, x0) == pytest.approx(j, abs=1e-8)
 
 
 def test_airy_arrivals_land_on_target():
     x0 = 3.0
     k0 = -math.sqrt(x0)
     for x in (0.2, 1.0, 2.5):
-        arr = airy_arrivals(x, x0)
-        for t in (arr.t_minus, arr.t_plus):
-            xt, _ = airy_ray_closed(t, x0, k0)
+        r0, rx = math.sqrt(x0), math.sqrt(x)
+        for t, k in ((2.0 * (r0 - rx), -rx), (2.0 * (r0 + rx), rx)):
+            xt, kt = airy_ray_closed(t, x0, k0)
             assert abs(xt - x) < 1e-12
-
-
-@pytest.mark.parametrize("x", [-0.5, 0.0, 4.0, 5.0])
-def test_airy_arrivals_outside_two_ray_region(x):
-    with pytest.raises(ValueError):
-        airy_arrivals(x, 4.0)
+            assert kt == pytest.approx(k, abs=1e-12)
 
 
 def test_layer_defaults_boundary_index():
@@ -224,12 +223,15 @@ def test_layer_transverse_momentum_conserved():
 
 def test_layer_arrivals_reach_requested_depth():
     z_c = linear_layer_caustic_depth(LAYER)
+    c = LAYER.eta0 * math.cos(LAYER.psi)
     for z in np.linspace(z_c + 1e-3, LAYER.h - 1e-3, 7):
-        t_minus, t_plus = linear_layer_arrivals(z, LAYER)
-        assert t_minus < t_plus
-        for t in (t_minus, t_plus):
+        # the two ray parameters reaching depth z, t_-+ = (2/mu1)(eta0 cos(psi)
+        # -+ beta(z)): the ray passes it going down and coming back, k_z = -+beta(z)
+        b = LAYER.beta(z)
+        for t, kz in ((2.0 * (c - b) / LAYER.mu1, -b), (2.0 * (c + b) / LAYER.mu1, b)):
             _, zt = linear_layer_ray(t, 0.0, LAYER)
             assert zt == pytest.approx(z, abs=1e-12)
+            assert linear_layer_momentum(t, LAYER)[1] == pytest.approx(kz, abs=1e-12)
 
 
 def test_layer_beta_raises_below_caustic():

@@ -11,7 +11,6 @@ from foldoptics.specfun import airy, fourier_power_integral
 from foldoptics.stphase import (
     CfuCoefficients,
     SmallAlphaPoints,
-    StationaryPoint,
     cfu_eval,
     cfu_match,
     cfu_small_alpha,
@@ -185,19 +184,6 @@ def test_small_alpha_sign_consistency():
 def test_small_alpha_requires_fold():
     with pytest.raises(ValueError):
         cfu_small_alpha(0.0, -2.0, 0.1)
-
-
-def test_stationary_point_validation():
-    StationaryPoint(1.0, "simple", -2.0)
-    StationaryPoint(0.0, "double", 0.0)
-    with pytest.raises(ValueError):
-        StationaryPoint(1.0, "simple", 0.0)
-    with pytest.raises(ValueError):
-        StationaryPoint(1.0, "double", 1.0)
-    with pytest.raises(ValueError):
-        StationaryPoint(1.0, "triple", 0.0)
-    assert StationaryPoint(1.0, "simple", 1.0).is_real
-    assert not StationaryPoint(1.0j, "simple", 1.0).is_real
 
 
 def _random_match_data(n, seed=11):

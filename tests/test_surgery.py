@@ -14,18 +14,15 @@ from foldoptics.surgery import (
     NoStationaryPointWarning,
     RegionLabel,
     SingularCurvatureWarning,
-    classify_region,
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
     k_integral_flux,
     liouville_residual,
     offdiagonal_asymptotics,
-    stationary_points,
     stationary_table,
     stationary_wigner_residual,
     wigner_branches,
-    wigner_phase_eval,
 )
 from foldoptics.wigner import PhaseSpaceGrid, wigner_exact_airy
 from foldoptics.wkb import airy_inner_approx
@@ -35,6 +32,10 @@ EPS = 0.05
 BRANCHES = wigner_branches(X0)
 
 RNG_SEED = 20240911
+
+# the table's region codes index this list: 0 Exterior, 1 OnManifold,
+# 2 Between, 3 OnConjugate, 4 Interior
+REGIONS = list(RegionLabel)
 
 
 @pytest.mark.parametrize(
@@ -50,30 +51,28 @@ RNG_SEED = 20240911
     ],
 )
 def test_classify_region(x, k, label):
-    assert classify_region(x, k) is label
+    for index in (1, 2, 3, 4):
+        assert REGIONS[stationary_table(index, x, k).region] is label
 
 
 def test_classify_requires_illuminated_zone():
     with pytest.raises(ValueError, match="x > 0"):
-        classify_region(0.0, 0.5)
+        stationary_table(1, 0.0, 0.5)
     with pytest.raises(ValueError):
-        classify_region(-1.0, 0.5)
+        stationary_table(3, [1.0, -1.0], 0.5)
+
+
+def _phases(w):
+    return w.F, w.F_sigma, w.F_sigmasigma, w.F_sigmasigmasigma
 
 
 def test_phase_values_at_origin():
     x, k = 1.3, 0.4
-    f, fs, fss, fsss = wigner_phase_eval(BRANCHES[0], 0.0, x, k)
+    f, fs, fss, fsss = (g(0.0, x, k) for g in _phases(BRANCHES[0]))
     assert f == 0.0
     assert fs == pytest.approx(2.0 * math.sqrt(x) - 2.0 * k, rel=1e-15)
     assert fss == 0.0
     assert fsss == pytest.approx(-0.5 * x**-1.5, rel=1e-15)
-
-
-def test_phase_eval_rejects_window_edge():
-    with pytest.raises(ValueError, match="sigma"):
-        wigner_phase_eval(BRANCHES[0], 1.0, 1.0, 0.3)
-    with pytest.raises(ValueError):
-        wigner_phase_eval(BRANCHES[2], -1.2, 1.0, 0.3)
 
 
 @pytest.mark.parametrize("idx", [0, 1, 2, 3])
@@ -85,9 +84,7 @@ def test_phase_derivatives_consistent(idx):
         x = rng.uniform(0.5, 3.0)
         k = rng.uniform(-1.5, 1.5)
         sigma = rng.uniform(-0.4, 0.4) * x
-        f_p = wigner_phase_eval(w, sigma + h, x, k)
-        f_m = wigner_phase_eval(w, sigma - h, x, k)
-        f_0 = wigner_phase_eval(w, sigma, x, k)
+        f_p, f_m, f_0 = ([g(s, x, k) for g in _phases(w)] for s in (sigma + h, sigma - h, sigma))
         assert (f_p[0] - f_m[0]) / (2 * h) == pytest.approx(f_0[1], rel=1e-7, abs=1e-7)
         assert (f_p[1] - f_m[1]) / (2 * h) == pytest.approx(f_0[2], rel=1e-6, abs=1e-6)
         assert (f_p[2] - f_m[2]) / (2 * h) == pytest.approx(f_0[3], rel=1e-5, abs=1e-5)
@@ -128,6 +125,17 @@ def test_fold_pair_closed_forms():
     assert x * x - sigma0 * sigma0 == pytest.approx((x - 2.0 * k * k) ** 2, rel=1e-12)
 
 
+def _cell(table, i=()):
+    """(locations, curvatures) of the filled slots of cell i of a table."""
+    filled = ~np.isnan(table.locations[i])
+    return table.locations[i][filled], table.curvatures[i][filled]
+
+
+def _multiplicities(curvatures):
+    # a curvature of 0 marks the double fold point
+    return {"double" if c == 0.0 else "simple" for c in curvatures}
+
+
 EXPECTED_COUNTS = {
     # (branch index, region) -> (count, all real, multiplicities)
     (1, RegionLabel.EXTERIOR): (2, False, {"simple"}),
@@ -144,36 +152,38 @@ EXPECTED_COUNTS = {
 
 def test_stationary_tables_random_sweep():
     rng = np.random.default_rng(RNG_SEED)
-    for _ in range(500):
-        x = rng.uniform(0.05, 4.0)
-        k = rng.uniform(-2.2, 2.2)
-        region = classify_region(x, k)
-        if region in (RegionLabel.ON_MANIFOLD, RegionLabel.ON_CONJUGATE):
-            continue
-        for w in BRANCHES:
-            report = stationary_points(w, x, k)
-            assert report.region is region
+    xs, ks = rng.uniform([0.05, -2.2], [4.0, 2.2], size=(500, 2)).T
+    # off the parabolas' tolerance bands, the region is read from x, k^2 and 2 k^2
+    kk = ks * ks
+    regions = np.where(xs < kk, 0, np.where(xs < 2.0 * kk, 2, 4))
+    for w in BRANCHES:
+        table = stationary_table(w.index, xs, ks)
+        off_curves = np.isin(table.region, (1, 3), invert=True)
+        assert np.array_equal(table.region[off_curves], regions[off_curves])
+        for i in np.flatnonzero(off_curves):
+            x, k, region = xs[i], ks[i], REGIONS[table.region[i]]
             if w.index in (1, 2):
                 sign_ok = k > 0 if w.index == 1 else k < 0
                 key = (1, region)
                 count, real, mults = EXPECTED_COUNTS[key] if sign_ok else (0, True, set())
             else:
                 count, real, mults = EXPECTED_COUNTS[(w.index, region)]
-            assert len(report.points) == count, report.table_cell
-            assert all(p.is_real for p in report.points) == real or count == 0
-            assert {p.multiplicity for p in report.points} == mults
-            for p in report.points:
-                if p.is_real:
-                    res = w.F_sigma(p.location.real, x, k)
-                    assert abs(res) <= 1e-10 * max(1.0, abs(k) + math.sqrt(x))
+            loc, curv = _cell(table, i)
+            assert loc.size == count, (w.index, region)
+            assert table.n_real[i] == np.count_nonzero(loc.imag == 0.0)
+            assert np.all(loc.imag == 0.0) == real or count == 0
+            assert _multiplicities(curv) == mults
+            res = w.F_sigma(loc[loc.imag == 0.0].real, x, k)
+            assert np.all(np.abs(res) <= 1e-10 * max(1.0, abs(k) + math.sqrt(x)))
 
 
 def test_double_point_on_manifold():
-    report = stationary_points(BRANCHES[0], 1.44, 1.2)
-    assert report.region is RegionLabel.ON_MANIFOLD
-    (pt,) = report.points
-    assert pt.location == 0j
-    assert pt.multiplicity == "double"
+    table = stationary_table(1, 1.44, 1.2)
+    assert REGIONS[table.region] is RegionLabel.ON_MANIFOLD
+    loc, curv = _cell(table)
+    assert loc.tolist() == [0j]
+    assert _multiplicities(curv) == {"double"}
+    assert table.n_real == 1
     assert BRANCHES[0].F_sigmasigmasigma(0.0, 1.44, 1.2) == pytest.approx(
         -0.5 * 1.44**-1.5
     )
@@ -182,88 +192,112 @@ def test_double_point_on_manifold():
 def test_conjugate_curve_edge_points():
     k = 0.8
     x = 2.0 * k * k
-    report = stationary_points(BRANCHES[0], x, k)
-    locs = sorted(p.location.real for p in report.points)
-    assert locs == pytest.approx([-x, x])
-    assert {p.second_derivative for p in report.points} == {math.inf, -math.inf}
-    cross = stationary_points(BRANCHES[2], x, k)
-    assert cross.points[0].location.real == pytest.approx(x)
-    assert cross.points[0].second_derivative == math.inf
+    loc, curv = _cell(stationary_table(1, x, k))
+    assert sorted(loc.real) == pytest.approx([-x, x])
+    assert set(curv) == {math.inf, -math.inf}
+    (cross,), (c,) = _cell(stationary_table(3, x, k))
+    assert cross.real == pytest.approx(x)
+    assert c == math.inf
 
 
 def test_cross_branch_curvature_diverges_near_conjugate():
     k = 0.8
     vals = []
     for x in (2.0 * k * k + 0.1, 2.0 * k * k + 0.01, 2.0 * k * k + 0.001):
-        (pt,) = stationary_points(BRANCHES[2], x, k).points
-        vals.append(pt.second_derivative)
-        assert pt.second_derivative == pytest.approx(
-            math.sqrt(x - k * k) / (x - 2.0 * k * k), rel=1e-9
-        )
+        _, (c,) = _cell(stationary_table(3, x, k))
+        vals.append(c)
+        assert c == pytest.approx(math.sqrt(x - k * k) / (x - 2.0 * k * k), rel=1e-9)
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_imaginary_pair_location():
     x, k = 1.0, 1.3
-    report = stationary_points(BRANCHES[0], x, k)
+    table = stationary_table(1, x, k)
     expect = 2.0 * k * math.sqrt(k * k - x)
-    locs = sorted(p.location.imag for p in report.points)
-    assert locs == pytest.approx([-expect, expect], rel=1e-12)
+    loc, _ = _cell(table)
+    assert np.all(loc.real == 0.0) and table.n_real == 0
+    assert sorted(loc.imag) == pytest.approx([-expect, expect], rel=1e-12)
 
 
 def test_wrong_sign_k_has_no_points():
-    assert stationary_points(BRANCHES[0], 1.0, -0.8).points == ()
-    assert stationary_points(BRANCHES[1], 1.0, 0.8).points == ()
-    assert "wrong-sign" in stationary_points(BRANCHES[0], 1.0, -0.8).table_cell
-
-
-def _assert_table_matches_scalar_calls(index, xs, ks):
-    table = stationary_table(index, xs, ks)
-    for i, (x, k) in enumerate(zip(map(float, xs), map(float, ks))):
-        report = stationary_points(BRANCHES[int(index[i]) - 1], x, k)
-        assert list(RegionLabel)[table.region[i]] is report.region
-        assert report.region is classify_region(x, k)
-        assert table.n_real[i] == sum(p.is_real for p in report.points)
-        filled = ~np.isnan(table.locations[i])
-        assert np.count_nonzero(filled) == len(report.points), report.table_cell
-        points = zip(table.locations[i][filled], table.curvatures[i][filled], report.points)
-        for loc, c, p in points:
-            assert (c == 0.0) == (p.multiplicity == "double")
-            for got, want in ((loc.real, p.location.real), (loc.imag, p.location.imag)):
-                assert abs(got - want) <= np.spacing(abs(want))
-            if math.isinf(c):
-                assert c == p.second_derivative
-            else:
-                assert abs(c - p.second_derivative) <= np.spacing(abs(c))
-
-
-def test_array_table_matches_scalar_calls_on_criterion_draws():
-    # criterion 05's default draws, the branch cycling through 1..4
-    rng = np.random.default_rng(20240911)
-    xs = 0.05 + 3.95 * rng.random(10000)
-    ks = rng.uniform(-2.2, 2.2, 10000)
-    _assert_table_matches_scalar_calls(np.arange(xs.size) % 4 + 1, xs, ks)
+    table = stationary_table([1, 2], 1.0, [-0.8, 0.8])
+    assert np.isnan(table.locations).all() and np.isnan(table.curvatures).all()
+    assert table.n_real.tolist() == [0, 0]
 
 
 def test_array_table_matches_scalar_calls_on_the_parabolas():
     # on x = k^2 and x = 2 k^2, inside their tolerance bands and just outside
-    xs, ks = [], []
+    xs, ks, codes = [], [], []
     # k = +-1e-3: inside the bands the fold and window-edge points leave
     # gradients above the plain 1e-10 tolerance
     for k in np.append(np.linspace(-2.0, 2.0, 41), (-1e-3, 1e-3)):
-        for curve in (k * k, 2.0 * k * k):
+        # (curve, code in its band, code above it, code below it); at k = 0 the
+        # parabolas meet at x = 0, and the manifold's band comes first
+        curves = ((k * k, 1, 2, 0), (2.0 * k * k, 3, 4, 2)) if k else ((0.0, 1, 4, 0),)
+        for curve, on, above, below in curves:
             tol = REGION_TOL * max(1.0, curve)
-            for off in (0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol):
+            for off, code in ((0.0, on), (0.5 * tol, on), (-0.5 * tol, on),
+                              (2.0 * tol, above), (-2.0 * tol, below)):
                 xs.append(curve + off)
                 ks.append(k)
-        xs.extend((0.3, 1.7, 3.9))
-        ks.extend((k, k, k))
-    xs, ks = np.array(xs), np.array(ks)
+                codes.append(code)
+        for x in (0.3, 1.7, 3.9):
+            xs.append(x)
+            ks.append(k)
+            codes.append(0 if x < k * k else 2 if x < 2.0 * k * k else 4)
+    xs, ks, codes = np.array(xs), np.array(ks), np.array(codes)
     keep = xs > 0.0
+    xs, ks, codes = xs[keep], ks[keep], codes[keep]
+    chord = 2.0 * np.abs(ks) * np.sqrt(np.abs(xs - ks * ks))
     for index in (1, 2, 3, 4):
-        _assert_table_matches_scalar_calls(
-            np.full(np.count_nonzero(keep), index), xs[keep], ks[keep]
-        )
+        w = BRANCHES[index - 1]
+        table = stationary_table(np.full(xs.size, index), xs, ks)
+        assert np.array_equal(table.region, codes)
+        sign_ok = ks > 0 if index == 1 else ks < 0  # of the diagonal branches
+        for i, (x, k) in enumerate(zip(map(float, xs), map(float, ks))):
+            scalar = stationary_table(index, x, k)
+            assert scalar.region == table.region[i] and scalar.n_real == table.n_real[i]
+            np.testing.assert_array_equal(scalar.locations, table.locations[i])
+            np.testing.assert_array_equal(scalar.curvatures, table.curvatures[i])
+            loc, curv = _cell(table, i)
+            region = REGIONS[codes[i]]
+            scale = max(1.0, math.sqrt(x) + abs(k))
+            if index in (1, 2) and not sign_ok[i]:
+                assert loc.size == 0
+            elif index in (1, 2) and region is RegionLabel.ON_MANIFOLD:
+                assert loc.tolist() == [0j] and _multiplicities(curv) == {"double"}
+            elif region is RegionLabel.ON_CONJUGATE:
+                # the window-edge pair +-x; on x = 2 k^2 the cross phase
+                # F_sigma = +-(sqrt(x + sigma) - sqrt(x - sigma)) - 2k (+ on branch 3)
+                # vanishes at sigma = +-sign(k) x
+                if index in (1, 2):
+                    edge = [-x, x]
+                else:
+                    edge = [math.copysign(x, k if index == 3 else -k)]
+                assert sorted(loc.real) == edge and np.isinf(curv).all()
+            elif region in (
+                (RegionLabel.EXTERIOR, RegionLabel.BETWEEN) if index in (1, 2)
+                else (RegionLabel.INTERIOR,)
+            ):
+                n = 2 if index in (1, 2) else 1
+                assert loc.size == n and _multiplicities(curv) == {"simple"}
+                # +-i chord outside the manifold, real points within the window inside it
+                if region is RegionLabel.EXTERIOR:
+                    size, want, n_real = np.abs(loc.imag), chord[i], 0
+                else:
+                    size, want, n_real = np.abs(loc.real), min(chord[i], x), n
+                # next to the fold, rounding F_sigma by a few spacings moves the
+                # root by that over the curvature
+                slack = 1e-12 * want + 8.0 * np.spacing(scale) / np.abs(curv)
+                assert np.all(np.abs(size - want) <= slack)
+                assert table.n_real[i] == n_real
+            else:
+                assert loc.size == 0
+            # simple real points meet the plain tolerance up to the rounding of sigma
+            simple = (loc.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
+            sigma, c = loc.real[simple], curv[simple]
+            res = np.abs(w.F_sigma(sigma, x, k))
+            assert np.all(res <= 1e-10 * scale + np.abs(c) * np.spacing(np.abs(sigma)))
 
 
 # a criterion 05 draw of `validate --seed 1514489336`: x - 2 k^2 = 2.1e-8
@@ -276,15 +310,15 @@ EDGE_DRAW = (0.9450085363356805, 0.6873894511528946)
 def test_interior_point_at_the_window_edge_passes(idx):
     x, k = EDGE_DRAW
     w = BRANCHES[idx]
-    (pt,) = stationary_points(w, x, k).points
-    sigma = pt.location.real
+    (loc,), (c,) = _cell(stationary_table(w.index, x, k))
+    sigma = loc.real
     assert 0.0 < x - abs(sigma) <= 2.0 * np.spacing(x)
     # rounding sigma alone leaves more than the plain tolerance ...
     residual = abs(w.F_sigma(sigma, x, k))
     scale = max(1.0, math.sqrt(x) + abs(k))
     assert residual > 1e-10 * scale
     # ... and no more than the curvature times one spacing of sigma
-    rounding = abs(pt.second_derivative) * np.spacing(abs(sigma))
+    rounding = abs(c) * np.spacing(abs(sigma))
     assert residual <= 1e-10 * scale + rounding
 
 
@@ -297,7 +331,7 @@ def test_interior_point_off_the_window_edge_fails(monkeypatch, shift):
         surgery, "_half_chord", lambda x, k: half_chord(x, k) + shift * scale
     )
     with pytest.raises(RuntimeError, match="branch 3 fails the gradient check"):
-        stationary_points(BRANCHES[2], x, k)
+        stationary_table(3, x, k)
 
 
 @pytest.mark.parametrize(
