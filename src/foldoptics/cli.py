@@ -47,6 +47,7 @@ from .rays import (
 )
 from .specfun import airy, airy_ai
 from .stphase import CfuCoefficients, cfu_eval
+from .surgery import _SIGNS, _phase_s, _phase_ss
 from .surgery import (
     RegionLabel,
     combined_wkb_wigner,
@@ -54,7 +55,6 @@ from .surgery import (
     k_integral_flux,
     liouville_residual,
     stationary_table,
-    wigner_branches,
 )
 from .wigner import (
     PhaseSpaceGrid,
@@ -663,40 +663,44 @@ def check_k_moments() -> CriterionResult:
     )
 
 
-# criterion 05's bound on the stationary-point residual |F_sigma|
+# criterion 05's bound on the stationary-point residual |F_sigma|, and its
+# bracket half-widths over max(1, |sigma|), from a few dozen doubles up
 _ROOT_RESIDUAL = 1e-10
+_BRACKETS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1)
 
 
-def _verify_by_root_finding(branch, x, k, sigma):
+def _verify_by_root_finding(signs, x, k, sigma):
     """Independently confirm tabulated stationary points: bracket the
     phase gradient around each, bisect, and return the residual at each
-    located root (inf where the root drifts off the table value).  Points
-    left without a bracket report the residual at the table value.  Where
-    one double moves F_sigma by a step above the bound (|F_sigmasigma|
+    located root (inf where the root drifts off the table value); the rows
+    of signs give each point its branch's (a, b).  Brackets grow through
+    the _BRACKETS levels inside the window [-x, x], each level on the
+    points still unbracketed, whose new brackets are bisected as a group.
+    Points left without a bracket report the residual at the table value.
+    Where one double moves F_sigma by a step above the bound (|F_sigmasigma|
     spacing(sigma), next to the window edge, where F_sigma has a
     sqrt(x - sigma) term), |F_sigma| is scaled by the bound over the step."""
-    grad = branch.F_sigma
+    def gradient(at):  # F_sigma of the points `at`, as a function of their sigma
+        a, b, xa, ka = signs[0][at], signs[1][at], x[at], k[at]
+        return lambda s: _phase_s(a, b, s, xa, ka)
+
     scale = np.maximum(1.0, np.abs(sigma))
-    lo, hi = sigma, sigma
-    bracketed = np.zeros(sigma.shape, dtype=bool)
-    for widen in (1e-3, 1e-2, 0.1):
-        a = np.maximum(sigma - widen * scale, -0.999 * x)
-        b = np.minimum(sigma + widen * scale, 0.999 * x)
-        new = ~bracketed & (grad(a, x, k) * grad(b, x, k) < 0)
-        lo, hi = np.where(new, a, lo), np.where(new, b, hi)
-        bracketed |= new
-    xb, kb = x[bracketed], k[bracketed]
-    a, b = lo[bracketed], hi[bracketed]
-    root = bisect_brackets(
-        lambda s: grad(s, xb, kb), a, b, grad(a, xb, kb), grad(b, xb, kb)
-    )
     point = sigma.copy()
-    point[bracketed] = root
-    step = np.abs(branch.F_sigmasigma(point, x, k)) * np.spacing(np.abs(point))
-    residual = np.abs(grad(point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
-    drift = np.abs(root - sigma[bracketed]) > 1e-7 * scale[bracketed]
-    residual[bracketed] = np.where(drift, np.inf, residual[bracketed])
-    return residual
+    drift = np.zeros(sigma.shape, dtype=bool)
+    left = np.arange(sigma.size)  # the points still unbracketed
+    for widen in _BRACKETS:
+        f, s, w, xl = gradient(left), sigma[left], widen * scale[left], x[left]
+        a, b = np.maximum(s - w, -xl), np.minimum(s + w, xl)
+        fa, fb = f(a), f(b)
+        new = fa * fb < 0
+        at = left[new]
+        root = bisect_brackets(gradient(at), a[new], b[new], fa[new], fb[new])
+        point[at] = root
+        drift[at] = np.abs(root - sigma[at]) > 1e-7 * scale[at]
+        left = left[~new]
+    step = np.abs(_phase_ss(*signs, point, x, k)) * np.spacing(np.abs(point))
+    residual = np.abs(_phase_s(*signs, point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
+    return np.where(drift, np.inf, residual)
 
 
 def check_stationary_tables(seed: int = 20240911, samples: int = 10000) -> CriterionResult:
@@ -704,11 +708,11 @@ def check_stationary_tables(seed: int = 20240911, samples: int = 10000) -> Crite
     rng = np.random.default_rng(seed)
     xs = 0.05 + 3.95 * rng.random(samples)
     ks = rng.uniform(-2.2, 2.2, samples)
-    worst = 0.0
-    checked = 0
-    for branch in wigner_branches(2.0):
+    # the real simple points of every branch: (branch, draw, table value)
+    points = []
+    for index in (1, 2, 3, 4):
         try:
-            table = stationary_table(branch.index, xs, ks)
+            table = stationary_table(index, xs, ks)
         except RuntimeError as e:
             return CriterionResult(
                 5, "stationary-point tables", False, math.inf, _ROOT_RESIDUAL, f"error: {e}"
@@ -716,15 +720,14 @@ def check_stationary_tables(seed: int = 20240911, samples: int = 10000) -> Crite
         curv = table.curvatures
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
         draw = np.nonzero(simple)[0]
-        res = _verify_by_root_finding(
-            branch, xs[draw], ks[draw], table.locations.real[simple]
-        )
-        worst = max(worst, float(np.max(res, initial=0.0)))
-        checked += draw.size
+        points.append((np.full(draw.size, index - 1), draw, table.locations.real[simple]))
+    branch, draw, sigma = (np.concatenate(v) for v in zip(*points))
+    res = _verify_by_root_finding(np.array(_SIGNS).T[:, branch], xs[draw], ks[draw], sigma)
+    worst = float(np.max(res, initial=0.0))
     elapsed = time.time() - t0
     return CriterionResult(
         5, "stationary-point tables", worst <= _ROOT_RESIDUAL, worst, _ROOT_RESIDUAL,
-        f"{checked} real points root-verified over {samples} draws, {elapsed:.2f}s",
+        f"{draw.size} real points root-verified over {samples} draws, {elapsed:.2f}s",
     )
 
 
@@ -784,13 +787,13 @@ def check_wkb_convergence() -> CriterionResult:
 
 def check_liouville_order() -> CriterionResult:
     eps, x0 = 0.1, 2.0
+    xs, ks = np.linspace(0.3, 1.7, 401), np.linspace(-1.2, 1.2, 401)
+    w = wigner_exact_airy(xs[:, None], ks[None, :], eps, x0)
     errs = []
-    for n in (101, 201, 401):
-        xs = np.linspace(0.3, 1.7, n)
-        ks = np.linspace(-1.2, 1.2, n)
-        w = wigner_exact_airy(xs[:, None], ks[None, :], eps, x0)
-        res = liouville_residual(PhaseSpaceGrid(xs, ks, w, eps))
-        errs.append(float(np.max(np.abs(res.values))))
+    # linspace puts the 101- and 201-node grids on every 4th and 2nd node
+    for step in (4, 2, 1):
+        grid = PhaseSpaceGrid(xs[::step], ks[::step], w[::step, ::step], eps)
+        errs.append(float(np.max(np.abs(liouville_residual(grid).values))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     metric = min(orders)
     return CriterionResult(

@@ -202,58 +202,73 @@ class StationaryTable:
     curvatures: np.ndarray
 
 
-def _closed_forms(index, a, x, k, region):
-    """Unverified points and curvatures of the table, two slots per cell;
-    a is the sign of sqrt(x + sigma) in F_sigma of each branch."""
-    diagonal = index <= 2
-    # row of the table below: region code on branches 1/2, 5 + code on
-    # branches 3/4, and 10 for a diagonal branch with the wrong sign of k
-    row = np.where(
-        diagonal, np.where(_diagonal_sign_ok(index, k), region, 10), 5 + region
-    )
+def _curvature(x, k):
+    # sqrt|x - k^2| / (2 k^2 - x): the curvature magnitude at every simple
+    # point off the conjugate parabola (where it diverges)
     kk = k * k
-    # sqrt|x - k^2| / |2 k^2 - x| is the curvature magnitude at every
-    # simple point off the conjugate parabola (where it diverges, and where
-    # 2 k^2 - x can be 0)
-    gap = np.where(region == _ON_CONJUGATE, 1.0, 2.0 * kk - x)
-    c = np.sqrt(np.abs(x - kk)) / gap
-    chord = _half_chord(x, k)
+    return np.sqrt(np.abs(x - kk)) / (2.0 * kk - x)
+
+
+def _imaginary_pair(a, x, k):
+    chord, c = _half_chord(x, k), _curvature(x, k)
+    return 1j * chord, -1j * chord, c, c
+
+
+def _real_pair(a, x, k):
     # the closed form can round past the window edge, where no root lies
-    sigma0 = np.minimum(chord, x)
-    edge = a * math.inf
-    nan = np.nan
-    none = (nan, nan, nan, nan)
-    # (slot-0 point, slot-1 point, slot-0 curvature, slot-1 curvature)
-    table = (
-        (1j * chord, -1j * chord, c, c),  # F1/F2 Exterior: imaginary pair
-        (0.0, nan, 0.0, nan),  # F1/F2 OnManifold: double fold point
-        (sigma0, -sigma0, -a * c, a * c),  # F1/F2 Between: real pair
-        (x, -x, -edge, edge),  # F1/F2 OnConjugate: window-edge pair
-        none,  # F1/F2 Interior
-        none,  # F3/F4 Exterior
-        none,  # F3/F4 OnManifold
-        none,  # F3/F4 Between
-        (a * np.copysign(x, k), nan, edge, nan),  # F3/F4 OnConjugate
-        (a * np.copysign(sigma0, k), nan, -a * c, nan),  # F3/F4 Interior
-        none,  # F1/F2 with the wrong sign of k
-    )
-    slots = [np.choose(row, column) for column in zip(*table)]
-    return np.stack(slots[:2], axis=-1).astype(complex), np.stack(slots[2:], axis=-1)
+    sigma0, c = np.minimum(_half_chord(x, k), x), _curvature(x, k)
+    return sigma0, -sigma0, -a * c, a * c
+
+
+def _cross_point(a, x, k):
+    sigma0, _, c, _ = _real_pair(a, x, k)
+    return a * np.copysign(sigma0, k), np.nan, c, np.nan
+
+
+# The table, one row per (branch pair, region): a function of its cells'
+# (a, x, k), a the sign of sqrt(x + sigma) in F_sigma, that gives (slot-0
+# point, slot-1 point, slot-0 curvature, slot-1 curvature); None: no points.
+_ROWS = (
+    _imaginary_pair,  # F1/F2 Exterior
+    lambda a, x, k: (0.0, np.nan, 0.0, np.nan),  # F1/F2 OnManifold: double fold point
+    _real_pair,  # F1/F2 Between
+    lambda a, x, k: (x, -x, -a * math.inf, a * math.inf),  # F1/F2 OnConjugate: window edges
+    None, None, None, None,  # F1/F2 Interior; F3/F4 Exterior, OnManifold, Between
+    lambda a, x, k: (a * np.copysign(x, k), np.nan, a * math.inf, np.nan),  # F3/F4 OnConjugate
+    _cross_point,  # F3/F4 Interior
+    None,  # F1/F2 with the wrong sign of k
+)
+
+
+def _closed_forms(index, a, x, k, region):
+    """Unverified points and curvatures of the flat cells, two slots each
+    and NaN in unused ones; each row of _ROWS is evaluated on its own cells."""
+    # region code on branches 1/2, 5 + code on branches 3/4, and 10 for a
+    # diagonal branch with the wrong sign of k
+    row = np.where(index <= 2, np.where(_diagonal_sign_ok(index, k), region, 10), 5 + region)
+    loc, curv = np.full((row.size, 2), np.nan, dtype=complex), np.full((row.size, 2), np.nan)
+    for r in np.flatnonzero(np.bincount(row, minlength=len(_ROWS))):  # the rows that occur
+        if _ROWS[r] is not None:
+            at = np.flatnonzero(row == r)
+            loc[at, 0], loc[at, 1], curv[at, 0], curv[at, 1] = _ROWS[r](a[at], x[at], k[at])
+    return loc, curv
 
 
 def stationary_table(index, x, k) -> StationaryTable:
     """Closed-form stationary sets of branches `index` at (x, k), array
     in/array out, each point re-verified against the phase gradient.
 
-    Real simple points are polished by one Newton step; then every point
-    must satisfy |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|), widened for
-    real simple points by |F_sigmasigma| * spacing(sigma), the residual
-    that rounding sigma to a double alone can leave where the curvature
-    is large (next to the conjugate parabola).  The double fold point
-    and the window-edge points are allowed the largest |F_sigma| they
-    leave inside their REGION_TOL bands, 2 REGION_TOL max(1, x) over
-    sqrt(x) + |k| and sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The
-    first failing point, in broadcast order, raises RuntimeError.
+    Each row of the table is evaluated on the cells where it occurs, and
+    only occupied slots are polished and checked.  Real simple points get
+    one Newton step; then every point must satisfy
+    |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|), widened for real simple
+    points by |F_sigmasigma| * spacing(sigma), the residual that rounding
+    sigma to a double alone can leave where the curvature is large (next
+    to the conjugate parabola).  The double fold point and the window-edge
+    points are allowed the largest |F_sigma| they leave inside their
+    REGION_TOL bands, 2 REGION_TOL max(1, x) over sqrt(x) + |k| and
+    sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The first failing point,
+    in broadcast order, raises RuntimeError.
     """
     index, x, k = np.broadcast_arrays(
         np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
@@ -261,43 +276,47 @@ def stationary_table(index, x, k) -> StationaryTable:
     if not np.all((index == 1) | (index == 2) | (index == 3) | (index == 4)):
         raise ValueError("branch index must be 1, 2, 3 or 4")
     region = _region_codes(x, k)
+    shape, index, x, k = region.shape, index.ravel(), x.ravel(), k.ravel()
     a = np.where((index == 1) | (index == 3), 1.0, -1.0)
     b = np.where((index == 1) | (index == 4), 1.0, -1.0)
-    loc, curv = _closed_forms(index, a, x, k, region)
+    loc, curv = _closed_forms(index, a, x, k, region.ravel())
 
-    # the NaN of empty slots makes every comparison below False
-    a, b, x, k = (v[..., None] for v in (a, b, x, k))
+    # the occupied slots as flat arrays, each with its cell's index, a, b, x, k
+    slots = np.flatnonzero(~np.isnan(loc))
+    point, c = loc.flat[slots], curv.flat[slots]
+    index, a, b, x, k = (v[slots // 2] for v in (index, a, b, x, k))
     scale = np.maximum(1.0, np.sqrt(x) + np.abs(k))
-    sigma = loc.real
-    real = (loc.imag == 0.0) & ~np.isnan(sigma)
-    simple = real & np.isfinite(curv) & (curv != 0.0)
-    polished = sigma - _phase_s(a, b, sigma, x, k) / np.where(simple, curv, 1.0)
+    sigma = point.real
+    real = point.imag == 0.0
+    simple = real & np.isfinite(c) & (c != 0.0)
+    polished = sigma - _phase_s(a, b, sigma, x, k) / np.where(simple, c, 1.0)
     polish = (
         simple
         & (np.abs(sigma) < x)
         & (np.abs(polished) < x)
         & (np.abs(polished - sigma) < 1e-6 * scale)
     )
-    loc = np.where(polish, polished, loc)
+    point = np.where(polish, polished, point)
 
-    residual = np.abs(_phase_s(a, b, loc, x, k))
-    rounding = np.where(simple, np.abs(curv), 0.0) * np.spacing(np.abs(loc.real))
+    residual = np.abs(_phase_s(a, b, point, x, k))
+    rounding = np.where(simple, np.abs(c), 0.0) * np.spacing(np.abs(point.real))
     # the fold point 0 and the window-edge points +-x stand for their whole
     # bands, where they leave |F_sigma| = 2|x - k^2| / (sqrt(x) + |k|) and
     # 2|x - 2k^2| / (sqrt(2x) + 2|k|)
     band = 2.0 * REGION_TOL * np.maximum(1.0, x) / np.select(
-        [real & (curv == 0.0), real & np.isinf(curv)],
+        [real & (c == 0.0), real & np.isinf(c)],
         [np.sqrt(x) + np.abs(k), np.sqrt(2.0 * x) + 2.0 * np.abs(k)], np.inf,
     )
     failed = residual > _ROOT_TOL * scale + rounding + band
     if failed.any():
-        at = np.unravel_index(np.argmax(failed), failed.shape)
+        at = np.argmax(failed)
         raise RuntimeError(
-            f"stationary point {complex(loc[at])} of branch {int(index[at[:-1]])} "
+            f"stationary point {complex(point[at])} of branch {int(index[at])} "
             f"fails the gradient check: |F_sigma| = {residual[at]:.3e}"
         )
-    n_real = np.count_nonzero(real, axis=-1)
-    return StationaryTable(region, n_real, loc, curv)
+    loc.flat[slots] = point
+    n_real = np.bincount(slots[real] // 2, minlength=region.size).reshape(shape)
+    return StationaryTable(region, n_real, loc.reshape(shape + (2,)), curv.reshape(shape + (2,)))
 
 
 def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):

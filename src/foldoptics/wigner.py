@@ -147,6 +147,12 @@ def _required_samples(k_max, sigma_max, epsilon: float):
     return np.ceil(4.0 * k_max * sigma_max / (math.pi * epsilon))
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m (numpy's FFT has radix-3 and -5 passes)."""
+    odd = (3**i * 5**j for i in range(m.bit_length()) for j in range(m.bit_length()))
+    return min((p << (-(-m // p) - 1).bit_length() for p in odd if p < 2 * m), default=1)
+
+
 def wigner_numeric(
     psi: WaveFunctionSampler, xs, ks, q: QuadraturePolicy
 ) -> PhaseSpaceGrid:
@@ -160,11 +166,11 @@ def wigner_numeric(
         g_j = psi(x+sigma_j) conj(psi)(x-sigma_j) taper_j,
 
     which on the uniform k-grid k_m = k_0 + m dk is a chirp-z transform
-    (Bluestein): three FFTs of length >= n/2 + len(ks) - 1 per row.  Rows
-    go in chunks, with one sampler call for psi(x+sigma) and one for
-    psi(x-sigma) over each chunk's (rows, n/2) array.  A non-uniform
-    k-grid, and rows that would undersample the kernel oscillation, are
-    refused before any sampling.
+    (Bluestein): three FFTs per row, of the smallest 5-smooth length
+    2^a 3^b 5^c >= n/2 + len(ks) - 1.  Rows go in chunks, with one sampler
+    call for psi(x+sigma) and one for psi(x-sigma) over each chunk's
+    (rows, n/2) array.  A non-uniform k-grid, and rows that would
+    undersample the kernel oscillation, are refused before any sampling.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
@@ -190,7 +196,7 @@ def wigner_numeric(
     k0 = ks[0] if nk else 0.0
     dk = (ks[-1] - ks[0]) / (nk - 1) if nk > 1 else 0.0
     j, m = np.arange(n // 2), np.arange(nk)
-    length = 1 << (j.size + nk - 2).bit_length()  # a power of 2 >= n/2 + nk - 1
+    length = _fft_length(j.size + nk - 1)
     # the chirp's circular lags: 0..nk-1 at the front, -(n/2-1)..-1 at the back
     lag2 = np.r_[0:nk, nk - length : 0].astype(float) ** 2
     # raised cosine over the outer taper_fraction of the window |sigma| <= sigma_max

@@ -34,6 +34,7 @@ from foldoptics.cli import (
 )
 from foldoptics.specfun import airy
 from foldoptics.stphase import CfuCoefficients, cfu_eval
+from foldoptics.wigner import wigner_exact_airy
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,6 +124,96 @@ def test_criterion_05_fails_on_points_off_their_roots(monkeypatch):
     assert result.metric == math.inf
 
 
+@pytest.mark.parametrize("seed", [20240911, 1514489336])
+def test_criterion_05_bisects_every_real_point(monkeypatch, seed):
+    # brackets clipped to the window [-x, x] reach the points within 0.001 x
+    # of its edges too: every real simple point is bisected, once
+    rng = np.random.default_rng(seed)
+    xs = 0.05 + 3.95 * rng.random(10000)
+    ks = rng.uniform(-2.2, 2.2, 10000)
+    real = 0
+    for index in (1, 2, 3, 4):
+        table = surgery.stationary_table(index, xs, ks)
+        curv = table.curvatures
+        real += np.count_nonzero(
+            (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
+        )
+    bisected = []
+    bisect = cli.bisect_brackets
+
+    def counting(f, a, b, fa, fb):
+        bisected.append(a.size)
+        return bisect(f, a, b, fa, fb)
+
+    monkeypatch.setattr(cli, "bisect_brackets", counting)
+    result = check_stationary_tables(seed=seed)
+    assert result.passed
+    assert result.detail.startswith(f"{real} real points")
+    assert sum(bisected) == real
+
+
+@pytest.mark.parametrize("branch", [1, 2, 3, 4])
+def test_criterion_05_fails_on_one_branch_verified_with_a_swapped_sign_pair(
+    monkeypatch, branch
+):
+    # the verifier gives branch `branch`'s points its mirror's sign pair
+    # (1 <-> 2, 3 <-> 4), whose gradient does not vanish there
+    signs = list(cli._SIGNS)
+    signs[branch - 1] = tuple(-s for s in signs[branch - 1])
+    monkeypatch.setattr(cli, "_SIGNS", tuple(signs))
+    result = check_stationary_tables()
+    assert not result.passed
+    assert result.metric > result.threshold
+
+
+def _one_branch_tabulated(monkeypatch, branch, change):
+    """Make criterion 05 tabulate branch `branch` through change(table, x,
+    k), the other branches as they are."""
+    table = surgery.stationary_table
+
+    def tabulate(index, x, k):
+        return change(table, x, k) if index == branch else table(index, x, k)
+
+    monkeypatch.setattr(cli, "stationary_table", tabulate)
+
+
+def _shift(x, k):
+    return 1e-6 * np.maximum(1.0, np.sqrt(x) + np.abs(k))
+
+
+@pytest.mark.parametrize("branch", [1, 2, 3, 4])
+def test_criterion_05_fails_on_one_branch_with_a_shifted_closed_form(monkeypatch, branch):
+    # one branch's closed-form chord shifted by 1e-6 of the table's scale:
+    # its points are refused by the table's own gradient check
+    half_chord = surgery._half_chord
+
+    def shifted(table, x, k):
+        with monkeypatch.context() as m:
+            m.setattr(surgery, "_half_chord", lambda x, k: half_chord(x, k) + _shift(x, k))
+            return table(branch, x, k)
+
+    _one_branch_tabulated(monkeypatch, branch, shifted)
+    result = check_stationary_tables()
+    assert not result.passed and result.metric == math.inf
+    assert f"of branch {branch} fails the gradient check" in result.detail
+
+
+@pytest.mark.parametrize("branch", [1, 2, 3, 4])
+def test_criterion_05_fails_on_one_branch_shifted_off_its_roots(monkeypatch, branch):
+    # one branch's real points moved toward 0 by 1e-6 of the table's scale
+    # after the table's own check: the root finding sees them drift
+    def shifted(table, x, k):
+        out = table(branch, x, k)
+        loc = out.locations
+        moved = loc - np.sign(loc.real) * _shift(x, k)[:, None]
+        return dataclasses.replace(out, locations=np.where(loc.imag == 0.0, moved, loc))
+
+    _one_branch_tabulated(monkeypatch, branch, shifted)
+    result = check_stationary_tables()
+    assert not result.passed and result.metric == math.inf
+    assert not result.detail.startswith("error")
+
+
 def test_criterion_05_passes_at_a_window_edge_seed():
     # this seed draws a branch 3/4 point two doubles below the window edge
     # sigma = x, where one double moves F_sigma by 3.7e-9: its raw residual
@@ -166,6 +257,21 @@ def test_criterion_09_liouville_residual_order():
     # central-difference transport residual of the exact Wigner form
     # vanishes at observed order >= 1.9
     assert report(check_liouville_order())
+
+
+def test_criterion_09_coarse_grids_are_slices_of_the_finest():
+    # criterion 09 evaluates W once on its 401-node grid and takes the 101-
+    # and 201-node grids as every 4th and 2nd node: linspace must give the
+    # same nodes, and W on them the same bits, as a direct evaluation
+    eps, x0 = 0.1, 2.0
+    xs, ks = np.linspace(0.3, 1.7, 401), np.linspace(-1.2, 1.2, 401)
+    w = wigner_exact_airy(xs[:, None], ks[None, :], eps, x0)
+    for n, step in ((101, 4), (201, 2)):
+        sub_xs, sub_ks = np.linspace(0.3, 1.7, n), np.linspace(-1.2, 1.2, n)
+        assert xs[::step].tobytes() == sub_xs.tobytes()
+        assert ks[::step].tobytes() == sub_ks.tobytes()
+        direct = wigner_exact_airy(sub_xs[:, None], sub_ks[None, :], eps, x0)
+        assert np.ascontiguousarray(w[::step, ::step]).tobytes() == direct.tobytes()
 
 
 def test_criterion_10_rays():

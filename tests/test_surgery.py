@@ -225,8 +225,9 @@ def test_wrong_sign_k_has_no_points():
     assert table.n_real.tolist() == [0, 0]
 
 
-def test_array_table_matches_scalar_calls_on_the_parabolas():
-    # on x = k^2 and x = 2 k^2, inside their tolerance bands and just outside
+def _parabola_points():
+    """(x, k, region code) on x = k^2 and x = 2 k^2, inside their tolerance
+    bands and just outside, and at three x off them, for 43 k."""
     xs, ks, codes = [], [], []
     # k = +-1e-3: inside the bands the fold and window-edge points leave
     # gradients above the plain 1e-10 tolerance
@@ -247,7 +248,11 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
             codes.append(0 if x < k * k else 2 if x < 2.0 * k * k else 4)
     xs, ks, codes = np.array(xs), np.array(ks), np.array(codes)
     keep = xs > 0.0
-    xs, ks, codes = xs[keep], ks[keep], codes[keep]
+    return xs[keep], ks[keep], codes[keep]
+
+
+def test_array_table_matches_scalar_calls_on_the_parabolas():
+    xs, ks, codes = _parabola_points()
     chord = 2.0 * np.abs(ks) * np.sqrt(np.abs(xs - ks * ks))
     for index in (1, 2, 3, 4):
         w = BRANCHES[index - 1]
@@ -300,6 +305,125 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
             assert np.all(res <= 1e-10 * scale + np.abs(c) * np.spacing(np.abs(sigma)))
 
 
+def _reference_table(index, x, k):
+    """stationary_table with every expression of the 11-row table built over
+    all cells before np.choose picks one row per cell, and the Newton polish
+    and gradient check run over every slot, empty ones included."""
+    index, x, k = np.broadcast_arrays(
+        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    )
+    region = surgery._region_codes(x, k)
+    a = np.where((index == 1) | (index == 3), 1.0, -1.0)
+    b = np.where((index == 1) | (index == 4), 1.0, -1.0)
+    row = np.where(
+        index <= 2, np.where(surgery._diagonal_sign_ok(index, k), region, 10), 5 + region
+    )
+    kk = k * k
+    gap = np.where(region == 3, 1.0, 2.0 * kk - x)
+    c = np.sqrt(np.abs(x - kk)) / gap
+    chord = surgery._half_chord(x, k)
+    sigma0 = np.minimum(chord, x)
+    edge = a * math.inf
+    nan = np.nan
+    none = (nan, nan, nan, nan)
+    table = (
+        (1j * chord, -1j * chord, c, c),  # F1/F2 Exterior: imaginary pair
+        (0.0, nan, 0.0, nan),  # F1/F2 OnManifold: double fold point
+        (sigma0, -sigma0, -a * c, a * c),  # F1/F2 Between: real pair
+        (x, -x, -edge, edge),  # F1/F2 OnConjugate: window-edge pair
+        none,  # F1/F2 Interior
+        none,  # F3/F4 Exterior
+        none,  # F3/F4 OnManifold
+        none,  # F3/F4 Between
+        (a * np.copysign(x, k), nan, edge, nan),  # F3/F4 OnConjugate
+        (a * np.copysign(sigma0, k), nan, -a * c, nan),  # F3/F4 Interior
+        none,  # F1/F2 with the wrong sign of k
+    )
+    slots = [np.choose(row, column) for column in zip(*table)]
+    loc = np.stack(slots[:2], axis=-1).astype(complex)
+    curv = np.stack(slots[2:], axis=-1)
+
+    a, b, x, k = (v[..., None] for v in (a, b, x, k))
+    scale = np.maximum(1.0, np.sqrt(x) + np.abs(k))
+    sigma = loc.real
+    real = (loc.imag == 0.0) & ~np.isnan(sigma)
+    simple = real & np.isfinite(curv) & (curv != 0.0)
+    polished = sigma - surgery._phase_s(a, b, sigma, x, k) / np.where(simple, curv, 1.0)
+    polish = (
+        simple
+        & (np.abs(sigma) < x)
+        & (np.abs(polished) < x)
+        & (np.abs(polished - sigma) < 1e-6 * scale)
+    )
+    loc = np.where(polish, polished, loc)
+    residual = np.abs(surgery._phase_s(a, b, loc, x, k))
+    rounding = np.where(simple, np.abs(curv), 0.0) * np.spacing(np.abs(loc.real))
+    band = 2.0 * REGION_TOL * np.maximum(1.0, x) / np.select(
+        [real & (curv == 0.0), real & np.isinf(curv)],
+        [np.sqrt(x) + np.abs(k), np.sqrt(2.0 * x) + 2.0 * np.abs(k)], np.inf,
+    )
+    assert not np.any(residual > 1e-10 * scale + rounding + band)
+    return region, np.count_nonzero(real, axis=-1), loc, curv
+
+
+def _criterion_draws():
+    # criterion 05's draws at its default seed, for the four branches
+    rng = np.random.default_rng(RNG_SEED)
+    xs = 0.05 + 3.95 * rng.random(10000)
+    return np.arange(1, 5)[:, None], xs, rng.uniform(-2.2, 2.2, 10000)
+
+
+def _parabola_and_fold_points():
+    xs, ks, _ = _parabola_points()
+    # the fold point x = k = 0, approached inside the manifold's band
+    xs = np.append(xs, (0.5 * REGION_TOL, REGION_TOL, 1e-300))
+    ks = np.append(ks, (0.0, 0.0, 0.0))
+    return np.arange(1, 5)[:, None], xs, ks
+
+
+def _export_grid():
+    # the wigner export's default grid, and the branch it tabulates per k
+    xs, ks = np.linspace(0.1, 1.9, 64), np.linspace(-1.6, 1.6, 64)
+    return np.where(ks >= 0.0, 1, 2), xs[:, None], ks[None, :]
+
+
+@pytest.mark.parametrize(
+    "inputs", [_criterion_draws, _parabola_and_fold_points, _export_grid],
+    ids=["criterion-draws", "parabolas-and-fold", "export-grid"],
+)
+def test_table_equals_the_np_choose_reference_bit_for_bit(inputs):
+    index, xs, ks = inputs()
+    got = stationary_table(index, xs, ks)
+    want = _reference_table(index, xs, ks)
+    for name, w in zip(("region", "n_real", "locations", "curvatures"), want):
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        # the bytes: NaN equals NaN, and 0.0 differs from -0.0
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes(), name
+
+
+def test_table_evaluates_rows_on_their_cells_and_checks_occupied_slots(monkeypatch):
+    index, xs, ks = _criterion_draws()
+    table = stationary_table(index, xs, ks)
+    occupied = np.count_nonzero(~np.isnan(table.locations))
+    # the cells of the rows that take the chord: F1/F2 Exterior and Between,
+    # F3/F4 Interior (on the right sign of k for F1/F2)
+    sign_ok = np.where(index == 1, ks > 0.0, np.where(index == 2, ks < 0.0, True))
+    chord_rows = np.where(index <= 2, np.isin(table.region, (0, 2)), table.region == 4)
+    calls = {"_half_chord": [], "_phase_s": []}
+    for name in calls:
+        def counting(*args, f=getattr(surgery, name), sizes=calls[name]):
+            out = f(*args)
+            sizes.append(out.size)
+            return out
+        monkeypatch.setattr(surgery, name, counting)
+    stationary_table(index, xs, ks)
+    assert sum(calls["_half_chord"]) == np.count_nonzero(chord_rows & sign_ok)
+    # one Newton polish and one residual, each over the occupied slots only
+    assert calls["_phase_s"] == [occupied, occupied]
+    assert occupied < 0.3 * 2 * index.size * xs.size
+
+
 # a criterion 05 draw of `validate --seed 1514489336`: x - 2 k^2 = 2.1e-8
 # puts sigma_s two doubles below the window edge x, where |F_sigmasigma| is
 # about 3e7
@@ -332,6 +456,9 @@ def test_interior_point_off_the_window_edge_fails(monkeypatch, shift):
     )
     with pytest.raises(RuntimeError, match="branch 3 fails the gradient check"):
         stationary_table(3, x, k)
+    # of several failing points, the first in broadcast order is named
+    with pytest.raises(RuntimeError, match="branch 4 fails the gradient check"):
+        stationary_table([[4], [3]], x, [k, k])
 
 
 @pytest.mark.parametrize(

@@ -233,8 +233,8 @@ def test_rows_split_across_a_chunk_boundary_agree():
     psi = fundamental_sampler(EPS)
     q = QuadraturePolicy(sigma_samples=2048)
     xs, ks = np.linspace(0.1, 1.9, 40), np.linspace(-1.6, 1.6, 64)
-    # rows per chunk at this size: 2048-point FFT work arrays
-    rows_per_chunk = wigner_module._CHUNK_ELEMENTS // 2048
+    # rows per chunk at this size: FFT work arrays of the chirp-z length
+    rows_per_chunk = wigner_module._CHUNK_ELEMENTS // wigner_module._fft_length(1024 + 64 - 1)
     assert 1 < rows_per_chunk < xs.size // 2
     whole = wigner_numeric(psi, xs, ks, q).values
     split = rows_per_chunk // 2 + 1
@@ -243,6 +243,40 @@ def test_rows_split_across_a_chunk_boundary_agree():
          wigner_numeric(psi, xs[split:], ks, q).values]
     )
     assert np.max(np.abs(parts - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_chirp_z_length_is_the_smallest_5_smooth_one():
+    for m in (*range(1, 300), 544, 1055, 1087, 8257, 10**5 + 1, 2**20):
+        length = wigner_module._fft_length(m)
+        assert _is_5_smooth(length), m
+        # no longer than the next power of 2, the length used before
+        assert m <= length <= 1 << (m - 1).bit_length(), m
+        assert not any(_is_5_smooth(q) for q in range(m, length)), m
+    # criterion 02 (16384 samples, 66 k), criterion 03 (1024, 33) and the
+    # default wigner export (2048, 64)
+    assert [wigner_module._fft_length(m) for m in (8192 + 65, 512 + 32, 1024 + 63)] == [
+        8640, 576, 1125,
+    ]
+
+
+def test_5_smooth_chirp_z_matches_a_power_of_two_one(monkeypatch):
+    # the default wigner export, against the same transform padded to the
+    # next power of 2
+    xs, ks = np.linspace(0.1, 1.9, 64), np.linspace(-1.6, 1.6, 64)
+    psi = WaveFunctionSampler(lambda u: airy_inner_approx(u, X0, EPS), (-2.4, 4.9), EPS)
+    q = QuadraturePolicy(sigma_samples=2048)
+    got = wigner_numeric(psi, xs, ks, q).values
+    monkeypatch.setattr(wigner_module, "_fft_length", lambda m: 1 << (m - 1).bit_length())
+    want = wigner_numeric(psi, xs, ks, q).values
+    peak = np.max(np.abs(wigner_exact_airy(xs[:, None], ks[None, :], EPS, X0)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * peak
 
 
 def test_sampler_must_map_arrays_to_arrays():
