@@ -26,7 +26,6 @@ from .wkb import (
     airy_inner_approx,
     airy_wkb_branches,
     airy_wkb_field,
-    airy_wkb_right,
     linear_layer_phases,
     source_amplitude,
 )
@@ -46,9 +45,7 @@ from .wigner import (
     TruncationWarning,
     WaveFunctionSampler,
     chord_points,
-    semiclassical_wigner_local,
     semiclassical_wigner_uniform,
-    weak_limit_pairing,
     wigner_exact_airy,
     wigner_moment0,
     wigner_moment1,
@@ -63,7 +60,6 @@ from .surgery import (
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
-    k_integral_flux,
     liouville_residual,
     offdiagonal_asymptotics,
     stationary_table,

@@ -52,7 +52,6 @@ from .surgery import (
     RegionLabel,
     combined_wkb_wigner,
     k_integral_amplitude,
-    k_integral_flux,
     liouville_residual,
     stationary_table,
 )
@@ -64,6 +63,8 @@ from .wigner import (
     bisect_brackets,
     semiclassical_wigner_uniform,
     wigner_exact_airy,
+    wigner_moment0,
+    wigner_moment1,
     wigner_numeric,
 )
 from .wkb import (
@@ -85,6 +86,11 @@ __all__ = [
 
 _SCENARIOS = ("airy", "linear_layer")
 _FORMATS = ("csv", "json")
+
+# Largest magnitude of a float option.  At 1e6 and the default epsilon the Airy
+# phase (2/3) x^{3/2}/epsilon is 1.3e10, held to 2e-6 rad; far beyond it phases
+# lose every digit, and at 1e300 they, k^2 and the rays' t^2 overflow.
+_MAX_MAGNITUDE = 1e6
 
 
 class ConfigError(Exception):
@@ -127,6 +133,8 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(name, "must be a finite number")
+            if isinstance(value, float) and abs(value) > _MAX_MAGNITUDE:
+                raise ConfigError(name, f"magnitude must not exceed {_MAX_MAGNITUDE:g}")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 "scenario", f"must be one of {', '.join(_SCENARIOS)}"
@@ -278,9 +286,12 @@ def _format_g17(v):
     # words: sign, prefix, first digit; digits 1-8 and 9-16 with the point; the digit
     # the point pushed out, suffix.  Digits 1-8, 9-16: /100, /10 in 32-bit lanes of 4
     F = np.empty(v.shape + (4,), dtype=np.uint64)
+    # (numpy's uint64 % costs several times its //, so remainders are D - D // c * c)
     F[..., 0] = np.take(_PREFIX, e + 29) | (D // 10**16 + 48) << 48
-    D = np.stack([D // 10**8 % 10**8, D % 10**8])
-    D = D // 10000 | (D % 10000) << 32
+    Q = D // 10**8
+    D = np.stack([Q - Q // 10**8 * 10**8, D - Q * 10**8])
+    Q = D // 10000
+    D = Q | (D - Q * 10000) << 32
     Q = (D * 10486 >> 20) & 0x7F0000007F
     D = Q | (D - Q * 100) << 16
     Q = (D * 103 >> 10) & 0x000F000F000F000F
@@ -649,14 +660,15 @@ def check_fundamental_quadrature() -> CriterionResult:
 
 
 def check_k_moments() -> CriterionResult:
+    """k-moments of the recombined profile on a symmetric grid: the zeroth
+    against its closed form, the first (an odd integrand) against 0."""
     eps, x0 = 0.1, 2.0
     xs = np.linspace(0.2, 1.5, 14)
     ks = np.linspace(-3.0, 3.0, 2401)
-    w = combined_wkb_wigner(xs[:, None], ks[None, :], eps, x0)
-    numeric = np.trapezoid(w, ks, axis=1)
+    g = PhaseSpaceGrid(xs, ks, combined_wkb_wigner(xs[:, None], ks[None, :], eps, x0), eps)
     ref = k_integral_amplitude(xs, eps, x0)
-    worst = float(np.max(np.abs(numeric - ref) / np.abs(ref)))
-    worst_flux = float(np.max(np.abs(k_integral_flux(xs, eps, x0))))
+    worst = float(np.max(np.abs(wigner_moment0(g) - ref) / np.abs(ref)))
+    worst_flux = float(np.max(np.abs(wigner_moment1(g))))
     return CriterionResult(
         4, "k-moments", worst <= 1e-4 and worst_flux <= 1e-10, worst, 1e-4,
         f"max flux {worst_flux:.2e}",

@@ -56,7 +56,6 @@ __all__ = [
     "offdiagonal_asymptotics",
     "combined_wkb_wigner",
     "k_integral_amplitude",
-    "k_integral_flux",
     "liouville_residual",
     "stationary_wigner_residual",
 ]
@@ -66,11 +65,6 @@ __all__ = [
 REGION_TOL = 1e-12
 
 _ROOT_TOL = 1e-10
-
-# k_integral_flux's symmetric trapezoid grid: _FLUX_SAMPLES points on
-# [-_FLUX_K_MAX, _FLUX_K_MAX].
-_FLUX_K_MAX = 3.0
-_FLUX_SAMPLES = 1201
 
 # (sign of sqrt(x + sigma), sign of sqrt(x - sigma)) in F_sigma of branches
 # 1..4; every phase derivative of a branch follows from its pair
@@ -138,13 +132,13 @@ def _diagonal_amplitude(sigma, x, x0):
 
 def wigner_branches(x0: float) -> Tuple[WignerBranchIntegral, ...]:
     """The four branch integrals of the squared two-phase field with
-    source abscissa x0, in index order 1..4.  The phase callables take
-    scalars or broadcasting arrays."""
+    source abscissa x0, in index order 1..4.  The amplitude and phase
+    callables take scalars or broadcasting arrays; D is complex."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
 
     def d_diag(sigma, x):
-        return complex(_diagonal_amplitude(sigma, x, x0))
+        return _diagonal_amplitude(np.asarray(sigma, dtype=float), x, x0) + 0j
 
     def d_plus_minus(sigma, x):
         return -1j * d_diag(sigma, x)
@@ -467,19 +461,6 @@ def k_integral_amplitude(x, epsilon: float, x0: float, extended: bool = False):
     r1 = (2.0 / epsilon) ** (2.0 / 3.0)
     out = 0.5 / math.sqrt(x0) * r1 * airy_square_integral(r1, 0.0, -r1 * x)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def k_integral_flux(x, epsilon: float, x0: float):
-    """First k-moment of the recombined profile on a symmetric grid; a
-    float for scalar x, otherwise an array of its shape.
-
-    The integrand k * W(x, k) is odd in k, so the trapezoid sum cancels
-    pairwise and the value is 0 to roundoff.
-    """
-    ks = np.linspace(-_FLUX_K_MAX, _FLUX_K_MAX, _FLUX_SAMPLES)
-    w = combined_wkb_wigner(np.asarray(x, dtype=float)[..., None], ks, epsilon, x0)
-    out = np.trapezoid(ks * w, ks, axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 def liouville_residual(g: PhaseSpaceGrid) -> PhaseSpaceGrid:

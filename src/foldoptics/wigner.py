@@ -7,8 +7,8 @@ The transform used throughout is
 
 assembled from the conjugate-symmetric half-window so every computed value
 is exactly real.  Closed forms are provided for the Airy fundamental
-solution, and Berry's chord construction gives the local and uniform
-semiclassical approximations for single-phase WKB inputs.
+solution, and Berry's chord construction gives the uniform semiclassical
+approximation for single-phase WKB inputs.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ __all__ = [
     "wigner_numeric",
     "wigner_exact_airy",
     "chord_points",
-    "semiclassical_wigner_local",
     "semiclassical_wigner_uniform",
     "wigner_moment0",
     "wigner_moment1",
-    "weak_limit_pairing",
 ]
 
 # Below this (scale-relative) chord length the uniform formula switches to
@@ -320,63 +318,6 @@ def chord_points(
     return root
 
 
-def _chord_amplitude(A: Callable, x, sigma):
-    return np.real(A(x + sigma) * np.conj(A(x - sigma)))
-
-
-def _fold_inputs(S: SmoothPhase, x, k, epsilon: float):
-    """Refuse eps <= 0 and S''' = 0, and solve the chords over 0 <= sigma <= x,
-    where the branch phases are real; x and k are not broadcast, so what
-    depends on x alone runs once per x.  A root at the edge sigma = x, where
-    S''(x - sigma) and A(x - sigma) diverge, counts as no chord: NaN."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
-    s3 = S.s3(x)
-    if np.any(s3 == 0.0):
-        raise ValueError("degenerate fold: S'''(x) = 0")
-    sigma0 = np.asarray(chord_points(S.s1, x, k, (0.0, x)), dtype=float)
-    return x, k, s3, np.where(sigma0 < x, sigma0, np.nan)
-
-
-def _as_output(out):
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
-
-
-def semiclassical_wigner_local(
-    S: SmoothPhase,
-    A: Callable,
-    x,
-    k,
-    epsilon: float,
-):
-    """Berry's local approximation near the manifold k = S'(x):
-
-    (2^{2/3}/eps^{2/3}) (2/|S'''|)^{1/3} D(sigma0, x)
-        Ai(-(2^{2/3}/eps^{2/3}) cbrt(2/S''') (k - S'(x)))
-
-    with D(sigma, x) = A(x+sigma) conj(A(x-sigma)) evaluated on the chord
-    sigma0 in 0 <= sigma0 < x (or at 0 when the chord is absent, on the
-    edge sigma = x, or degenerate).  The cube root is
-    the real signed one, so both signs of S''' give oscillation on the
-    correct side.
-
-    Batched scan + bisection chords and one Airy call, array in/array
-    out: x and k broadcast; scalars give a float.
-    """
-    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon)
-    sigma0 = np.where(np.isnan(sigma0), 0.0, sigma0)
-    scale = (2.0 / epsilon) ** (2.0 / 3.0)
-    alpha = k - S.s1(x)
-    return _as_output(
-        scale
-        * (2.0 / np.abs(s3)) ** (1.0 / 3.0)
-        * _chord_amplitude(A, x, sigma0)
-        * airy_ai(-scale * np.cbrt(2.0 / s3) * alpha)
-    )
-
-
 def semiclassical_wigner_uniform(
     S: SmoothPhase,
     A: Callable,
@@ -402,8 +343,17 @@ def semiclassical_wigner_uniform(
     out: x and k broadcast, the chord-vs-fold choice is a mask, and
     scalars give a float.
     """
-    x, k, s3, sigma0 = _fold_inputs(S, x, k, epsilon)
-    chord = sigma0 > _CHORD_COALESCENCE_TOL * np.maximum(np.abs(x), 1.0)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    # x and k are not broadcast, so what depends on x alone runs once per x
+    x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    s3 = S.s3(x)
+    if np.any(s3 == 0.0):
+        raise ValueError("degenerate fold: S'''(x) = 0")
+    # chords over 0 <= sigma <= x, where the branch phases are real; a root on the
+    # edge sigma = x, where S''(x - sigma) and A(x - sigma) diverge, is no chord
+    sigma0 = np.asarray(chord_points(S.s1, x, k, (0.0, x)), dtype=float)
+    chord = (sigma0 < x) & (sigma0 > _CHORD_COALESCENCE_TOL * np.maximum(np.abs(x), 1.0))
     s = np.where(chord, sigma0, 0.0)
     F0 = S.s(x + s) - S.s(x - s) - 2.0 * k * s
     F2 = S.s2(x + s) - S.s2(x - s)
@@ -413,14 +363,13 @@ def semiclassical_wigner_uniform(
     a0_chord = (
         math.sqrt(2.0)
         * xi_chord**0.25
-        * _chord_amplitude(A, x, s)
+        * np.real(A(x + s) * np.conj(A(x - s)))
         / np.sqrt(np.abs(np.where(chord, F2, 1.0)))
     )
     xi = np.where(chord, xi_chord, 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x)))
     a0 = np.where(chord, a0_chord, np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0))
-    return _as_output(
-        2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy_ai(-(epsilon ** (-2.0 / 3.0)) * xi)
-    )
+    out = 2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy_ai(-(epsilon ** (-2.0 / 3.0)) * xi)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _check_boundary_mass(g: PhaseSpaceGrid) -> None:
@@ -452,17 +401,3 @@ def wigner_moment1(g: PhaseSpaceGrid) -> np.ndarray:
         raise ValueError("flux moment requires a k-grid symmetric about 0")
     _check_boundary_mass(g)
     return np.trapezoid(g.values * g.ks, g.ks, axis=1)
-
-
-def weak_limit_pairing(g: PhaseSpaceGrid, Q: Callable[[float, float], float]) -> float:
-    """Two-dimensional trapezoid pairing of the grid against a test
-    function.  The paired mass Q*W must vanish (to 1e-8 of its peak) on
-    the grid boundary, otherwise the pairing is truncated and refused."""
-    qv = np.array([[Q(float(x), float(k)) for k in g.ks] for x in g.xs])
-    prod = g.values * qv
-    peak = np.max(np.abs(prod))
-    if peak > 0.0:
-        edge = max(np.max(np.abs(prod[[0, -1], :])), np.max(np.abs(prod[:, [0, -1]])))
-        if edge > _BOUNDARY_MASS_TOL * peak:
-            raise ValueError("test function support escapes the grid")
-    return float(np.trapezoid(np.trapezoid(prod, g.ks, axis=1), g.xs))

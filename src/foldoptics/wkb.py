@@ -27,7 +27,6 @@ __all__ = [
     "WkbField",
     "source_amplitude",
     "airy_wkb_branches",
-    "airy_wkb_right",
     "airy_wkb_field",
     "airy_greens",
     "airy_inner_approx",
@@ -112,22 +111,6 @@ def airy_wkb_branches(x0: float) -> Tuple[BranchField, BranchField]:
         domain=(0.0, x0),
     )
     return plus, minus
-
-
-def airy_wkb_right(x0: float) -> BranchField:
-    """Right-moving branch for x > x0 (carried with unit source amplitude;
-    its absolute normalization is not fixed by the interior analysis)."""
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-    c0 = (2.0 / 3.0) * x0**1.5
-    q = x0**0.25
-    return BranchField(
-        label="right",
-        S=lambda x: (2.0 / 3.0) * x**1.5 - c0,
-        A=lambda x: q * x ** (-0.25) + 0.0j,
-        maslov_index=0,
-        domain=(x0, math.inf),
-    )
 
 
 def airy_wkb_field(x, epsilon: float, x0: float):

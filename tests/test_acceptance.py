@@ -75,8 +75,8 @@ def test_criterion_03_fundamental_solution_quadrature():
 
 
 def test_criterion_04_k_moments():
-    # k-quadrature over |k| <= 3 reproduces the density closed form to
-    # rel <= 1e-4 on x in [0.2, 1.5]; flux moment <= 1e-10
+    # wigner_moment0 over |k| <= 3 reproduces the density closed form to
+    # rel <= 1e-4 on x in [0.2, 1.5]; wigner_moment1's flux <= 1e-10
     assert report(check_k_moments())
 
 
@@ -90,6 +90,26 @@ def test_criterion_04_fails_on_perturbed_k_moment(monkeypatch):
     result = check_k_moments()
     assert not result.passed
     assert result.metric > result.threshold
+
+
+def test_criterion_04_fails_on_perturbed_zeroth_moment(monkeypatch):
+    # the quadrature leg, wigner_moment0, off by 1e-3 (relative)
+    moment0 = cli.wigner_moment0
+    monkeypatch.setattr(cli, "wigner_moment0", lambda g: moment0(g) * (1.0 + 1e-3))
+    result = check_k_moments()
+    assert not result.passed
+    assert result.metric > result.threshold
+
+
+def test_criterion_04_fails_on_perturbed_flux_moment(monkeypatch):
+    # the flux leg, wigner_moment1, off by 1e-9: the metric holds, the flux
+    # bound of 1e-10 does not
+    moment1 = cli.wigner_moment1
+    monkeypatch.setattr(cli, "wigner_moment1", lambda g: moment1(g) + 1e-9)
+    result = check_k_moments()
+    assert not result.passed
+    assert result.metric <= result.threshold
+    assert "max flux 1.00e-09" in result.detail
 
 
 def test_criterion_05_stationary_point_tables():

@@ -134,6 +134,59 @@ def test_non_finite_floats_exit_2_with_field_name(monkeypatch, capsys, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+def _float_columns(path):
+    """A CSV file's numeric columns by name (the label columns left out)."""
+    header, rows = read_csv(path)
+    return {
+        name: np.array(cells, dtype=float)
+        for name, cells in zip(header, zip(*rows))
+        if name not in ("ray_id", "region")
+    }
+
+
+def _cells_outside_the_nan_masks(columns, cfg):
+    """The cells of an export that must be finite: each field column is NaN
+    outside its domain, as the README says, and every other column is data."""
+    x = columns.get("x", columns.get("z"))
+    domains = {}
+    if "wkb_re" in columns:
+        domains.update(dict.fromkeys(("wkb_re", "wkb_im"), (0.0 < x) & (x < cfg.x0)))
+        domains.update(dict.fromkeys(("kl_re", "kl_im"), x > 0.0))
+    if "s_plus" in columns:
+        layer = (linear_layer_caustic_depth(cfg.layer_params()) <= x) & (x <= cfg.h)
+        domains.update(dict.fromkeys(("s_plus", "s_minus", "phi", "rho"), layer))
+    return np.concatenate(
+        [[]] + [c[domains[name]] if name in domains else c for name, c in columns.items()]
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize(
+    "command,scenario",
+    [("wigner", "airy"), ("field", "airy"), ("field", "linear_layer"),
+     ("rays", "airy"), ("rays", "linear_layer")],
+)
+def test_edge_and_huge_floats_exit_2_by_name_or_write_finite_data(
+    capsys, tmp_path, command, scenario, name
+):
+    for value in ("0", "-1", "1e300"):
+        out = tmp_path / value
+        flag = f"--{name.replace('_', '-')}={value}"
+        argv = [command, "--scenario", scenario, "--nx", "8", "--nk", "8", "--nt", "8", flag]
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            # a bound shared by two fields (xmin < xmax) names both
+            assert err.startswith("usage error: ") and re.search(rf"\b{name}\b", err), (flag, err)
+            continue
+        assert rc == 0, (flag, err)
+        cfg = RunConfig(scenario=scenario, **{name: float(value)})
+        for path in out.glob("*.csv"):
+            cells = _cells_outside_the_nan_masks(_float_columns(path), cfg)
+            assert np.all(np.isfinite(cells)), (flag, path.name)
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rays", "--no-such-flag"])

@@ -1,10 +1,13 @@
 """Every exported name resolves: the benchmark tracer looks up each name of
-a module's __all__, and the package imports its public names from them."""
+a module's __all__, and the package imports its public names from them.
+Public names that no other module uses are listed with their reasons."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import os
 import pkgutil
 
 import pytest
@@ -31,3 +34,68 @@ def test_package_imports_only_names_in_all():
         stray = [a.name for a in node.names if a.name not in public]
         assert not stray, (node.module, stray)
         assert all(hasattr(foldoptics, a.name) for a in node.names)
+
+
+# Public functions and classes that no other module of the package uses,
+# each with the reason it stays.  A name missing here fails the guard below:
+# use it, add it here with its reason, or delete it.
+KEPT = {
+    "ConfigError": "the usage error that main reports with exit 2",
+    "RunConfig": "the one list of run options; main fills and validates it",
+    "CriterionResult": "the record run_validation returns per criterion",
+    "run_validation": "the validation suite in process (tests/test_acceptance.py)",
+    "main": "the foldoptics console entry point",
+    "KlCoordinates": "the type kl_coordinates returns",
+    "KlAmplitudes": "the type kl_amplitudes returns",
+    "kl_phase_residual_2d": "the eikonal probe of the uniform phases; open in ROADMAP.md",
+    "RayPath": "the type integrate_hamiltonian returns",
+    "constant_profile": "the homogeneous medium that tests ray and transport laws in",
+    "AiryValues": "the type airy returns",
+    "fourier_power_integral": "the closed-form reference of the standard_spa tests",
+    "SmallAlphaPoints": "the type cfu_small_alpha returns",
+    "standard_spa": "the interior leg a regional-recombination criterion would read",
+    "cfu_small_alpha": "the xi -> 0 leg a uniform stationary-phase criterion would read",
+    "NoStationaryPointWarning": "the category of diagonal_asymptotics' wrong-sign warning",
+    "SingularCurvatureWarning": "the category of offdiagonal_asymptotics' x = 2k^2 warning",
+    "WignerBranchIntegral": "the type wigner_branches returns",
+    "StationaryTable": "the type stationary_table returns",
+    "wigner_branches": "the paper's four branch integrals, the table's reference",
+    "diagonal_asymptotics": "the surgery's diagonal leg, which no criterion sums yet",
+    "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
+    "stationary_wigner_residual": "the transport residual for any profile, liouville_residual's core",
+    "TruncationWarning": "the category of the k-moments' boundary-mass warning",
+    "chord_points": "Berry's chord solver behind the semiclassical form",
+    "BranchField": "the type airy_wkb_branches returns",
+    "WkbField": "the reference of test_field_value_equals_branch_sum",
+    "source_amplitude": "the WKB amplitude at the source that the fields share",
+    "eikonal_residual": "the eikonal probe of a branch phase; open in ROADMAP.md",
+    "transport_residual": "the transport probe of a branch amplitude; open in ROADMAP.md",
+}
+
+
+def _referenced_names(name):
+    """Identifiers that module `name` of the package reads: names,
+    attributes and imported names, by its syntax tree."""
+    path = os.path.join(os.path.dirname(foldoptics.__file__), f"{name}.py")
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_public_names_no_other_module_uses_are_kept_for_a_reason():
+    refs = {name: _referenced_names(name) for name in MODULES}
+    unused = set()
+    for name in MODULES:
+        module = importlib.import_module(f"foldoptics.{name}")
+        for n in module.__all__:
+            obj = getattr(module, n)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and not any(
+                n in refs[other] for other in MODULES if other != name
+            ):
+                unused.add(n)
+    assert not unused - KEPT.keys(), sorted(unused - KEPT.keys())
+    assert not KEPT.keys() - unused, sorted(KEPT.keys() - unused)  # stale entries

@@ -17,14 +17,13 @@ from foldoptics.surgery import (
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
-    k_integral_flux,
     liouville_residual,
     offdiagonal_asymptotics,
     stationary_table,
     stationary_wigner_residual,
     wigner_branches,
 )
-from foldoptics.wigner import PhaseSpaceGrid, wigner_exact_airy
+from foldoptics.wigner import PhaseSpaceGrid, wigner_exact_airy, wigner_moment1
 from foldoptics.wkb import airy_inner_approx
 
 X0 = 2.0
@@ -111,6 +110,12 @@ def test_amplitudes():
     assert BRANCHES[1].D(sigma, x) == d1
     assert BRANCHES[2].D(sigma, x) == pytest.approx(-1j * d1)
     assert BRANCHES[3].D(sigma, x) == pytest.approx(1j * d1)
+    # array in, array out
+    sigmas, xs = np.array([0.1, 0.2]), np.array([1.0, 1.0])
+    for branch in BRANCHES:
+        got = branch.D(sigmas, xs)
+        assert got.shape == (2,) and got.dtype == complex
+        np.testing.assert_allclose(got, [branch.D(s, x) for s, x in zip(sigmas, xs)], rtol=1e-15)
 
 
 def test_fold_pair_closed_forms():
@@ -684,8 +689,9 @@ def test_k_moment_quadrature_cross_check():
 
 
 def test_flux_moment_vanishes():
-    for x in (0.2, 0.8, 1.5):
-        assert abs(k_integral_flux(x, 0.1, X0)) <= 1e-10
+    xs, ks = np.array([0.2, 0.8, 1.5]), np.linspace(-3.0, 3.0, 1201)
+    g = PhaseSpaceGrid(xs, ks, combined_wkb_wigner(xs[:, None], ks, 0.1, X0), 0.1)
+    assert np.max(np.abs(wigner_moment1(g))) <= 1e-10
 
 
 def _airy_grid(n, eps=0.1):

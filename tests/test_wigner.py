@@ -15,9 +15,7 @@ from foldoptics.wigner import (
     TruncationWarning,
     WaveFunctionSampler,
     chord_points,
-    semiclassical_wigner_local,
     semiclassical_wigner_uniform,
-    weak_limit_pairing,
     wigner_exact_airy,
     wigner_moment0,
     wigner_moment1,
@@ -525,7 +523,7 @@ def test_chord_points_on_a_constant_slope():
     assert chord_points(lambda u: 1.0, 1.0, 1.0, (0.0, 0.9)) == 0.0
 
 
-@pytest.mark.parametrize("form", [semiclassical_wigner_uniform, semiclassical_wigner_local])
+@pytest.mark.parametrize("form", [semiclassical_wigner_uniform])
 def test_semiclassical_grid_layout_matches_pre_broadcast_arrays(form):
     S, A = airy_plus_phase()
     x = np.linspace(0.1, 1.9, 64)[:, None]
@@ -533,35 +531,6 @@ def test_semiclassical_grid_layout_matches_pre_broadcast_arrays(form):
     _assert_same_bits(
         form(S, A, x, k, EPS), form(S, A, np.repeat(x, 64, axis=1), np.repeat(k, 64, axis=0), EPS)
     )
-
-
-def test_local_exact_on_manifold():
-    S, A = airy_plus_phase()
-    x = 1.0
-    w = semiclassical_wigner_local(S, A, x, math.sqrt(x), EPS)
-    assert w == pytest.approx(wigner_exact_airy(x, math.sqrt(x), EPS, X0), rel=1e-12)
-
-
-def test_local_band_error_shrinks_with_epsilon():
-    S, A = airy_plus_phase()
-    x = 1.0
-    devs = []
-    for eps in (0.1, 0.05, 0.025):
-        band = math.sqrt(x) + eps ** (2.0 / 3.0) * np.linspace(-1.0, 1.0, 41)
-        wl = np.array(
-            [semiclassical_wigner_local(S, A, x, float(k), eps) for k in band]
-        )
-        we = np.array([wigner_exact_airy(x, float(k), eps, X0) for k in band])
-        devs.append(np.max(np.abs(wl - we)) / np.max(np.abs(we)))
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] < 0.3
-
-
-def test_local_argument_linearization():
-    # 2 sqrt(x) (k - sqrt(x)) is the first-order factorization of k^2 - x.
-    x, k = 1.3, 1.15
-    lin = 2.0 * math.sqrt(x) * (k - math.sqrt(x))
-    assert k**2 - x == pytest.approx(lin + (k - math.sqrt(x)) ** 2, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -588,13 +557,11 @@ def test_uniform_on_conjugate_parabola_is_the_fold_expansion(x, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w_u = semiclassical_wigner_uniform(S, A, x, k, EPS)
-        w_l = semiclassical_wigner_local(S, A, x, k, EPS)
     s3 = S.s3(x)
     xi = 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x))
     a0 = abs(A(x)) ** 2 * abs(s3) ** (-1.0 / 3.0)
     fold = 2.0 * a0 * EPS ** (-2.0 / 3.0) * airy_ai(-(EPS ** (-2.0 / 3.0)) * xi)[0]
     assert w_u == pytest.approx(fold, rel=1e-14)
-    assert math.isfinite(w_l)
 
 
 def test_uniform_on_manifold_limit():
@@ -644,8 +611,6 @@ def test_uniform_falls_back_to_fold_for_nonpositive_chord_area():
 
 def test_degenerate_fold_rejected():
     flat = SmoothPhase(s=lambda x: x, s1=lambda x: 1.0, s2=lambda x: 0.0, s3=lambda x: 0.0)
-    with pytest.raises(ValueError, match="S'''"):
-        semiclassical_wigner_local(flat, lambda x: 1.0, 1.0, 1.0, EPS)
     with pytest.raises(ValueError, match="S'''"):
         semiclassical_wigner_uniform(flat, lambda x: 1.0, 1.0, 1.0, EPS)
 
@@ -739,42 +704,6 @@ def test_via_fourier_translation_covariance():
         assert via_fourier(shifted_hat, x, k) == pytest.approx(
             via_fourier(psi_hat, x - a, k), rel=1e-8, abs=1e-12
         )
-
-
-def test_weak_limit_pairing_gaussian():
-    xs = np.linspace(-1.2, 1.4, 61)
-    ks = np.linspace(-1.5, 1.5, 121)
-    g = wigner_numeric(gaussian_sampler(), xs, ks, QuadraturePolicy(sigma_samples=4096))
-    aq, bq = 12.0, 10.0
-    val = weak_limit_pairing(g, lambda x, k: math.exp(-aq * (x - 0.1) ** 2 - bq * k**2))
-
-    def gauss_overlap(a, b, c):
-        # integral of exp(-a(t-b)^2 - c t^2) dt
-        return math.sqrt(math.pi / (a + c)) * math.exp(-a * b**2 * c / (a + c))
-
-    ref = (
-        gauss_overlap(aq, 0.1, 1.0 / EPS)
-        * gauss_overlap(bq, 0.0, 1.0 / EPS)
-        / math.sqrt(math.pi * EPS)
-    )
-    assert val == pytest.approx(ref, rel=1e-4)
-
-
-def test_weak_limit_pairing_k_independent_reduces_to_moment0():
-    xs = np.linspace(-1.2, 1.4, 61)
-    ks = np.linspace(-1.5, 1.5, 121)
-    g = wigner_numeric(gaussian_sampler(), xs, ks, QuadraturePolicy(sigma_samples=4096))
-    val = weak_limit_pairing(g, lambda x, k: math.exp(-10.0 * x**2))
-    qw = np.exp(-10.0 * xs**2) * wigner_moment0(g)
-    assert val == pytest.approx(float(np.trapezoid(qw, xs)), rel=1e-8)
-
-
-def test_weak_limit_pairing_rejects_escaping_support():
-    xs = np.linspace(-0.5, 0.5, 31)
-    ks = np.linspace(-0.5, 0.5, 41)
-    g = wigner_numeric(gaussian_sampler(), xs, ks, QuadraturePolicy(sigma_samples=2048))
-    with pytest.raises(ValueError, match="escapes"):
-        weak_limit_pairing(g, lambda x, k: 1.0)
 
 
 def test_dirac_splitting_of_airy_wigner():

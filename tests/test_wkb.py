@@ -15,7 +15,6 @@ from foldoptics.wkb import (
     airy_inner_approx,
     airy_wkb_branches,
     airy_wkb_field,
-    airy_wkb_right,
     eikonal_residual,
     source_amplitude,
     transport_residual,
@@ -105,13 +104,6 @@ def test_field_warns_in_caustic_zone():
     x_zone = 0.5 * CAUSTIC_ZONE_FACTOR * eps ** (2.0 / 3.0)
     with pytest.warns(CausticZoneWarning):
         airy_wkb_field(x_zone, eps, X0)
-
-
-def test_right_branch_outgoing():
-    right = airy_wkb_right(X0)
-    x = 3.0
-    assert right.S(x) == pytest.approx((2.0 / 3.0) * (x**1.5 - X0**1.5))
-    assert right.A(x) == pytest.approx(X0**0.25 * x**-0.25)
 
 
 @pytest.mark.parametrize("branch_index", [0, 1])
