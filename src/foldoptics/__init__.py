@@ -60,7 +60,6 @@ from .surgery import (
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
-    liouville_residual,
     offdiagonal_asymptotics,
     stationary_table,
     stationary_wigner_residual,

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .rays import _central_differences
 from .specfun import airy
 
 __all__ = [
@@ -29,16 +28,12 @@ __all__ = [
     "kl_coordinates",
     "kl_amplitudes",
     "kl_field",
-    "kl_phase_residual_2d",
 ]
 
 
 # |A+ + iA-| at or below this fraction of max(|A+| + |A-|, 1) counts as a
 # vanishing combination in g1
 _VANISH_TOL = 1e-12
-
-# Relative central-difference step of the phase-system residuals.
-_FD_STEP = 1e-6
 
 # a function of x, array in/array out: a scalar for a scalar x, an array
 # of its shape for an array x
@@ -126,23 +121,3 @@ def kl_field(coords: KlCoordinates, amps: KlAmplitudes, epsilon: float, x):
         )
     )
     return complex(u) if np.ndim(u) == 0 else u
-
-
-def kl_phase_residual_2d(
-    phi: Callable[[ArrayLike, ArrayLike], ArrayLike],
-    rho: Callable[[ArrayLike, ArrayLike], ArrayLike],
-    eta_squared: Callable[[ArrayLike, ArrayLike], ArrayLike],
-    points: Sequence,
-) -> list:
-    """Residuals of the phase system on (y, z) points, with derivatives by
-    central differences: r1 = |grad phi|^2 + rho |grad rho|^2 - eta^2,
-    r2 = grad phi . grad rho.  phi, rho and eta_squared take arrays of y
-    and z; a one-dimensional system is the case y = 0 with fields that do
-    not depend on y.  Returns [(r1, r2), ...]."""
-    y, z = np.asarray(points, dtype=float).reshape(-1, 2).T
-    fields = (phi, rho)
-    py, ry = (_central_differences(lambda u: f(u, z), y, _FD_STEP)[0] for f in fields)
-    pz, rz = (_central_differences(lambda u: f(y, u), z, _FD_STEP)[0] for f in fields)
-    r1 = py**2 + pz**2 + rho(y, z) * (ry**2 + rz**2) - eta_squared(y, z)
-    r2 = py * ry + pz * rz
-    return list(zip(r1.tolist(), r2.tolist()))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -70,18 +70,6 @@ _DP_P = np.array([
 # Relative and absolute tolerance of the ray tracer's error norm.
 _RTOL, _ATOL = 1e-10, 1e-12
 
-# check_derivative's tolerance, relative to max(|(eta^2)'|, 1).
-_DERIVATIVE_REL_TOL = 1e-5
-
-
-def _central_differences(f, x, rel_step):
-    """Central-difference (f', f'') of an array-in/array-out f at the
-    points x, with step rel_step * max(|x|, 1) at each point."""
-    x = np.asarray(x, dtype=float)
-    h = rel_step * np.maximum(np.abs(x), 1.0)
-    up, mid, down = f(x + h), f(x), f(x - h)
-    return (up - down) / (2.0 * h), (up - 2.0 * mid + down) / (h * h)
-
 
 @dataclass(frozen=True)
 class RefractionProfile1D:
@@ -98,14 +86,6 @@ class RefractionProfile1D:
     eta_squared_prime: Callable[[ArrayLike], ArrayLike]
     name: str = "profile"
     domain: tuple = (-math.inf, math.inf)
-
-    def check_derivative(self, xs: Sequence[float]) -> bool:
-        """Finite-difference consistency of eta_squared_prime on xs."""
-        xs = np.asarray(xs, dtype=float)
-        num, _ = _central_differences(self.eta_squared, xs, 1e-6)
-        ana = self.eta_squared_prime(xs)
-        bound = _DERIVATIVE_REL_TOL * np.maximum(np.abs(ana), 1.0)
-        return not np.any(np.abs(num - ana) > bound)
 
 
 def airy_profile() -> RefractionProfile1D:

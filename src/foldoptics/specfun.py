@@ -189,9 +189,10 @@ def _walk(z, y, yp):
 
 
 def _central_table():
-    """Taylor coefficients about the centres i h, |i h| <= _TABLE_RADIUS:
-    entry [k, j, i] is the t^k coefficient of Ai, Ai', Bi, Bi' (j = 0..3)
-    about i h, where a negative i counts from the end, as in take.
+    """Taylor coefficients about the centres i h, |i h| <= _TABLE_RADIUS,
+    centre-major: entry [i, k, j] is the t^k coefficient of Ai, Ai', Bi,
+    Bi' (j = 0..3) about i h, where a negative i counts from the end, as
+    in take.
 
     The centre values are walked from closed forms, each function in a
     direction where it does not decay: both pairs outward from 0 on z < 0,
@@ -217,7 +218,7 @@ def _central_table():
     centres = np.concatenate([up, -up[:0:-1]])
     a = np.array(_taylor(centres, y, yp, _TABLE_ORDER + 1))
     slope = a[1:] * np.arange(1, _TABLE_ORDER + 1)[:, None, None]
-    return np.stack([a[:-1, 0], slope[:, 0], a[:-1, 1], slope[:, 1]], axis=1)
+    return np.stack([a[:-1, 0], slope[:, 0], a[:-1, 1], slope[:, 1]]).T.copy()
 
 
 _TABLE = _central_table()
@@ -226,19 +227,20 @@ _TABLE = _central_table()
 def _central(z, table=_TABLE):
     """Rows Ai, Ai', Bi, Bi' (or the first rows of the table given) at
     |z| <= _TABLE_RADIUS: Horner's rule in t = z - i h about the nearest
-    centre i h, |t| <= h/2 (t is exact), _CHUNK_POINTS points at a time."""
-    out = np.empty((table.shape[1], z.size))
+    centre i h, |t| <= h/2 (t is exact), _CHUNK_POINTS points at a time,
+    each chunk's coefficients gathered by one take."""
+    out = np.empty((table.shape[2], z.size))
     for start in range(0, z.size, _CHUNK_POINTS):
         part = z[start:start + _CHUNK_POINTS]
         i = np.rint(part * (1.0 / _TABLE_STEP))
         t = part - i * _TABLE_STEP
-        i = i.astype(np.intp)
+        coeffs = table.take(i.astype(np.intp), axis=0)
         acc = out[:, start:start + _CHUNK_POINTS]
-        np.multiply(table[-1].take(i, axis=1), t, out=acc)
-        for coeffs in table[-2:0:-1]:
-            acc += coeffs.take(i, axis=1)
+        np.multiply(coeffs[:, -1].T, t, out=acc)
+        for k in range(_TABLE_ORDER - 2, 0, -1):
+            acc += coeffs[:, k].T
             acc *= t
-        acc += table[0].take(i, axis=1)
+        acc += coeffs[:, 0].T
     return out
 
 
@@ -275,9 +277,10 @@ def airy(z) -> AiryValues:
     return AiryValues(*(out.tolist() if out.ndim == 1 else out))
 
 
-# the Ai row of the table and the u_k alone
+# the Ai row of the table (contiguous, so that take copies no table) and the
+# u_k alone
 _AI_EVALUATORS = (
-    functools.partial(_central, table=_TABLE[:, :1]),
+    functools.partial(_central, table=_TABLE[:, :, :1].copy()),
     functools.partial(_asymptotic_positive, series=_UV[:1]),
     functools.partial(_asymptotic_negative, series=_UV[:1]),
 )

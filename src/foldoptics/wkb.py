@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .rays import LinearLayerParams, RefractionProfile1D, _central_differences
+from .rays import LinearLayerParams
 from .specfun import airy, airy_ai
 
 __all__ = [
@@ -30,18 +29,12 @@ __all__ = [
     "airy_wkb_field",
     "airy_greens",
     "airy_inner_approx",
-    "eikonal_residual",
-    "transport_residual",
     "linear_layer_phases",
 ]
 
 # Half-width of the boundary layer around the caustic where the WKB
 # amplitude x^{-1/4} is no longer trustworthy, in units of eps^{2/3}.
 CAUSTIC_ZONE_FACTOR = 10.0
-
-# Relative central-difference steps of the eikonal and transport residuals.
-_EIKONAL_STEP = 1e-6
-_TRANSPORT_STEP = 1e-5
 
 
 class CausticZoneWarning(UserWarning):
@@ -162,10 +155,10 @@ def airy_greens(x, x0: float, epsilon: float):
     x_arr = np.asarray(x, dtype=np.float64)
     v = airy(-a * x_arr)
     ai = np.asarray(v.ai)
-    bi = np.asarray(v.bi)
-    left = coeff * (v0.ai - 1j * v0.bi) * ai
-    right = coeff * v0.ai * (ai - 1j * bi)
-    u = np.where(x_arr <= x0, left, right)
+    # Bi only where the x > x0 side reads it: deep in the shadow it overflows to inf
+    left = x_arr <= x0
+    bi = np.where(left, 0.0, v.bi)
+    u = np.where(left, coeff * (v0.ai - 1j * v0.bi) * ai, coeff * v0.ai * (ai - 1j * bi))
     return complex(u) if np.ndim(x) == 0 else u
 
 
@@ -188,31 +181,6 @@ def airy_inner_approx(x, x0: float, epsilon: float):
     ai = np.asarray(airy_ai(-(epsilon ** (-2.0 / 3.0)) * x_arr))
     u = coeff * ai
     return complex(u) if np.ndim(x) == 0 else u
-
-
-def eikonal_residual(
-    S: Callable[[ArrayLike], ArrayLike],
-    profile: RefractionProfile1D,
-    xs: Sequence[float],
-) -> np.ndarray:
-    """(S'(x))^2 - eta^2(x) with S' by central differences; S takes and
-    returns arrays."""
-    xs = np.asarray(xs, dtype=float)
-    sp, _ = _central_differences(S, xs, _EIKONAL_STEP)
-    return sp**2 - profile.eta_squared(xs)
-
-
-def transport_residual(
-    S: Callable[[ArrayLike], ArrayLike],
-    A: Callable[[ArrayLike], ArrayLike],
-    xs: Sequence[float],
-) -> np.ndarray:
-    """|2 S' A' + S'' A| with derivatives by central differences; S and A
-    take arrays and return values that broadcast against them."""
-    xs = np.asarray(xs, dtype=float)
-    sp, spp = _central_differences(S, xs, _TRANSPORT_STEP)
-    ap, _ = _central_differences(A, xs, _TRANSPORT_STEP)
-    return np.abs(2.0 * sp * ap + spp * A(xs))
 
 
 def linear_layer_phases(y, z, p: LinearLayerParams):

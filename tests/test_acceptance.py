@@ -115,7 +115,7 @@ def test_criterion_04_fails_on_perturbed_flux_moment(monkeypatch):
 def test_criterion_05_stationary_point_tables():
     # 10^4 random (x, k): every real tabulated point re-found by bracketing
     # and bisection with gradient residual <= 1e-10
-    assert report(check_stationary_tables(seed=20240911, samples=10000))
+    assert report(check_stationary_tables(seed=20240911))
 
 
 def test_criterion_05_fails_on_perturbed_closed_form(monkeypatch):

@@ -187,6 +187,26 @@ def test_edge_and_huge_floats_exit_2_by_name_or_write_finite_data(
             assert np.all(np.isfinite(cells)), (flag, path.name)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # Bi overflows to inf on the shadow side, where the Green's field reads Ai alone
+        (["field", "--xmin=-1e6"], 0),
+        # below the bound S''' = -x^(-3/2)/4 overflows
+        (["wigner", "--xmin=1e-300"], 2),
+        (["wigner", f"--xmin={cli._MIN_WIGNER_X!r}"], 0),
+    ],
+)
+def test_tiny_and_deep_shadow_x_run_clean_or_exit_2_by_name(capsys, tmp_path, argv, code):
+    assert main(argv + ["--nx", "8", "--nk", "8", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: xmin: ") if code else err == ""
+    for path in tmp_path.glob("*.csv"):
+        cells = _cells_outside_the_nan_masks(_float_columns(path), RunConfig())
+        assert np.all(np.isfinite(cells)), path.name
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rays", "--no-such-flag"])
@@ -576,6 +596,14 @@ def test_label_columns_render_the_bytes_of_astype():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with pytest.raises(UnicodeEncodeError):
         cli._column_bytes(np.array(["up", "\u00e9"]))
+
+
+def test_text_cells_of_32_bytes_are_refused_not_cut():
+    # a cell is four words, its last byte the separator
+    ok = b"".join(data for data, _ in cli._csv_chunks(("a", "b"), (["x" * 31], [1.5])))
+    assert ok == b"a,b\n" + b"x" * 31 + b",1.5\n"
+    with pytest.raises(ValueError, match="a: a text cell of 32 bytes or more"):
+        list(cli._csv_chunks(("a", "b"), (["x" * 32], [1.5])))
 
 
 def _g17(values):

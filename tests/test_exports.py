@@ -1,6 +1,7 @@
 """Every exported name resolves: the benchmark tracer looks up each name of
 a module's __all__, and the package imports its public names from them.
-Public names that no other module uses are listed with their reasons."""
+Public names that no other module uses, and public methods and properties of
+exported classes that no module reads, are listed with their reasons."""
 
 from __future__ import annotations
 
@@ -36,8 +37,9 @@ def test_package_imports_only_names_in_all():
         assert all(hasattr(foldoptics, a.name) for a in node.names)
 
 
-# Public functions and classes that no other module of the package uses,
-# each with the reason it stays.  A name missing here fails the guard below:
+# Public functions and classes that no other module of the package uses, and
+# `Class.member` methods and properties that no module reads, each with the
+# reason it stays.  A name missing here fails the guard below:
 # use it, add it here with its reason, or delete it.
 KEPT = {
     "ConfigError": "the usage error that main reports with exit 2",
@@ -47,7 +49,6 @@ KEPT = {
     "main": "the foldoptics console entry point",
     "KlCoordinates": "the type kl_coordinates returns",
     "KlAmplitudes": "the type kl_amplitudes returns",
-    "kl_phase_residual_2d": "the eikonal probe of the uniform phases; open in ROADMAP.md",
     "RayPath": "the type integrate_hamiltonian returns",
     "constant_profile": "the homogeneous medium that tests ray and transport laws in",
     "AiryValues": "the type airy returns",
@@ -62,14 +63,11 @@ KEPT = {
     "wigner_branches": "the paper's four branch integrals, the table's reference",
     "diagonal_asymptotics": "the surgery's diagonal leg, which no criterion sums yet",
     "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
-    "stationary_wigner_residual": "the transport residual for any profile, liouville_residual's core",
     "TruncationWarning": "the category of the k-moments' boundary-mass warning",
     "chord_points": "Berry's chord solver behind the semiclassical form",
     "BranchField": "the type airy_wkb_branches returns",
     "WkbField": "the reference of test_field_value_equals_branch_sum",
     "source_amplitude": "the WKB amplitude at the source that the fields share",
-    "eikonal_residual": "the eikonal probe of a branch phase; open in ROADMAP.md",
-    "transport_residual": "the transport probe of a branch amplitude; open in ROADMAP.md",
 }
 
 
@@ -86,6 +84,16 @@ def _referenced_names(name):
     }
 
 
+def _public_members(cls):
+    """`Class.member` for each public method and property cls defines."""
+    return {
+        f"{cls.__name__}.{m}"
+        for m, obj in vars(cls).items()
+        if not m.startswith("_")
+        and (inspect.isfunction(obj) or isinstance(obj, (property, staticmethod, classmethod)))
+    }
+
+
 def test_public_names_no_other_module_uses_are_kept_for_a_reason():
     refs = {name: _referenced_names(name) for name in MODULES}
     unused = set()
@@ -97,5 +105,11 @@ def test_public_names_no_other_module_uses_are_kept_for_a_reason():
                 n in refs[other] for other in MODULES if other != name
             ):
                 unused.add(n)
+            # a member is read as an attribute, in its own module too
+            if inspect.isclass(obj):
+                unused |= {
+                    m for m in _public_members(obj)
+                    if not any(m.split(".")[1] in refs[other] for other in MODULES)
+                }
     assert not unused - KEPT.keys(), sorted(unused - KEPT.keys())
     assert not KEPT.keys() - unused, sorted(KEPT.keys() - unused)  # stale entries

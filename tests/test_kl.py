@@ -12,9 +12,7 @@ from foldoptics.kl import (
     kl_amplitudes,
     kl_coordinates,
     kl_field,
-    kl_phase_residual_2d,
 )
-from foldoptics.rays import LinearLayerParams, airy_profile
 from foldoptics.wkb import (
     CausticZoneWarning,
     airy_inner_approx,
@@ -23,8 +21,6 @@ from foldoptics.wkb import (
 )
 
 X0 = 2.0
-
-LAYER = LinearLayerParams(mu0=1.0, mu1=2.5, h=0.3, psi=0.8)
 
 
 def airy_kl_data(x0):
@@ -126,54 +122,6 @@ def test_epsilon_must_be_positive():
     coords, amps = airy_kl_data(X0)
     with pytest.raises(ValueError):
         kl_field(coords, amps, 0.0, 1.0)
-
-
-def _phase_residual_1d(coords, profile, xs):
-    # the one-dimensional system: fields on the points (0, x), constant in y
-    return kl_phase_residual_2d(
-        lambda y, z: coords.phi(z),
-        lambda y, z: coords.rho(z),
-        lambda y, z: profile.eta_squared(z),
-        [(0.0, x) for x in xs],
-    )
-
-
-def test_phase_residual_vanishes_for_airy():
-    coords, _ = airy_kl_data(X0)
-    res = _phase_residual_1d(coords, airy_profile(), np.linspace(0.2, 1.8, 9))
-    r1 = np.array([r[0] for r in res])
-    r2 = np.array([r[1] for r in res])
-    assert np.max(np.abs(r1)) < 1e-8
-    assert np.max(np.abs(r2)) < 1e-8
-
-
-def test_phase_residual_detects_perturbed_rho():
-    coords, _ = airy_kl_data(X0)
-    bad = KlCoordinates(phi=coords.phi, rho=lambda x: 1.01 * coords.rho(x))
-    res = _phase_residual_1d(bad, airy_profile(), [0.5, 1.0, 1.5])
-    assert max(abs(r[0]) for r in res) > 1e-3
-
-
-def test_layer_phase_system_in_two_dimensions():
-    p = LAYER
-    c3 = (2.0 / (3.0 * p.mu1)) * (p.eta0 * math.cos(p.psi)) ** 3
-
-    def phi(y, z):
-        return c3 + p.eta0 * y * math.sin(p.psi)
-
-    def rho(y, z):
-        return (1.0 / p.mu1) ** (2.0 / 3.0) * (
-            p.alpha**2 + p.mu1 * (z - p.h)
-        )
-
-    def eta_squared(y, z):
-        return p.mu0 + p.mu1 * z
-
-    z_c = p.h - (p.eta0 * math.cos(p.psi)) ** 2 / p.mu1
-    pts = [(y, z) for y in (-0.4, 0.7) for z in np.linspace(z_c + 0.02, p.h, 5)]
-    res = kl_phase_residual_2d(phi, rho, eta_squared, pts)
-    assert max(abs(r[0]) for r in res) < 1e-6
-    assert max(abs(r[1]) for r in res) < 1e-6
 
 
 def test_array_field_matches_scalar_calls():

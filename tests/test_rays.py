@@ -30,16 +30,6 @@ N_RANDOM_RAYS = 100
 LAYER = LinearLayerParams(mu0=1.0, mu1=2.5, h=0.3, psi=0.8)
 
 
-def test_airy_profile_derivative_consistent():
-    prof = airy_profile()
-    assert prof.check_derivative(np.linspace(0.1, 5.0, 7))
-
-
-def test_check_derivative_flags_wrong_slope():
-    bad = RefractionProfile1D(lambda x: x * x, lambda x: x, "bad")
-    assert not bad.check_derivative([1.0, 2.0])
-
-
 def test_constant_profile_requires_positive_speed():
     with pytest.raises(ValueError):
         constant_profile(0.0)

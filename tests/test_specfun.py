@@ -223,6 +223,35 @@ def test_nonfinite_arguments_refused_alike(evaluate, z):
         evaluate(z)
 
 
+def _reference_central(z, table):
+    """The central band from a term-major table (term, row, centre), one
+    take per Taylor coefficient."""
+    out = np.empty((table.shape[1], z.size))
+    for start in range(0, z.size, specfun._CHUNK_POINTS):
+        part = z[start:start + specfun._CHUNK_POINTS]
+        i = np.rint(part * (1.0 / specfun._TABLE_STEP))
+        t = part - i * specfun._TABLE_STEP
+        i = i.astype(np.intp)
+        acc = out[:, start:start + specfun._CHUNK_POINTS]
+        np.multiply(table[-1].take(i, axis=1), t, out=acc)
+        for coeffs in table[-2:0:-1]:
+            acc += coeffs.take(i, axis=1)
+            acc *= t
+        acc += table[0].take(i, axis=1)
+    return out
+
+
+def test_central_band_keeps_the_bits_of_one_take_per_coefficient():
+    # every centre and every half-step of the band |z| <= 7.8, and random points
+    steps = np.arange(-499, 500) / 64
+    z = np.concatenate([steps, np.random.default_rng(6).uniform(-7.8, 7.8, 100_000)])
+    want = _reference_central(z, specfun._TABLE.transpose(1, 2, 0))
+    got = airy(z)
+    rows = np.stack([got.ai, got.ai_prime, got.bi, got.bi_prime])
+    assert rows.tobytes() == want.tobytes()
+    assert airy_ai(z).tobytes() == want[0].tobytes()
+
+
 def _one_part_horner(zeta, sign, coeffs):
     """Reference for _even_odd: each part of one series in its own Horner
     pass, with the term count written out separately."""

@@ -17,7 +17,6 @@ from foldoptics.surgery import (
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
-    liouville_residual,
     offdiagonal_asymptotics,
     stationary_table,
     stationary_wigner_residual,
@@ -702,14 +701,17 @@ def _airy_grid(n, eps=0.1):
 
 
 def test_liouville_annihilates_transported_profiles():
-    errs = [np.max(np.abs(liouville_residual(_airy_grid(n)).values)) for n in (101, 201, 401)]
+    errs = [
+        np.max(np.abs(stationary_wigner_residual(airy_profile(), _airy_grid(n)).values))
+        for n in (101, 201, 401)
+    ]
     assert math.log2(errs[0] / errs[1]) > 1.7
     assert math.log2(errs[1] / errs[2]) > 1.7
 
     xs = np.linspace(0.3, 1.7, 201)
     ks = np.linspace(-1.2, 1.2, 201)
     smooth = np.exp(-((xs[:, None] - ks[None, :] ** 2) ** 2))
-    res = liouville_residual(PhaseSpaceGrid(xs, ks, smooth, 0.1))
+    res = stationary_wigner_residual(airy_profile(), PhaseSpaceGrid(xs, ks, smooth, 0.1))
     assert np.max(np.abs(res.values)) < 1e-3
 
 
@@ -717,7 +719,7 @@ def test_liouville_counterexample():
     xs = np.linspace(0.3, 1.7, 21)
     ks = np.linspace(-1.0, 1.0, 21)
     g = PhaseSpaceGrid(xs, ks, xs[:, None] * ks[None, :], 0.1)
-    res = liouville_residual(g)
+    res = stationary_wigner_residual(airy_profile(), g)
     expect = ks[None, 1:-1] ** 2 + xs[1:-1, None] / 2.0
     assert np.allclose(res.values, expect, rtol=0, atol=1e-12)
     assert res.xs.shape == (19,) and res.ks.shape == (19,)
@@ -726,14 +728,7 @@ def test_liouville_counterexample():
 def test_liouville_needs_stencil_room():
     g = PhaseSpaceGrid(np.array([0.5, 0.6]), np.linspace(-1, 1, 5), np.zeros((2, 5)), 0.1)
     with pytest.raises(ValueError, match="3 points"):
-        liouville_residual(g)
-
-
-def test_stationary_equation_reduces_to_liouville_for_linear_medium():
-    g = _airy_grid(201)
-    a = liouville_residual(g)
-    b = stationary_wigner_residual(airy_profile(), g)
-    assert np.array_equal(a.values, b.values)
+        stationary_wigner_residual(airy_profile(), g)
 
 
 def test_stationary_equation_constant_medium():

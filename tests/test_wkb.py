@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from foldoptics.rays import airy_profile
 from foldoptics.wkb import (
     CAUSTIC_ZONE_FACTOR,
     CausticZoneWarning,
@@ -15,9 +14,7 @@ from foldoptics.wkb import (
     airy_inner_approx,
     airy_wkb_branches,
     airy_wkb_field,
-    eikonal_residual,
     source_amplitude,
-    transport_residual,
 )
 
 X0 = 2.0
@@ -104,34 +101,6 @@ def test_field_warns_in_caustic_zone():
     x_zone = 0.5 * CAUSTIC_ZONE_FACTOR * eps ** (2.0 / 3.0)
     with pytest.warns(CausticZoneWarning):
         airy_wkb_field(x_zone, eps, X0)
-
-
-@pytest.mark.parametrize("branch_index", [0, 1])
-def test_branches_satisfy_eikonal(branch_index):
-    branch = airy_wkb_branches(X0)[branch_index]
-    res = eikonal_residual(branch.S, airy_profile(), np.linspace(0.3, 1.9, 9))
-    assert np.max(np.abs(res)) < 1e-8
-
-
-@pytest.mark.parametrize("branch_index", [0, 1])
-def test_branches_satisfy_transport(branch_index):
-    branch = airy_wkb_branches(X0)[branch_index]
-    res = transport_residual(branch.S, branch.A, np.linspace(0.3, 1.9, 9))
-    assert np.max(np.abs(res)) < 1e-4
-
-
-def test_eikonal_residual_detects_wrong_phase():
-    # S = x in a medium with eta^2 = 2 misses the eikonal equation by -1.
-    from foldoptics.rays import constant_profile
-
-    res = eikonal_residual(lambda x: x, constant_profile(2.0), [0.5, 1.0, 2.0])
-    assert np.allclose(res, -1.0, atol=1e-8)
-
-
-def test_transport_residual_detects_violation():
-    # S = x^2/2, A = 1: 2 S' A' + S'' A = 1 identically.
-    res = transport_residual(lambda x: 0.5 * x * x, lambda x: 1.0, [0.7, 1.4])
-    assert np.allclose(res, 1.0, atol=1e-6)
 
 
 def test_greens_continuous_at_source():
