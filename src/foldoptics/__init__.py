@@ -39,12 +39,11 @@ from .stphase import (
     standard_spa,
 )
 from .wigner import (
+    LagrangianCurve,
     PhaseSpaceGrid,
     QuadraturePolicy,
-    SmoothPhase,
     TruncationWarning,
     WaveFunctionSampler,
-    chord_points,
     semiclassical_wigner_uniform,
     wigner_exact_airy,
     wigner_moment0,

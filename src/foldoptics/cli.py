@@ -58,7 +58,7 @@ from .surgery import (
 from .wigner import (
     PhaseSpaceGrid,
     QuadraturePolicy,
-    SmoothPhase,
+    LagrangianCurve,
     WaveFunctionSampler,
     bisect_brackets,
     semiclassical_wigner_uniform,
@@ -67,6 +67,7 @@ from .wigner import (
     wigner_moment1,
     wigner_numeric,
 )
+from .wigner import _required_samples
 from .wkb import (
     CausticZoneWarning,
     airy_greens,
@@ -91,6 +92,10 @@ _FORMATS = ("csv", "json")
 # phase (2/3) x^{3/2}/epsilon is 1.3e10, held to 2e-6 rad; far beyond it phases
 # lose every digit, and at 1e300 they, k^2 and the rays' t^2 overflow.
 _MAX_MAGNITUDE = 1e6
+
+# Largest sigma_samples: one x-row's chirp-z arrays then hold about 2^19
+# complex values (8 MB) each.
+_MAX_SIGMA_SAMPLES = 2**20
 
 
 class ConfigError(Exception):
@@ -146,6 +151,8 @@ class RunConfig:
         for name in ("nx", "nk", "nt", "sigma_samples"):
             if getattr(self, name) < 8:
                 raise ConfigError(name, "grid counts must be at least 8")
+        if self.sigma_samples % 2 or self.sigma_samples > _MAX_SIGMA_SAMPLES:
+            raise ConfigError("sigma_samples", f"must be even and at most {_MAX_SIGMA_SAMPLES}")
         if not self.xmin < self.xmax:
             raise ConfigError("xmin", "bounds must satisfy xmin < xmax")
         if not self.kmin < self.kmax:
@@ -510,33 +517,38 @@ def cmd_field(cfg: RunConfig) -> int:
     return 0
 
 
-def _plus_branch_phase(x0: float) -> Tuple[SmoothPhase, Callable[[float], complex]]:
-    plus, _ = airy_wkb_branches(x0)
-    phase = SmoothPhase(
-        s=plus.S,
-        s1=np.sqrt,
-        s2=lambda x: 0.5 / np.sqrt(x),
-        s3=lambda x: -0.25 * x ** -1.5,
+def _airy_curve(x0: float) -> LagrangianCurve:
+    """The Airy curve x = p^2; rho = |A|^2 |X'| = 1/(2 sqrt(x0)), so p = 0 is not 0 inf."""
+    rho = 0.5 / math.sqrt(x0)
+    return LagrangianCurve(X=np.square, X1=lambda p: 2.0 * p, X2=lambda p: 2.0, rho=lambda p: rho)
+
+
+def _undersampled(cfg: RunConfig, sampler, xs, ks, message: str) -> ConfigError:
+    """The usage error for an undersampled wigner grid.  The required count is
+    4 k_max sigma_max/(pi eps); where no accepted sigma_samples meets it, the
+    error names whichever of epsilon, the x-window (xmax) and the larger k
+    bound grew most against the default run, otherwise sigma_samples."""
+    a, b = sampler.support
+    needed = _required_samples(np.max(np.abs(ks)), np.minimum(xs - a, b - xs), cfg.epsilon)
+    if np.max(needed) <= _MAX_SIGMA_SAMPLES:
+        return ConfigError("sigma_samples", message)
+    d, k_bound = RunConfig(), "kmin" if abs(cfg.kmin) > abs(cfg.kmax) else "kmax"
+    growth = {"epsilon": d.epsilon / cfg.epsilon, k_bound: abs(getattr(cfg, k_bound)) / d.kmax,
+              "xmax": (cfg.xmax - cfg.xmin) / (d.xmax - d.xmin)}
+    return ConfigError(
+        max(growth, key=growth.get), f"{message}; more than {_MAX_SIGMA_SAMPLES} sigma_samples"
     )
-    return phase, plus.A
-
-
-# Smallest x of a wigner grid: below it the plus branch's S'''(x) = -x^{-3/2}/4
-# overflows.
-_MIN_WIGNER_X = sys.float_info.max ** (-2.0 / 3.0)
 
 
 def cmd_wigner(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.scenario != "airy":
         raise ConfigError("scenario", "wigner export supports the airy scenario")
-    if not cfg.xmin >= _MIN_WIGNER_X:
-        raise ConfigError("xmin", f"wigner grids need x >= {_MIN_WIGNER_X:.3g} (illuminated side)")
+    # combined_wkb_wigner and stationary_table are defined for x > 0 alone
+    if not cfg.xmin > 0.0:
+        raise ConfigError("xmin", "wigner grids need x > 0 (illuminated side)")
     xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
     ks = np.linspace(cfg.kmin, cfg.kmax, cfg.nk)
-
-    w_exact = wigner_exact_airy(xs[:, None], ks[None, :], cfg.epsilon, cfg.x0)
-    w_comb = combined_wkb_wigner(xs[:, None], ks[None, :], cfg.epsilon, cfg.x0)
 
     sampler = WaveFunctionSampler(
         lambda u: airy_inner_approx(u, cfg.x0, cfg.epsilon),
@@ -544,18 +556,16 @@ def cmd_wigner(cfg: RunConfig) -> int:
         cfg.epsilon,
     )
     try:
-        policy = QuadraturePolicy(
-            sigma_samples=cfg.sigma_samples, taper_fraction=cfg.taper_fraction
-        )
+        policy = QuadraturePolicy(cfg.sigma_samples, cfg.taper_fraction)
         grid = wigner_numeric(sampler, xs, ks, policy)
     except ValueError as e:
-        raise ConfigError("sigma_samples", str(e)) from None
+        raise _undersampled(cfg, sampler, xs, ks, str(e)) from None
 
-    phase, amp = _plus_branch_phase(cfg.x0)
-    w_semi = semiclassical_wigner_uniform(
-        phase, amp, xs[:, None], np.abs(ks)[None, :], cfg.epsilon
-    )
-    table = stationary_table(np.where(ks >= 0.0, 1, 2), xs[:, None], ks[None, :])
+    x, k = xs[:, None], ks[None, :]
+    w_exact = wigner_exact_airy(x, k, cfg.epsilon, cfg.x0)
+    w_comb = combined_wkb_wigner(x, k, cfg.epsilon, cfg.x0)
+    w_semi = semiclassical_wigner_uniform(_airy_curve(cfg.x0), x, k, cfg.epsilon)
+    table = stationary_table(np.where(ks >= 0.0, 1, 2), x, k)
     labels = np.array([r.value for r in RegionLabel])
     header = (
         "x", "k", "region", "n_stationary",

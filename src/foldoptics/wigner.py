@@ -7,8 +7,8 @@ The transform used throughout is
 
 assembled from the conjugate-symmetric half-window so every computed value
 is exactly real.  Closed forms are provided for the Airy fundamental
-solution, and Berry's chord construction gives the uniform semiclassical
-approximation for single-phase WKB inputs.
+solution, and Berry's chord construction on the Lagrangian curve gives the
+uniform semiclassical approximation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -26,31 +26,36 @@ __all__ = [
     "WaveFunctionSampler",
     "PhaseSpaceGrid",
     "QuadraturePolicy",
-    "SmoothPhase",
+    "LagrangianCurve",
     "TruncationWarning",
     "wigner_numeric",
     "wigner_exact_airy",
-    "chord_points",
     "semiclassical_wigner_uniform",
     "wigner_moment0",
     "wigner_moment1",
 ]
 
-# Below this (scale-relative) chord length the uniform formula switches to
-# the coalescence expansion; the matched pair is numerically 0/0 there.
-_CHORD_COALESCENCE_TOL = 1e-5
-
-# Chord solver: scan nodes across the bracket, then at most this many
-# halvings, which take a scan cell down to adjacent doubles for any chord
-# above the coalescence tolerance.
-_SCAN_NODES = 257
+# bisect_brackets: halvings enough to take any cell down to adjacent doubles
 _BISECTION_STEPS = 64
+
+# The chord solver's steps per cell, and the chord integrals' panels: at most
+_CHORD_STEPS = 64
+_MAX_PANELS = 256
+_EPS = 2.0**-52
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+
+# 8-node Gauss-Legendre rule on [-1, 1]: the nodes t > 0 and their weights from
+# numpy.polynomial's leggauss(8), written out so that the package does not load it
+_GL = np.array([
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
+])
+_GL_NODES, _GL_WEIGHTS = np.c_[_GL[:, ::-1] * [[-1.0], [1.0]], _GL]
 
 _BOUNDARY_MASS_TOL = 1e-8
 
 # wigner_numeric transforms rows in chunks whose (rows, FFT length) work
-# arrays hold about this many complex elements; chord_points scans blocks
-# of rows with about this many node values.
+# arrays hold about this many complex elements.
 _CHUNK_ELEMENTS = 2**14
 
 
@@ -120,13 +125,16 @@ class QuadraturePolicy:
 
 
 @dataclass(frozen=True)
-class SmoothPhase:
-    """A phase with its first three derivatives as callables."""
+class LagrangianCurve:
+    """The Lagrangian curve x = X(p) of a fold, parametrised by momentum: X,
+    X' and X'', and the density rho(p) = |A(X(p))|^2 |X'(p)|, regular through
+    the turning point.  Each maps an array of momenta to an array of its
+    shape, or to a plain number where it is constant."""
 
-    s: Callable[[float], float]
-    s1: Callable[[float], float]
-    s2: Callable[[float], float]
-    s3: Callable[[float], float]
+    X: Callable[[np.ndarray], np.ndarray]
+    X1: Callable[[np.ndarray], np.ndarray]
+    X2: Callable[[np.ndarray], np.ndarray]
+    rho: Callable[[np.ndarray], np.ndarray]
 
 
 def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
@@ -187,7 +195,7 @@ def wigner_numeric(
             raise ValueError(f"x = {float(xs[i])} outside sampler support [{a}, {b}]")
         raise ValueError(
             f"sigma-quadrature undersampled at x = {xs[i]}: "
-            f"{n} samples < {needed[i]:.0f} required for "
+            f"{n} samples < {needed[i]:.15g} required for "
             f"k_max = {k_max}, sigma_max = {sigma_max[i]:.6g}, eps = {eps}"
         )
 
@@ -248,128 +256,109 @@ def bisect_brackets(f: Callable, a, b, fa, fb):
     return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
-def chord_points(
-    S_prime: Callable, x, k, bracket: Tuple
-) -> Union[float, np.ndarray, None]:
-    """Positive solution sigma0 of S'(x+sigma) + S'(x-sigma) = 2k.
-
-    Batched scan + bisection, array in/array out: x, k and the bracket
-    ends broadcast together.  S' maps an array to an array of its shape,
-    or to a plain number where it is constant.  The left side g(sigma)
-    does not depend on k, so the scan evaluates S' once per (x, bracket)
-    row and node: at _SCAN_NODES equispaced nodes of the bracket, for
-    blocks of rows in one call each.  Each point's own work is in k alone:
-    in blocks of about _CHUNK_ELEMENTS node values (memory stays
-    O(points)) it keeps its first scan cell [s_i, s_i+1] with residual
-    product (g(s_i) - 2k)(g(s_i+1) - 2k) <= 0; vectorised bisection then
-    shrinks only those cells to adjacent doubles and keeps the end with
-    the smaller residual.  The result is 0 where the chord degenerates to
-    the tangent point (k = S'(x)) and no root where the bracket holds no
-    sign change.  Scalar inputs give a float, 0.0 or None; array inputs
-    give an array with NaN for no root.
+def _chord_square(curve: LagrangianCurve, x, k):
+    """D = d^2 of each chord, X(k+d) + X(k-d) = 2x, per broadcast cell
+    (flattened), and X''(k).  Newton on D from D0 = 2(x - X(k))/X''(k), exact
+    for a quadratic X, until f is at its rounding level: one confirming step
+    on a parabola.  A step outside the bracket seen so far bisects it, or
+    doubles D while it has no upper end; a converged cell takes no further
+    step, so it does not depend on the other cells.  D0 <= 0: no real chord.
     """
-    inputs = (x, k, np.maximum(bracket[0], 0.0), bracket[1])
-    x, k, lo, hi = (np.asarray(u, dtype=float) for u in inputs)
-    x, lo, hi = np.broadcast_arrays(x, lo, hi)
-    shape = np.broadcast_shapes(x.shape, k.shape)
-    c = 2.0 * k
-
-    def g(x, sigma):
-        u = x + sigma  # S' may come back as a plain number where it is constant
-        return np.add(S_prime(u), S_prime(x - sigma), out=np.empty(np.shape(u)))
-
-    f0 = g(x, 0.0) - c
-    if np.any((hi <= lo) & (f0 != 0.0)):
-        raise ValueError("bracket must contain a positive interval")
-    # each point's row (its place in x's shape) and 2k; points grouped by row
-    rows = np.broadcast_to(np.arange(x.size).reshape(x.shape), shape).ravel()
-    c = np.broadcast_to(c, shape).ravel()
-    order = np.argsort(rows, kind="stable")
-    x, lo, hi = x.ravel(), lo.ravel(), hi.ravel()
-    step = (hi - lo) / (_SCAN_NODES - 1)
-
-    # each point's first scan cell with a sign change, or -1
-    nodes = np.arange(_SCAN_NODES, dtype=float)[:, None]
-    first = np.full(rows.size, -1)
-    block = max(1, _CHUNK_ELEMENTS // _SCAN_NODES)
-    ends = np.searchsorted(rows[order], np.arange(0, x.size + block, block))
-    for start, i0, i1 in zip(range(0, x.size, block), ends, ends[1:]):
-        cut = slice(start, start + block)
-        s = nodes * step[cut] + lo[cut]
-        s[-1] = hi[cut]
-        gs = g(x[cut], s)
-        for pts in (order[j : j + block] for j in range(i0, i1, block)):
-            fs = gs[:, rows[pts] - start] - c[pts]
-            hit = fs[:-1] * fs[1:] <= 0.0
-            i = hit.argmax(axis=0)
-            first[pts] = np.where(hit[i, np.arange(i.size)], i, -1)
-
-    # bisect those cells [a, b], with the scan's nodes and residuals
-    pts = np.flatnonzero(first >= 0)
-    i, r, cp = first[pts], rows[pts], c[pts]
-    a = i * step[r] + lo[r]
-    b = np.where(i + 1 < _SCAN_NODES - 1, (i + 1) * step[r] + lo[r], hi[r])
-    root, xp = np.full(rows.size, np.nan), x[r]
-    root[pts] = bisect_brackets(lambda s: g(xp, s) - cp, a, b, g(xp, a) - cp, g(xp, b) - cp)
-    root[np.ravel(f0) == 0.0] = 0.0
-    root = root.reshape(shape)
-    if root.ndim == 0:
-        return None if np.isnan(root) else float(root)
-    return root
+    x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(k))):
+        raise ValueError("x and k must be finite")
+    slope2 = np.asarray(curve.X2(k), dtype=float)
+    if np.any(slope2 == 0.0):
+        raise ValueError("degenerate fold: X''(k) = 0")
+    D = np.asarray((x - curve.X(k)) / (0.5 * slope2))
+    sign, x, k = (np.broadcast_to(u, D.shape).ravel() for u in (np.sign(slope2), x, k))
+    D = D.flatten()
+    live = np.flatnonzero(D > 0.0)
+    lo, hi = np.zeros(live.size), np.full(live.size, np.inf)
+    for _ in range(_CHORD_STEPS):
+        if not live.size:
+            break
+        Dl, d, s = D[live], np.sqrt(D[live]), sign[live]
+        ends = k[live] + _PLUS_MINUS * d
+        Xe, X1e = curve.X(ends), curve.X1(ends)
+        g = s * (Xe[0] + Xe[1] - 2.0 * x[live])  # increasing in D
+        if not np.all(np.isfinite(g)):
+            i = live[np.argmin(np.isfinite(g))]
+            raise ValueError(f"chord equation not finite at x = {x[i]}, k = {k[i]}")
+        # g's rounding level, each term scaled before the sum
+        noise = np.sum(4 * _EPS * np.abs(Xe) + np.abs(ends) * (4 * _EPS * np.abs(X1e)), axis=0)
+        lo, hi = np.where(g < 0.0, Dl, lo), np.where(g > 0.0, Dl, hi)
+        slope = s * (X1e[0] - X1e[1]) / (2.0 * d)  # dg/dD
+        newton = Dl - g / np.where(slope > 0.0, slope, np.nan)
+        mid = np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * Dl)
+        step = np.where((newton > lo) & (newton < hi), newton, mid)
+        # at g's rounding level, or with the bracket down to adjacent doubles
+        done = (np.abs(g) <= noise) | (step == Dl) | ~((lo < step) & (step < hi))
+        D[live[~done]] = step[~done]
+        live, lo, hi = live[~done], lo[~done], hi[~done]
+    if live.size:
+        raise ValueError(f"chord equation did not converge at x = {x[live[0]]}, k = {k[live[0]]}")
+    return D, slope2
 
 
-def semiclassical_wigner_uniform(
-    S: SmoothPhase,
-    A: Callable,
-    x,
-    k,
-    epsilon: float,
-):
-    """Uniform chord-based approximation 2 A0 eps^{-2/3} Ai(-eps^{-2/3} xi).
+def _chord_integrals(curve: LagrangianCurve, k, d):
+    """F/d^3 = (1/2) Int (1 - t^2) X''(k+dt) dt and the gap (X'(k+d) - X'(k-d))/d
+    = Int X''(k+dt) dt over -1 <= t <= 1, by 8-node Gauss-Legendre on 1, 2, 4,
+    ... equal panels: a chord keeps the first count whose gap matches X' at
+    its ends to rounding.  One panel is exact for X'' of degree <= 13."""
+    ends = curve.X1(k + _PLUS_MINUS * d)
+    exact = np.broadcast_to(ends[0] - ends[1], d.shape)
+    tol = np.broadcast_to(np.sum(16.0 * _EPS * np.abs(ends), axis=0), d.shape)
+    area, gap = np.empty(d.size), np.empty(d.size)
+    todo, panels = np.arange(d.size), 1
+    while todo.size:
+        if panels > _MAX_PANELS:
+            raise ValueError(f"chord integrals unresolved at k = {k[todo[0]]}, d = {d[todo[0]]}")
+        # panel centres (2j + 1 - panels)/panels are exact for a power of 2
+        t = (np.arange(1 - panels, panels, 2.0)[:, None] / panels + _GL_NODES / panels).ravel()
+        w = np.tile(_GL_WEIGHTS, panels) / panels
+        curvature = curve.X2(k[todo, None] + d[todo, None] * t)
+        a = np.broadcast_to(0.5 * np.sum(w * (1.0 - t * t) * curvature, axis=-1), todo.shape)
+        g = np.broadcast_to(np.sum(w * curvature, axis=-1), todo.shape)
+        ok = np.abs(d[todo] * g - exact[todo]) <= tol[todo]
+        area[todo[ok]], gap[todo[ok]] = a[ok], g[ok]
+        todo, panels = todo[~ok], 2 * panels
+    return area, gap
 
-    With a genuine chord sigma0 the cubic data come from the chord phase
-    F(sigma) = S(x+sigma) - S(x-sigma) - 2k sigma:
 
-        xi = [(3/2) F(sigma0)]^{2/3},
-        A0 = sqrt(2) xi^{1/4} Re D(sigma0, x) / |F''(sigma0)|^{1/2};
+def semiclassical_wigner_uniform(curve: LagrangianCurve, x, k, epsilon: float):
+    """Berry's uniform chord approximation 2 A0 eps^{-2/3} Ai(-eps^{-2/3} xi)
+    on the Lagrangian curve x = X(p), at midpoints (x, k) with signed k.
+    Where the chord k - d <= p <= k + d, X(k+d) + X(k-d) = 2x, is real, with
+    F the area between chord and curve,
 
-    at (or beyond) coalescence, and where no chord lies in 0 <= sigma < x
-    (a chord on the edge sigma = x has infinite F''), the fold expansion
-    takes over:
+        xi = (3F/2)^{2/3},
+        A0 = sqrt(2) xi^{1/4} (rho(k-d) rho(k+d))^{1/2} / |X'(k+d) - X'(k-d)|^{1/2},
 
-        xi = 2 cbrt(1/S''') (k - S'(x)),  A0 = |A(x)|^2 |S'''|^{-1/3}.
-
-    Batched scan + bisection chords and one Airy call, array in/array
-    out: x and k broadcast, the chord-vs-fold choice is a mask, and
-    scalars give a float.
+    F and the X' gap summed from X'' with their powers of d cancelled, so no
+    digits are lost as the chord shrinks.  Elsewhere the fold expansion about
+    the curve point at momentum k, xi = 2 X''(k)^{-1/3} (x - X(k)) and
+    A0 = rho(k) |X''(k)|^{-1/3}.  Both are exact for X = p^2.  x and k
+    broadcast, all cells share one Airy call, and scalars give a float.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    # x and k are not broadcast, so what depends on x alone runs once per x
     x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
-    s3 = S.s3(x)
-    if np.any(s3 == 0.0):
-        raise ValueError("degenerate fold: S'''(x) = 0")
-    # chords over 0 <= sigma <= x, where the branch phases are real; a root on the
-    # edge sigma = x, where S''(x - sigma) and A(x - sigma) diverge, is no chord
-    sigma0 = np.asarray(chord_points(S.s1, x, k, (0.0, x)), dtype=float)
-    chord = (sigma0 < x) & (sigma0 > _CHORD_COALESCENCE_TOL * np.maximum(np.abs(x), 1.0))
-    s = np.where(chord, sigma0, 0.0)
-    F0 = S.s(x + s) - S.s(x - s) - 2.0 * k * s
-    F2 = S.s2(x + s) - S.s2(x - s)
-    chord = chord & (F0 > 0.0) & (F2 != 0.0)
-    # fold cells get stand-in values so the chord formulas stay finite there
-    xi_chord = (1.5 * np.where(chord, F0, 1.0)) ** (2.0 / 3.0)
-    a0_chord = (
-        math.sqrt(2.0)
-        * xi_chord**0.25
-        * np.real(A(x + s) * np.conj(A(x - s)))
-        / np.sqrt(np.abs(np.where(chord, F2, 1.0)))
-    )
-    xi = np.where(chord, xi_chord, 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x)))
-    a0 = np.where(chord, a0_chord, np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0))
-    out = 2.0 * a0 * epsilon ** (-2.0 / 3.0) * airy_ai(-(epsilon ** (-2.0 / 3.0)) * xi)
-    return float(out) if np.ndim(out) == 0 else out
+    D, slope2 = _chord_square(curve, x, k)
+    shape = np.broadcast_shapes(x.shape, k.shape)
+    xi = np.broadcast_to(2.0 * (x - curve.X(k)) / np.cbrt(slope2), shape).flatten()
+    a0 = np.broadcast_to(curve.rho(k) / np.cbrt(np.abs(slope2)), shape).flatten()
+    chord = np.flatnonzero(D > 0.0)
+    kc, d = np.broadcast_to(k, shape).ravel()[chord], np.sqrt(D[chord])
+    area, gap = _chord_integrals(curve, kc, d)
+    # (3F/2)/d^3, signed so that it is positive on a concave curve too
+    cubic = 1.5 * np.sign(np.broadcast_to(slope2, shape).ravel()[chord]) * area
+    xi[chord] = cubic ** (2.0 / 3.0) * D[chord]
+    rho = np.broadcast_to(curve.rho(kc + _PLUS_MINUS * d), (2, chord.size))
+    a0[chord] = math.sqrt(2.0) * cubic ** (1.0 / 6.0) * np.sqrt(rho[0] * rho[1] / np.abs(gap))
+    scale = epsilon ** (-2.0 / 3.0)
+    out = (2.0 * scale * a0 * airy_ai(-scale * xi)).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_boundary_mass(g: PhaseSpaceGrid) -> None:

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foldoptics.cli as cli
+import foldoptics.rays as rays
+import foldoptics.wigner as wigner
 from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
 from foldoptics.kl import kl_field
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
@@ -193,9 +195,10 @@ def test_edge_and_huge_floats_exit_2_by_name_or_write_finite_data(
     [
         # Bi overflows to inf on the shadow side, where the Green's field reads Ai alone
         (["field", "--xmin=-1e6"], 0),
-        # below the bound S''' = -x^(-3/2)/4 overflows
-        (["wigner", "--xmin=1e-300"], 2),
-        (["wigner", f"--xmin={cli._MIN_WIGNER_X!r}"], 0),
+        # combined_wkb_wigner and stationary_table are defined for x > 0 alone
+        (["wigner", "--xmin=0"], 2),
+        # no stage reads a power of x that overflows at the smallest doubles
+        (["wigner", "--xmin=1e-300"], 0),
     ],
 )
 def test_tiny_and_deep_shadow_x_run_clean_or_exit_2_by_name(capsys, tmp_path, argv, code):
@@ -389,8 +392,8 @@ def test_wigner_numeric_column_tracks_exact(tmp_path):
 
 
 def test_wigner_default_export_between_cells_match_exact(tmp_path):
-    # between the parabolas the uniform chord form is exact, also where the
-    # chord lies beyond 0.95x (x/2 < k^2 < 0.656x)
+    # between the parabolas the uniform chord form is exact, also next to the
+    # conjugate parabola x = 2k^2 (x/2 < k^2 < 0.656x)
     out = tmp_path / "wig"
     assert main(["wigner", "--out", str(out)]) == 0
     header, rows = read_csv(out / "wigner.csv")
@@ -401,7 +404,47 @@ def test_wigner_default_export_between_cells_match_exact(tmp_path):
     x = np.array([float(r[cols["x"]]) for r in rows])
     k = np.array([float(r[cols["k"]]) for r in rows])
     assert np.sum(between & (k * k < 0.656 * x)) > 200
-    assert np.max(np.abs(d[between])) <= 1e-11 * np.max(np.abs(w))
+    assert np.max(np.abs(d[between])) <= 1e-12 * np.max(np.abs(w))
+    # and so is every other cell: the chord form inside x = k^2, the
+    # momentum fold outside it
+    assert np.max(np.abs(d)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_wigner_default_export_bisects_nothing(tmp_path, monkeypatch):
+    # the chords of X = p^2 come from Newton's first confirming step
+    calls = []
+    for module in (cli, rays, wigner):
+        bisect = module.bisect_brackets
+        monkeypatch.setattr(
+            module, "bisect_brackets", lambda *a, f=bisect: calls.append(1) or f(*a)
+        )
+    assert main(["wigner", "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--epsilon=1e-300", "epsilon"),
+        ("--xmax=1e6", "xmax"),
+        ("--kmin=-1e6", "kmin"),
+        ("--kmax=1e6", "kmax"),
+    ],
+)
+def test_wigner_undersampling_names_the_option_that_raised_the_count(
+    tmp_path, capsys, flag, field
+):
+    # no sigma_samples up to the largest accepted one samples these grids
+    assert main(["wigner", flag, "--nx", "8", "--nk", "8", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {field}: sigma-quadrature undersampled"), err
+    assert err.rstrip().endswith(f"; more than {cli._MAX_SIGMA_SAMPLES} sigma_samples")
+
+
+def test_sigma_samples_above_the_largest_accepted_is_a_usage_error(tmp_path, capsys):
+    argv = ["wigner", "--sigma-samples", str(cli._MAX_SIGMA_SAMPLES + 2), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: sigma_samples: must be even and at most")
 
 
 # -- manifests and determinism ----------------------------------------------

@@ -64,7 +64,6 @@ KEPT = {
     "diagonal_asymptotics": "the surgery's diagonal leg, which no criterion sums yet",
     "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
     "TruncationWarning": "the category of the k-moments' boundary-mass warning",
-    "chord_points": "Berry's chord solver behind the semiclassical form",
     "BranchField": "the type airy_wkb_branches returns",
     "WkbField": "the reference of test_field_value_equals_branch_sum",
     "source_amplitude": "the WKB amplitude at the source that the fields share",

@@ -5,23 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import airy as airy_ai
 
 import foldoptics.wigner as wigner_module
+from foldoptics.cli import _airy_curve
 from foldoptics.wigner import (
+    LagrangianCurve,
     PhaseSpaceGrid,
     QuadraturePolicy,
-    SmoothPhase,
     TruncationWarning,
     WaveFunctionSampler,
-    chord_points,
     semiclassical_wigner_uniform,
     wigner_exact_airy,
     wigner_moment0,
     wigner_moment1,
     wigner_numeric,
 )
-from foldoptics.wkb import airy_inner_approx, airy_wkb_branches, airy_wkb_field
+from foldoptics.wkb import airy_inner_approx, airy_wkb_field
 
 EPS = 0.05
 X0 = 2.0
@@ -45,17 +44,10 @@ def fundamental_sampler(eps):
     )
 
 
-def airy_plus_phase():
-    plus, _ = airy_wkb_branches(X0)
-    return (
-        SmoothPhase(
-            s=plus.S,
-            s1=np.sqrt,
-            s2=lambda x: 0.5 * x**-0.5,
-            s3=lambda x: -0.25 * x**-1.5,
-        ),
-        plus.A,
-    )
+# the CLI's curve: X = p^2 with rho = 1/(2 sqrt(x0))
+AIRY = _airy_curve(X0)
+# the coefficient A of the non-parabolic profile eta^2 = x + A x^2
+BENT = 0.3
 
 
 def test_policy_validation():
@@ -377,160 +369,173 @@ def test_exact_airy_exterior_decay():
     assert abs(outside) < 1e-6 * abs(peak)
 
 
+def _bent_curve(c=0.0):
+    """The curve eta^2 = x + A x^2 of a non-parabolic profile, translated
+    by c: X(p) = c + (sqrt(1 + 4 A p^2) - 1)/(2A), written without the
+    cancellation at small p, with S' = eta, |A|^2 = 1/S' and
+    rho = |X'|/|p| = 2/sqrt(1 + 4 A p^2)."""
+    a = BENT
+
+    def root(p):
+        return np.sqrt(1.0 + 4.0 * a * np.square(p))
+
+    return LagrangianCurve(
+        X=lambda p: c + 2.0 * np.square(p) / (1.0 + root(p)),
+        X1=lambda p: 2.0 * p / root(p),
+        X2=lambda p: 2.0 / root(p) ** 3,
+        rho=lambda p: 2.0 / root(p),
+    )
+
+
+def _chord_parts(curve, x, k):
+    """The chord solve and the chord integrals of semiclassical_wigner_uniform:
+    D per cell, and F/d^3 and the X' gap per chord cell."""
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    D, _ = wigner_module._chord_square(curve, x, k)
+    chord = D > 0.0
+    area, gap = wigner_module._chord_integrals(curve, k.ravel()[chord], np.sqrt(D[chord]))
+    return D, area, gap
+
+
+def _chord_parts_cell_by_cell(curve, x, k):
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    parts = [_chord_parts(curve, xi[None], ki[None]) for xi, ki in zip(x.ravel(), k.ravel())]
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+
+
+def _airy_error(curve, xs, ks, eps=EPS):
+    """max |semiclassical - wigner_exact_airy| over the grid, relative to the
+    exact transform's peak there."""
+    w = semiclassical_wigner_uniform(curve, xs[:, None], ks[None, :], eps)
+    exact = wigner_exact_airy(xs[:, None], ks[None, :], eps, X0)
+    return np.max(np.abs(w - exact)) / np.max(np.abs(exact))
+
+
 def test_chord_point_closed_form():
-    S, _ = airy_plus_phase()
-    sigma0 = chord_points(S.s1, 1.0, 0.8, (0.0, 0.999))
-    assert sigma0 == pytest.approx(0.96, abs=1e-12)
-    assert math.sqrt(1.0 + sigma0) + math.sqrt(1.0 - sigma0) == pytest.approx(1.6)
+    # on X = p^2 the chord of (x, k) is d^2 = x - k^2: (0.8 +- 0.6)^2 average to 1
+    D, area, gap = _chord_parts(AIRY, 1.0, 0.8)
+    assert D[0] == pytest.approx(0.36, abs=1e-15)
+    assert area[0] == pytest.approx(4.0 / 3.0, rel=1e-15)  # F/d^3 = (4/3) X''/2
+    assert gap[0] == pytest.approx(4.0, rel=1e-15)  # (2(k+d) - 2(k-d))/d
+    # the non-parabolic curve: the chord equation holds to rounding
+    bent = _bent_curve()
+    x, k = np.linspace(0.2, 1.8, 9)[:, None], np.linspace(-1.0, 1.0, 11)[None, :]
+    D, _, _ = _chord_parts(bent, x, k)
+    D = D.reshape(9, 11)
+    real = D > 0.0
+    d = np.sqrt(np.where(real, D, 0.0))
+    residual = bent.X(k + d) + bent.X(k - d) - 2.0 * x
+    assert real.sum() > 60
+    assert np.max(np.abs(residual[real])) <= 1e-14 * 2.0 * np.max(x)
 
 
 def test_chord_degenerates_on_manifold():
-    S, _ = airy_plus_phase()
-    assert chord_points(S.s1, 1.0, 1.0, (0.0, 0.999)) == 0.0
+    # x = X(k): the chord shrinks to the curve point, D = 0, and the fold
+    # expansion there is the exact transform
+    k = np.linspace(-1.3, 1.3, 27)
+    D, _, _ = _chord_parts(AIRY, k * k, k)
+    assert np.all(D == 0.0)
+    w = semiclassical_wigner_uniform(AIRY, k * k, k, EPS)
+    exact = wigner_exact_airy(k * k, k, EPS, X0)
+    assert np.max(np.abs(w - exact)) <= 1e-15 * np.max(exact)
 
 
 def test_chord_absent_outside_region():
-    S, _ = airy_plus_phase()
-    assert chord_points(S.s1, 1.0, 1.2, (0.0, 0.999)) is None
-    assert chord_points(S.s1, 1.0, 0.5, (0.0, 0.999)) is None
+    # x < X(k): no real chord (D < 0), on the parabola and the bent curve
+    for curve in (AIRY, _bent_curve()):
+        k = np.linspace(-1.5, 1.5, 31)
+        x = curve.X(k) - 0.05
+        D, area, _ = _chord_parts(curve, x, k)
+        assert np.all(D < 0.0) and area.size == 0
 
 
 def test_vectorised_chord_matches_closed_form():
-    # For S' = sqrt(x) the chord is sigma0 = 2k sqrt(x - k^2), real for
-    # x/2 < k^2 < x; a bracket (0, 0.95x) that stops short of the edge
-    # sigma = x holds it only for k^2 > 0.656x, so x/2 < k^2 < 0.656x must
-    # report no chord.
+    # the CLI's layout: an x column, a signed k row, k = 0 included
     x = np.linspace(0.1, 1.9, 64)[:, None]
-    k = np.linspace(0.0, 1.6, 97)[None, :]
-    hi = 0.95 * x
-    sigma0 = chord_points(np.sqrt, x, k, (0.0, hi))
-    assert sigma0.shape == (64, 97)
-    real = (k**2 > x / 2) & (k**2 < x)
-    closed = np.where(real, 2.0 * k * np.sqrt(np.where(real, x - k**2, 0.0)), np.inf)
-    inside = closed < hi
-    assert inside.sum() > 600
-    assert np.max(np.abs(sigma0[inside] - closed[inside])) <= 1e-12
-    assert np.all(np.isnan(sigma0[~inside]))
-    beyond = real & (k**2 < 0.656 * x)
-    assert beyond.sum() > 300
-    assert not np.any(beyond & inside)
-
-
-def test_chord_solver_returns_the_first_of_two_chords():
-    # S' = sin: sin(x + s) + sin(x - s) = 2 sin(x) cos(s) = 2k has the
-    # roots arccos(k / sin x) and 2 pi minus it in the bracket (0, 6);
-    # the solver keeps the first sign change.
-    x = np.array([1.2, math.pi / 2, 2.0])[:, None]
-    k = np.array([-0.7, -0.2, 0.3, 0.85])[None, :]
-    sigma0 = chord_points(np.sin, x, k, (0.0, 6.0))
-    first = np.arccos(k / np.sin(x))
-    assert np.all(2.0 * math.pi - first < 6.0)
-    assert np.max(np.abs(sigma0 - first)) <= 1e-12
-    assert chord_points(np.sin, math.pi / 2, 0.3, (0.0, 6.0)) == sigma0[1, 2]
-    # no chord where |k| > |sin x|
-    assert chord_points(np.sin, 0.5, 0.6, (0.0, 6.0)) is None
-
-
-def _chord_reference(S_prime, x, k, bracket):
-    """The per-point chord solver that the row scan replaced: S' at every
-    point's own _SCAN_NODES nodes, its first scan cell with a residual
-    product <= 0, then bisection of every point."""
-    x, k, lo, hi = np.broadcast_arrays(
-        *(np.asarray(u, dtype=float) for u in (x, k, np.maximum(bracket[0], 0.0), bracket[1]))
-    )
-    shape, (x, k, lo, hi) = x.shape, (np.ravel(v) for v in (x, k, lo, hi))
-
-    def f(sigma):
-        u = x + sigma
-        return np.broadcast_to(S_prime(u) + S_prime(x - sigma), u.shape) - 2.0 * k
-
-    nodes = np.arange(wigner_module._SCAN_NODES, dtype=float)[:, None]
-    s = nodes * ((hi - lo) / (wigner_module._SCAN_NODES - 1)) + lo
-    s[-1] = hi
-    fs = f(s)
-    hit = fs[:-1] * fs[1:] <= 0.0
-    first, cols = hit.argmax(axis=0), np.arange(x.size)
-    found = hit[first, cols]
-    a, b = s[first, cols], np.where(found, s[first + 1, cols], s[first, cols])
-    fa, fb = fs[first, cols], np.where(found, fs[first + 1, cols], fs[first, cols])
-    root = wigner_module.bisect_brackets(f, a, b, fa, fb)
-    root = np.where(f(0.0) == 0.0, 0.0, np.where(found, root, np.nan)).reshape(shape)
-    return (None if np.isnan(root) else float(root)) if root.ndim == 0 else root
-
-
-def _assert_same_bits(got, want):
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+    k = np.linspace(-1.6, 1.6, 97)[None, :]
+    D, _, _ = _chord_parts(AIRY, x, k)
+    closed = np.ravel(x - k * k)
+    assert np.array_equal(D > 0.0, closed > 0.0)
+    assert np.max(np.abs(D - closed)) <= 4e-16 * 1.9
 
 
 def _chord_cases():
     rng = np.random.default_rng(14)
     cases = {}
     for nx, nk in ((8, 32), (64, 64)):
-        xs = np.linspace(0.1, 1.9, nx)
-        ks = np.abs(np.linspace(-1.6, 1.6, nk))
-        x, k = xs[:, None], ks[None, :]
-        cases[f"{nx}x{nk}"] = (np.sqrt, x, k, (0.0, x))
-        cases[f"{nx}x{nk}-transposed"] = (np.sqrt, x.T, k.T, (0.0, x.T))
-        full_x, full_k = np.repeat(x, nk, axis=1), np.repeat(k, nx, axis=0)
-        cases[f"{nx}x{nk}-full"] = (np.sqrt, full_x, full_k, (0.0, full_x))
+        x = np.linspace(0.1, 1.9, nx)[:, None]
+        k = np.linspace(-1.6, 1.6, nk)[None, :]
+        cases[f"{nx}x{nk}"] = (AIRY, x, k)
+        cases[f"{nx}x{nk}-transposed"] = (AIRY, x.T, k.T)
+        cases[f"{nx}x{nk}-full"] = (AIRY, np.repeat(x, nk, axis=1), np.repeat(k, nx, axis=0))
     x, k = rng.uniform(0.1, 1.9, 5000), rng.uniform(-1.6, 1.6, 5000)
-    cases["random-cells"] = (np.sqrt, x, k, (0.0, x))
-    cases["sin"] = (np.sin, np.array([1.2, math.pi / 2, 2.0])[:, None],
-                    np.array([-0.7, -0.2, 0.3, 0.85])[None, :], (0.0, 6.0))
-    cases["constant"] = (lambda u: 1.0, np.array([0.5, 1.0, 1.5])[:, None],
-                         np.array([0.3, 1.0, 1.2])[None, :], (0.0, 0.9))
-    cases["constant-scalar"] = (lambda u: 1.0, 1.0, 0.3, (0.0, 0.9))
-    cases["constant-scalar-tangent"] = (lambda u: 1.0, 1.0, 1.0, (0.0, 0.9))
+    cases["random-cells"] = (_bent_curve(), x, k)
+    # X = 1 - cos p, X' = sin p: Newton iterates, long chords take more panels
+    sine = LagrangianCurve(X=lambda p: 1.0 - np.cos(p), X1=np.sin, X2=np.cos,
+                           rho=lambda p: np.full(np.shape(p), 0.5))
+    cases["sin"] = (sine, np.array([0.2, 0.6, 1.0])[:, None], np.array([-0.7, -0.2, 0.3, 0.85])[None, :])
+    # constant X'' and rho come back as plain numbers
+    cases["constant"] = (AIRY, np.array([0.5, 1.0, 1.5])[:, None], np.array([0.3, 1.0, 1.2])[None, :])
+    cases["constant-scalar"] = (AIRY, 1.0, 0.3)
+    cases["constant-scalar-tangent"] = (AIRY, 1.0, 1.0)
     for k in (0.8, 1.0, 1.2):
-        cases[f"scalar-{k}"] = (np.sqrt, 1.0, k, (0.0, 0.999))
-    # The residual product itself decides where it underflows to 0 (k near 0),
-    # where a residual overflows next to a zero one (inf * 0), and where S' or
-    # k is not finite; the signs of the residuals alone would differ there.
-    x = np.linspace(0.2, 1.0, 5)[:, None]
-    cases["underflow"] = (lambda u: 1e-200 * (u - 0.5), x,
-                          np.linspace(-1e-200, 1e-200, 9)[None, :], (0.0, x))
-    # on the row x = 1, g(s) = S'(1 + s): -1.5e308 up to the node s = 1/2, then
-    # above 2k = 5e307 until the next node, where it equals 2k
-    cases["overflow"] = (
-        lambda u: np.select([u <= 1.0, u <= 1.5, u < 1.50390625], [0.0, -1.5e308, 1e308], 5e307),
-        np.array([[1.0]]), np.array([[2.5e307, 1.0, -3e307]]), (0.0, 1.0))
-    cases["nan"] = (lambda u: np.sqrt(u - 0.5), np.array([[1.0]]),
-                    np.array([[0.55, 0.6, 0.65, 0.8]]), (0.0, 0.9))
-    cases["infinite"] = (lambda u: 1.0 / u - 2.0, x,
-                         np.array([-1.0, 0.5, 3.0, np.inf])[None, :], (0.0, x))
+        cases[f"scalar-{k}"] = (_bent_curve(), 1.0, k)
+    # chords of 1e-150 and below: no d^3 is formed, so nothing underflows
+    cases["underflow"] = (_bent_curve(), np.array([1e-300, 3e-300, 5e-324])[:, None],
+                          np.array([0.0, 1e-151, -1e-151])[None, :])
+    # X(k +- d) near the largest double
+    cases["overflow"] = (AIRY, np.array([[8e307]]), np.array([[0.0, 1e153, -2e153]]))
+    # refusals: a cell at x = inf, and a curve undefined (NaN) beyond
+    # |p| = 2, which the chord of (5, 0) crosses
+    cases["infinite"] = (AIRY, np.array([1.0, np.inf, 2.0]), 0.5)
+    limited = LagrangianCurve(X=lambda p: np.where(np.abs(p) <= 2.0, np.square(p), np.nan),
+                              X1=lambda p: 2.0 * p, X2=AIRY.X2, rho=AIRY.rho)
+    cases["nan"] = (limited, np.array([1.0, 3.0, 5.0, 6.0]), 0.0)
     return cases
 
 
 _CHORD_CASES = _chord_cases()
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
 @pytest.mark.parametrize("name", sorted(_CHORD_CASES))
 def test_chord_points_matches_per_point_reference_bit_for_bit(name):
-    S_prime, x, k, bracket = _CHORD_CASES[name]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        got = chord_points(S_prime, x, k, bracket)
-        want = _chord_reference(S_prime, x, k, bracket)
-    _assert_same_bits(got, want)
-
-
-def test_chord_points_on_a_constant_slope():
-    # S' = 1 everywhere: a chord only where k = 1, and there it is the tangent point
-    got = chord_points(lambda u: 1.0, np.array([1.0, 1.5]), np.array([0.3, 1.0]), (0.0, 0.9))
-    _assert_same_bits(got, np.array([np.nan, 0.0]))
-    assert chord_points(lambda u: 1.0, 1.0, 0.3, (0.0, 0.9)) is None
-    assert chord_points(lambda u: 1.0, 1.0, 1.0, (0.0, 0.9)) == 0.0
+    # a converged cell takes no further steps or panels, so a cell's chord,
+    # area and X' gap do not depend on the other cells of its call; a call
+    # that refuses a cell refuses the first one the cell-by-cell calls refuse
+    curve, x, k = _CHORD_CASES[name]
+    got = _outcome(_chord_parts, curve, x, k)
+    want = _outcome(_chord_parts_cell_by_cell, curve, x, k)
+    if name in ("infinite", "nan"):
+        assert isinstance(got, str) and got == want
+        return
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+    assert np.all(np.isfinite(got[0]))
+    assert np.all(np.isfinite(got[1])) and np.all(np.isfinite(got[2]))
 
 
 @pytest.mark.parametrize("form", [semiclassical_wigner_uniform])
 def test_semiclassical_grid_layout_matches_pre_broadcast_arrays(form):
-    S, A = airy_plus_phase()
     x = np.linspace(0.1, 1.9, 64)[:, None]
-    k = np.abs(np.linspace(-1.6, 1.6, 64))[None, :]
+    k = np.linspace(-1.6, 1.6, 64)[None, :]
     _assert_same_bits(
-        form(S, A, x, k, EPS), form(S, A, np.repeat(x, 64, axis=1), np.repeat(k, 64, axis=0), EPS)
+        form(AIRY, x, k, EPS), form(AIRY, np.repeat(x, 64, axis=1), np.repeat(k, 64, axis=0), EPS)
     )
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -541,78 +546,122 @@ def test_semiclassical_grid_layout_matches_pre_broadcast_arrays(form):
     ],
 )
 def test_uniform_reproduces_exact_between_parabolas(x, k):
-    # (1.0, 0.75) and (0.8, 0.65) have chords beyond 0.95x
-    S, A = airy_plus_phase()
-    w_u = semiclassical_wigner_uniform(S, A, x, k, EPS)
-    w_e = wigner_exact_airy(x, k, EPS, X0)
-    assert w_u == pytest.approx(w_e, rel=1e-10)
-
-
-@pytest.mark.parametrize("x,k", [(0.5, 0.5), (0.98, 0.7)])
-def test_uniform_on_conjugate_parabola_is_the_fold_expansion(x, k):
-    # k^2 = x/2: the chord sits on the window edge sigma = x, where F'' and
-    # A(x - sigma) diverge, so it counts as no chord
-    S, A = airy_plus_phase()
-    assert chord_points(S.s1, x, k, (0.0, x)) == x
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        w_u = semiclassical_wigner_uniform(S, A, x, k, EPS)
-    s3 = S.s3(x)
-    xi = 2.0 * np.cbrt(1.0 / s3) * (k - S.s1(x))
-    a0 = abs(A(x)) ** 2 * abs(s3) ** (-1.0 / 3.0)
-    fold = 2.0 * a0 * EPS ** (-2.0 / 3.0) * airy_ai(-(EPS ** (-2.0 / 3.0)) * xi)[0]
-    assert w_u == pytest.approx(fold, rel=1e-14)
+    # W is even in k on the even curve X = p^2: both signs are exact
+    for kk in (k, -k):
+        w_u = semiclassical_wigner_uniform(AIRY, x, kk, EPS)
+        assert w_u == pytest.approx(wigner_exact_airy(x, kk, EPS, X0), rel=1e-12)
 
 
 def test_uniform_on_manifold_limit():
-    S, A = airy_plus_phase()
     x = 1.44
-    w_u = semiclassical_wigner_uniform(S, A, x, math.sqrt(x), EPS)
+    w_u = semiclassical_wigner_uniform(AIRY, x, math.sqrt(x), EPS)
     assert w_u == pytest.approx(wigner_exact_airy(x, math.sqrt(x), EPS, X0), rel=1e-12)
 
 
 def test_uniform_array_matches_scalar_calls():
-    # the CLI's default grid: x0 = 2, eps = 0.05, 64 x 64, k folded to |k|
-    S, A = airy_plus_phase()
+    # the CLI's default grid: x0 = 2, eps = 0.05, 64 x 64, signed k
     xs = np.linspace(0.1, 1.9, 64)
-    ks = np.abs(np.linspace(-1.6, 1.6, 64))
-    w = semiclassical_wigner_uniform(S, A, xs[:, None], ks[None, :], EPS)
-    scalar = np.array(
-        [[semiclassical_wigner_uniform(S, A, x, k, EPS) for k in ks] for x in xs]
-    )
+    ks = np.linspace(-1.6, 1.6, 64)
+    w = semiclassical_wigner_uniform(AIRY, xs[:, None], ks[None, :], EPS)
+    scalar = np.array([[semiclassical_wigner_uniform(AIRY, x, k, EPS) for k in ks] for x in xs])
     peak = np.max(np.abs(wigner_exact_airy(xs[:, None], ks[None, :], EPS, X0)))
     assert w.shape == (64, 64)
-    assert np.max(np.abs(w - scalar)) <= 1e-11 * peak
+    assert np.max(np.abs(w - scalar)) <= 1e-12 * peak
 
 
-def test_uniform_falls_back_to_fold_for_nonpositive_chord_area():
-    # The mirrored (minus-branch) phase has real chords for k < 0, but its
-    # chord area F(sigma0) is negative, so the chord formula's xi = (3/2 F)^{2/3}
-    # has no real value there and the fold expansion must take over.
-    S, A = airy_plus_phase()
-    mirrored = SmoothPhase(
-        s=lambda x: -S.s(x),
-        s1=lambda x: -np.sqrt(x),
-        s2=lambda x: -S.s2(x),
-        s3=lambda x: -S.s3(x),
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.0125])
+def test_semiclassical_matches_exact_airy_on_every_cell(eps):
+    # odd nk puts k = 0 on the grid; the cells x = k^2 are added exactly
+    xs, ks = np.linspace(0.1, 1.9, 200), np.linspace(-1.6, 1.6, 201)
+    assert _airy_error(AIRY, xs, ks, eps) <= 1e-12
+    on = np.linspace(-1.3, 1.3, 101)
+    w = semiclassical_wigner_uniform(AIRY, on * on, on, eps)
+    exact = wigner_exact_airy(on * on, on, eps, X0)
+    assert np.all(np.isfinite(w)) and np.max(np.abs(w - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_accuracy_check_fails_for_a_density_off_by_a_thousandth():
+    # the bound above is tight enough to see rho scaled by 1 + 1e-3
+    xs, ks = np.linspace(0.1, 1.9, 64), np.linspace(-1.6, 1.6, 64)
+    scaled = LagrangianCurve(AIRY.X, AIRY.X1, AIRY.X2, lambda p: (1.0 + 1e-3) * AIRY.rho(p))
+    assert _airy_error(scaled, xs, ks) > 1e-4
+
+
+def test_accuracy_check_fails_for_a_flipped_chord_area(monkeypatch):
+    # with F's sign flipped xi = (3F/2)^{2/3} has no real value on the chord
+    # cells, and the Airy kernel refuses the NaN arguments
+    integrals = wigner_module._chord_integrals
+    monkeypatch.setattr(
+        wigner_module, "_chord_integrals",
+        lambda curve, k, d: (-integrals(curve, k, d)[0], integrals(curve, k, d)[1]),
     )
-    x = np.array([1.0, 1.0, 1.2])
-    k = np.array([-0.9, -0.95, -1.0])
-    sigma0 = chord_points(mirrored.s1, x, k, (0.0, 0.95 * x))
-    assert np.all(sigma0 > 1e-3)
-    w = semiclassical_wigner_uniform(mirrored, A, x, k, EPS)
-    s3 = mirrored.s3(x)
-    xi = 2.0 * np.cbrt(1.0 / s3) * (k - mirrored.s1(x))
-    a0 = np.abs(A(x)) ** 2 * np.abs(s3) ** (-1.0 / 3.0)
-    fold = 2.0 * a0 * EPS ** (-2.0 / 3.0) * airy_ai(-(EPS ** (-2.0 / 3.0)) * xi)[0]
-    assert np.all(np.isfinite(w))
-    np.testing.assert_allclose(w, fold, rtol=1e-12)
+    xs, ks = np.linspace(0.1, 1.9, 64), np.linspace(-1.6, 1.6, 64)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        _airy_error(AIRY, xs, ks)
+
+
+@pytest.mark.parametrize("c", [0.5, -0.5, 3.0])
+def test_translated_curve_gives_the_translated_wigner_function(c):
+    # the curve X(p) + c is the field translated by c: W_c(x, k) = W(x - c, k)
+    xs, ks = np.linspace(0.05, 1.9, 40), np.linspace(-1.6, 1.6, 41)
+    w = semiclassical_wigner_uniform(_bent_curve(), xs[:, None], ks[None, :], EPS)
+    moved = semiclassical_wigner_uniform(_bent_curve(c), xs[:, None] + c, ks[None, :], EPS)
+    assert np.max(np.abs(moved - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_bent_curve_matches_the_chord_formula_at_high_precision():
+    # mpmath at 40 digits: d from the chord equation, F from the closed-form
+    # integral of X, then Berry's xi and A0 as written
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    a = mp.mpf(BENT)
+    root = lambda p: mp.sqrt(1 + 4 * a * p * p)  # noqa: E731
+    X = lambda p: (root(p) - 1) / (2 * a)  # noqa: E731
+    # Int X dp = (p root(p) + asinh(2 sqrt(a) p)/(2 sqrt(a)))/(4a) - p/(2a)
+    G = lambda p: (p * root(p) + mp.asinh(2 * mp.sqrt(a) * p) / (2 * mp.sqrt(a))) / (4 * a) - p / (2 * a)  # noqa: E731
+    bent = _bent_curve()
+    xs, ks = np.linspace(0.05, 1.9, 8), np.linspace(-1.6, 1.6, 9)
+    w = semiclassical_wigner_uniform(bent, xs[:, None], ks[None, :], EPS)
+    scale = mp.mpf(EPS) ** (-mp.mpf(2) / 3)
+    checked = 0
+    for i, x in enumerate(xs):
+        for j, k in enumerate(ks):
+            if x - bent.X(k) <= 1e-3:
+                continue
+            x_, k_ = mp.mpf(x), mp.mpf(k)
+            d = mp.findroot(lambda d: X(k_ + d) + X(k_ - d) - 2 * x_, mp.sqrt(x_ - X(k_)))
+            F = 2 * d * x_ - (G(k_ + d) - G(k_ - d))
+            xi = (mp.mpf(3) / 2 * F) ** (mp.mpf(2) / 3)
+            slope = lambda p: 2 * p / root(p)  # noqa: E731
+            rho = lambda p: 2 / root(p)  # noqa: E731
+            a0 = mp.sqrt(2) * xi ** 0.25 * mp.sqrt(rho(k_ - d) * rho(k_ + d)) / mp.sqrt(
+                abs(slope(k_ + d) - slope(k_ - d)))
+            want = float(2 * a0 * scale * mp.airyai(-scale * xi))
+            assert abs(w[i, j] - want) <= 1e-12 * np.max(np.abs(w)), (x, k)
+            checked += 1
+    assert checked > 30
+
+
+def test_concave_curve_mirrors_the_convex_one():
+    # X = -p^2 is the parabola reflected in x: its chords have negative area
+    # and its fold opens the other way, W_concave(x, k) = W(-x, k)
+    concave = LagrangianCurve(lambda p: -np.square(p), lambda p: -2.0 * p, lambda p: -2.0, AIRY.rho)
+    xs, ks = np.linspace(0.1, 1.9, 32), np.linspace(-1.6, 1.6, 33)
+    w = semiclassical_wigner_uniform(AIRY, xs[:, None], ks[None, :], EPS)
+    mirrored = semiclassical_wigner_uniform(concave, -xs[:, None], ks[None, :], EPS)
+    assert np.max(np.abs(mirrored - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+def test_gauss_legendre_literals_are_numpys_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(wigner_module._GL_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(wigner_module._GL_WEIGHTS - weights)) <= 1e-15
 
 
 def test_degenerate_fold_rejected():
-    flat = SmoothPhase(s=lambda x: x, s1=lambda x: 1.0, s2=lambda x: 0.0, s3=lambda x: 0.0)
-    with pytest.raises(ValueError, match="S'''"):
-        semiclassical_wigner_uniform(flat, lambda x: 1.0, 1.0, 1.0, EPS)
+    flat = LagrangianCurve(lambda p: p, lambda p: 1.0, lambda p: 0.0, lambda p: 1.0)
+    with pytest.raises(ValueError, match="X''"):
+        semiclassical_wigner_uniform(flat, 1.0, 1.0, EPS)
 
 
 def test_moment0_recovers_density():
