@@ -304,9 +304,10 @@ def _format_g17(v):
     Q = (D * 103 >> 10) & 0x000F000F000F000F
     B, C = Q | (D - Q * 10) << 8
     # '%g' is fixed for -4 <= e < 17, the point after digit q = max(e, 0), else after
-    # the first digit; digits past the last nonzero one and the point stay NUL
-    last = np.frexp(np.stack([B, C]).astype(np.float64))[1] - 1 >> 3  # top nonzero bytes
-    last = np.maximum(last[0] + 1, np.where(C != 0, last[1] + 9, 0))
+    # the first digit; digits past the last nonzero one and the point stay NUL.  Top
+    # nonzero bytes from the float64 exponent bits: 0 reads -128 and never wins
+    last, top = ((w.astype(np.float64).view(np.int64) >> 52) - 1023 >> 3 for w in (B, C))
+    last = np.maximum(last + 1, top + 9)
     q = np.maximum(e, 0)
     B |= np.take(_LOW, np.maximum(last, q), mode="clip") & 0x3030303030303030
     C |= np.take(_LOW, np.maximum(last, q) - 8, mode="clip") & 0x3030303030303030
@@ -319,12 +320,14 @@ def _format_g17(v):
     F[..., 2] = (C & low) | (C & ~low) << 8 | B >> 56 | np.take(_DOT[1], q) * point
     F[..., 3] = C >> 56 | np.take(_SUFFIX, e + 29)
     special = ~np.isfinite(v) | (v == 0.0)  # their a = 1 left words 1-3 empty
-    F[special, 0] = np.where(np.isnan(v[special]), 0x6E616E00,  # nan, inf, 0
-                             np.where(np.isinf(v[special]), 0x666E6900, 0x3000))
+    if special.any():
+        F[special, 0] = np.where(np.isnan(v[special]), 0x6E616E00,  # nan, inf, 0
+                                 np.where(np.isinf(v[special]), 0x666E6900, 0x3000))
     F[..., 0] |= (np.signbit(v) & ~np.isnan(v)) * np.uint64(0x2D)
     fallback = ~(exact | special)
-    texts = np.array([b"%.17g" % x for x in v[fallback].tolist()], dtype="S32")
-    F[fallback] = texts.view("<u8").reshape(-1, 4)
+    if fallback.any():
+        texts = np.array([b"%.17g" % x for x in v[fallback].tolist()], dtype="S32")
+        F[fallback] = texts.view("<u8").reshape(-1, 4)
     return F, int(np.count_nonzero(fallback))
 
 
@@ -347,13 +350,19 @@ def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
     yield (",".join(header) + "\n").encode(), 0
     cols = [np.asarray(c) for c in columns]
     floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+    # runs of adjacent float columns, as slices [a, b) of the formatted frames
+    cuts = [i for i in range(1, len(floats)) if floats[i] != floats[i - 1] + 1]
+    runs = list(zip([0] + cuts, cuts + [len(floats)])) if floats else []
     step = max(1, _BLOCK_CELLS // max(1, len(floats)))
+    # one frame a table: each block rewrites every cell of its leading rows
+    frame = np.empty((min(step, len(cols[0])), len(cols), 4), dtype="<u8")
     for start in range(0, len(cols[0]), step):
         block = [c[start:start + step] for c in cols]
         frames, fallback = _format_g17(np.stack([block[j] for j in floats], axis=-1, dtype=float)
                                        if floats else np.empty((len(block[0]), 0)))
-        cells = np.empty((len(block[0]), len(cols), 4), dtype="<u8")
-        cells[:, floats] = frames
+        cells = frame[:len(block[0])]
+        for a, b in runs:
+            cells[:, floats[a]:floats[a] + b - a] = frames[:, a:b]
         for j, c in enumerate(block):
             if j not in floats:
                 text = _column_bytes(c)
@@ -363,15 +372,18 @@ def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
         u8 = cells.view(np.uint8)
         u8[:, :, -1] = ord(",")
         u8[:, -1, -1] = ord("\n")
-        yield u8[u8 != 0], fallback
-        del frames, cells, u8  # before the next block is formatted
+        yield cells.tobytes().translate(None, b"\0"), fallback
+        del frames  # before the next block is formatted
 
 
 def _json_chunks(header: Sequence[str], columns: Sequence[object]):
     """The bytes json.dump({"columns": ..., "rows": ...}, sort_keys=True) writes."""
     yield f'{{"columns": {json.dumps(list(header))}, "rows": ['.encode(), 0
-    for i, row in enumerate(zip(*(np.asarray(c).tolist() for c in columns))):
-        yield (", " * (i > 0) + json.dumps(row)).encode(), 0
+    cols = [np.asarray(c) for c in columns]
+    step = max(1, _BLOCK_CELLS // len(cols))
+    for start in range(0, len(cols[0]), step):  # one json.dumps a block of rows
+        rows = list(zip(*(c[start:start + step].tolist() for c in cols)))
+        yield (", " * (start > 0) + json.dumps(rows)[1:-1]).encode(), 0
     yield b"]}\n", 0
 
 

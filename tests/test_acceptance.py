@@ -267,6 +267,44 @@ def test_criterion_07_kl_uniformization():
     assert report(check_kl_uniformization())
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        # the (2/3) x^{3/2} of S+ scaled by 1.0001
+        lambda plus, minus: (
+            dataclasses.replace(plus, S=lambda x: plus.S(x) + 1e-4 * (2.0 / 3.0) * x**1.5),
+            minus,
+        ),
+        # both amplitude exponents -1/4 -> -0.26
+        lambda plus, minus: tuple(
+            dataclasses.replace(b, A=lambda x, A=b.A: A(x) * x**-0.01) for b in (plus, minus)
+        ),
+    ],
+    ids=["phase_plus", "amplitude_exponent"],
+)
+def test_criterion_07_fails_on_perturbed_branches(monkeypatch, change):
+    # the KL side reads the changed branches, the WKB reference the true ones
+    branches = cli.airy_wkb_branches
+    monkeypatch.setattr(cli, "airy_wkb_branches", lambda x0: change(*branches(x0)))
+    result = check_kl_uniformization()
+    assert not result.passed
+    assert result.metric > 10 * result.threshold
+
+
+def test_criterion_07_fails_on_perturbed_rho(monkeypatch):
+    # kl_coordinates' rho off by 1e-4 (relative); phi as it is
+    coordinates = cli.kl_coordinates
+
+    def perturbed(S_plus, S_minus):
+        c = coordinates(S_plus, S_minus)
+        return dataclasses.replace(c, rho=lambda x: 1.0001 * c.rho(x))
+
+    monkeypatch.setattr(cli, "kl_coordinates", perturbed)
+    result = check_kl_uniformization()
+    assert not result.passed
+    assert result.metric > 10 * result.threshold
+
+
 def test_criterion_08_wkb_convergence_order():
     # envelope-relative deviation from the reference solution halves with
     # eps: ratios within [1.6, 2.4]

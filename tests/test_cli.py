@@ -631,6 +631,44 @@ def test_csv_writer_matches_csv_module_reference(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"ray_id,t\n"
 
 
+def test_csv_blocks_rewrite_every_cell_of_the_shared_frame(tmp_path):
+    # float runs (x, k) and (a, b, c) around a label and an int column, as in the
+    # wigner table; the full first block holds long cells, the partial last block
+    # short ones at the same row positions
+    step = cli._BLOCK_CELLS // 5
+    rows = step + 200
+    long_cells = [1e-300, -0.0, math.nan, 1e15 + 0.25, -math.inf, -1.2345678901234567e-200]
+    long_cells += _decimal_ties(np.random.default_rng(5))[:20]
+    x = np.resize(long_cells, rows)
+    x[step:] = 0.5
+    label = np.full(rows, "up", dtype="U31")
+    label[:step] = "n" * 31
+    count = np.zeros(rows, dtype=np.int64)
+    count[:step] = -(2**63)
+    columns = (x, -x, label, count, 4.0 * x, -x, x / 3.0)
+    header = ("x", "k", "label", "count", "a", "b", "c")
+    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cli._write_tables(cfg, "test", [("table", header, columns)], 0.0)
+    data = (tmp_path / "table.csv").read_bytes()
+    assert data == _csv_reference(header, columns)
+    assert data.endswith(b"\n0.5,-0.5,up,0,2,-0.5,0.16666666666666666\n")
+
+
+def test_json_tables_match_one_json_dump(tmp_path):
+    rows = 3 * (cli._BLOCK_CELLS // 4) + 17  # four columns: four blocks
+    rng = np.random.default_rng(7)
+    v = np.concatenate([[math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300],
+                        rng.normal(size=rows - 6)])
+    columns = (rng.choice(["incident", "up"], rows), v, v[::-1],
+               rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True))
+    header = ("region", "x", "y", "n")
+    cfg = RunConfig(out=str(tmp_path), formats=("json",))
+    cli._write_tables(cfg, "test", [("table", header, columns), ("empty", ("t",), ((),))], 0.0)
+    want = {"columns": list(header), "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
+    assert (tmp_path / "table.json").read_text() == json.dumps(want, sort_keys=True) + "\n"
+    assert (tmp_path / "empty.json").read_text() == '{"columns": ["t"], "rows": []}\n'
+
+
 def test_label_columns_render_the_bytes_of_astype():
     regions = np.array([r.value for r in RegionLabel])
     for labels in (np.repeat(["down", "up"], 5), np.full(3, "incident"), regions,
@@ -693,7 +731,10 @@ def test_format_g17_edge_values():
     tiny, huge = 5e-324, 1.7976931348623157e308
     edges = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, tiny, -tiny,
              2.2250738585072009e-308, 2.2250738585072014e-308, huge, -huge,
-             np.uint64(0x7FF0000000000001).view(np.float64), 9999999999999998.0, 1e15 + 0.25]
+             np.uint64(0x7FF0000000000001).view(np.float64), 9999999999999998.0, 1e15 + 0.25,
+             # digits 1-8 or 9-16 all zero: one of the two digit words is 0
+             1.0000000012345678, 7.000000001, 100000000.5, -4.0000000000000036e-05,
+             1.000000000000001e-10]
     for k in range(-30, 23):
         p = float(f"1e{k}")
         edges += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
