@@ -80,6 +80,7 @@ from .wkb import (
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "Leg",
     "CriterionResult",
     "run_validation",
     "main",
@@ -556,7 +557,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.scenario != "airy":
         raise ConfigError("scenario", "wigner export supports the airy scenario")
-    # combined_wkb_wigner and stationary_table are defined for x > 0 alone
+    # the stationary-point table is defined for x > 0 alone
     if not cfg.xmin > 0.0:
         raise ConfigError("xmin", "wigner grids need x > 0 (illuminated side)")
     xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
@@ -598,17 +599,52 @@ def cmd_wigner(cfg: RunConfig) -> int:
 # validation suite
 
 @dataclass(frozen=True)
+class Leg:
+    """One bound of a criterion: it holds when `value` `sense` `bound`."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str = "<="  # or "<", ">="
+
+    @property
+    def passed(self) -> bool:
+        return {"<=": self.value <= self.bound, "<": self.value < self.bound,
+                ">=": self.value >= self.bound}[self.sense]
+
+    @property
+    def margin(self) -> float:
+        """Relative headroom, positive while the leg holds; NaN for a zero bound."""
+        room = self.value - self.bound if self.sense == ">=" else self.bound - self.value
+        return room / self.bound if self.bound != 0 else math.nan
+
+
+@dataclass(frozen=True)
 class CriterionResult:
+    """A criterion passes when each of its legs does; its metric, threshold and
+    margin are its first leg's."""
+
     id: int
     name: str
-    passed: bool
-    metric: float
-    threshold: float
+    legs: Tuple[Leg, ...]
     detail: str = ""
-    # set by run_validation: the check's wall time, and its relative headroom
-    # (threshold - metric) / threshold unless a lower-bounded check states it
-    seconds: float = math.nan
-    margin: Optional[float] = None
+    seconds: float = math.nan  # set by run_validation: the check's wall time
+
+    @property
+    def passed(self) -> bool:
+        return all(leg.passed for leg in self.legs)
+
+    @property
+    def metric(self) -> float:
+        return self.legs[0].value
+
+    @property
+    def threshold(self) -> float:
+        return self.legs[0].bound
+
+    @property
+    def margin(self) -> float:
+        return self.legs[0].margin
 
 
 def check_surgery_identity() -> CriterionResult:
@@ -618,12 +654,9 @@ def check_surgery_identity() -> CriterionResult:
     ks = np.linspace(-1.6, 1.6, 200)
     exact = wigner_exact_airy(xs[:, None], ks[None, :], 0.05, 2.0)
     comb = combined_wkb_wigner(xs[:, None], ks[None, :], 0.05, 2.0)
-    metric = float(np.max(np.abs(comb - exact)))
-    elapsed = time.time() - t0
-    return CriterionResult(
-        1, "surgery identity", metric <= 1e-12 and elapsed < 5.0,
-        metric, 1e-12, f"200x200 grid, {elapsed:.2f}s",
-    )
+    legs = (Leg("max |combined - exact|", float(np.max(np.abs(comb - exact))), 1e-12),
+            Leg("seconds", time.time() - t0, 5.0, "<"))
+    return CriterionResult(1, "surgery identity", legs, "200x200 grid")
 
 
 # Calibrated band-comparison configuration: the WKB sampler is restricted
@@ -662,13 +695,10 @@ def band_comparison_metric(epsilon: float) -> float:
 def check_band_wignerization() -> CriterionResult:
     t0 = time.time()
     coarse = band_comparison_metric(0.05)
-    fine = band_comparison_metric(0.025)
-    elapsed = time.time() - t0
-    return CriterionResult(
-        2, "end-to-end wignerization",
-        coarse <= 5e-2 and fine < coarse and elapsed < 60.0,
-        coarse, 5e-2, f"eps=0.05: {coarse:.3e}, eps=0.025: {fine:.3e}, {elapsed:.1f}s",
-    )
+    legs = (Leg("eps=0.05 band", coarse, 5e-2),
+            Leg("eps=0.025 band", band_comparison_metric(0.025), coarse, "<"),
+            Leg("seconds", time.time() - t0, 60.0, "<"))
+    return CriterionResult(2, "end-to-end wignerization", legs)
 
 
 def check_fundamental_quadrature() -> CriterionResult:
@@ -683,11 +713,10 @@ def check_fundamental_quadrature() -> CriterionResult:
     grid = wigner_numeric(sampler, xs, ks, QuadraturePolicy(sigma_samples=1024))
     exact = wigner_exact_airy(xs[:, None], ks[None, :], eps, x0)
     mask = np.abs(exact) >= 0.01 * np.max(np.abs(exact))
-    metric = float(np.max(np.abs(grid.values - exact)[mask] / np.abs(exact)[mask]))
-    return CriterionResult(
-        3, "fundamental-solution quadrature", metric <= 5e-3, metric, 5e-3,
-        f"{int(mask.sum())} masked points",
-    )
+    rel = float(np.max(np.abs(grid.values - exact)[mask] / np.abs(exact)[mask]))
+    legs = (Leg("masked rel deviation", rel, 5e-3),)
+    return CriterionResult(3, "fundamental-solution quadrature", legs,
+                           f"{int(mask.sum())} masked points")
 
 
 def check_k_moments() -> CriterionResult:
@@ -698,12 +727,10 @@ def check_k_moments() -> CriterionResult:
     ks = np.linspace(-3.0, 3.0, 2401)
     g = PhaseSpaceGrid(xs, ks, combined_wkb_wigner(xs[:, None], ks[None, :], eps, x0), eps)
     ref = k_integral_amplitude(xs, eps, x0)
-    worst = float(np.max(np.abs(wigner_moment0(g) - ref) / np.abs(ref)))
-    worst_flux = float(np.max(np.abs(wigner_moment1(g))))
-    return CriterionResult(
-        4, "k-moments", worst <= 1e-4 and worst_flux <= 1e-10, worst, 1e-4,
-        f"max flux {worst_flux:.2e}",
-    )
+    rel = float(np.max(np.abs(wigner_moment0(g) - ref) / np.abs(ref)))
+    legs = (Leg("zeroth moment rel", rel, 1e-4),
+            Leg("max flux", float(np.max(np.abs(wigner_moment1(g)))), 1e-10))
+    return CriterionResult(4, "k-moments", legs)
 
 
 # criterion 05's draws of (x, k), its bound on the stationary-point residual
@@ -749,7 +776,6 @@ def _verify_by_root_finding(signs, x, k, sigma):
 
 
 def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     xs = 0.05 + 3.95 * rng.random(_DRAWS)
     ks = rng.uniform(-2.2, 2.2, _DRAWS)
@@ -759,21 +785,17 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
         try:
             table = stationary_table(index, xs, ks)
         except RuntimeError as e:
-            return CriterionResult(
-                5, "stationary-point tables", False, math.inf, _ROOT_RESIDUAL, f"error: {e}"
-            )
+            legs = (Leg("root residual", math.inf, _ROOT_RESIDUAL),)
+            return CriterionResult(5, "stationary-point tables", legs, f"error: {e}")
         curv = table.curvatures
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
         draw = np.nonzero(simple)[0]
         points.append((np.full(draw.size, index - 1), draw, table.locations.real[simple]))
     branch, draw, sigma = (np.concatenate(v) for v in zip(*points))
     res = _verify_by_root_finding(np.array(_SIGNS).T[:, branch], xs[draw], ks[draw], sigma)
-    worst = float(np.max(res, initial=0.0))
-    elapsed = time.time() - t0
-    return CriterionResult(
-        5, "stationary-point tables", worst <= _ROOT_RESIDUAL, worst, _ROOT_RESIDUAL,
-        f"{draw.size} real points root-verified over {_DRAWS} draws, {elapsed:.2f}s",
-    )
+    legs = (Leg("root residual", float(np.max(res, initial=0.0)), _ROOT_RESIDUAL),)
+    return CriterionResult(5, "stationary-point tables", legs,
+                           f"{draw.size} real points root-verified over {_DRAWS} draws")
 
 
 def check_cfu_engine() -> CriterionResult:
@@ -784,10 +806,9 @@ def check_cfu_engine() -> CriterionResult:
         ref = 2.0 * math.pi * lam ** (-1.0 / 3.0) * airy_ai(-(lam ** (2.0 / 3.0)) * xi)
         denom = np.maximum(np.abs(ref), lam ** (-1.0 / 3.0))
         worst = max(worst, float(np.max(np.abs(got - ref) / denom)))
-    return CriterionResult(
-        6, "uniform stationary-phase engine", worst <= 1e-6, worst, 1e-6,
-        "canonical cubic, lam in {10, 100}",
-    )
+    legs = (Leg("rel deviation", worst, 1e-6),)
+    return CriterionResult(6, "uniform stationary-phase engine", legs,
+                           "canonical cubic, lam in {10, 100}")
 
 
 def check_kl_uniformization() -> CriterionResult:
@@ -805,12 +826,10 @@ def check_kl_uniformization() -> CriterionResult:
         kl_vals = kl_field(coords, amps, e, window)
         wkb_vals = _wkb_field(window, e, x0)
         devs.append(float(np.max(np.abs(kl_vals - wkb_vals)) / np.max(np.abs(kl_vals))))
-    monotone = devs[0] > devs[1] > devs[2]
-    return CriterionResult(
-        7, "uniform caustic field", identity <= 1e-12 and monotone,
-        identity, 1e-12,
-        "far-field devs " + ", ".join(f"{d:.3e}" for d in devs),
-    )
+    legs = (Leg("identity rel", identity, 1e-12),
+            Leg("far field eps=0.05", devs[1], devs[0], "<"),
+            Leg("far field eps=0.025", devs[2], devs[1], "<"))
+    return CriterionResult(7, "uniform caustic field", legs)
 
 
 def check_wkb_convergence() -> CriterionResult:
@@ -823,11 +842,9 @@ def check_wkb_convergence() -> CriterionResult:
         errs.append(float(np.max(np.abs(u_wkb - u_ref)) / np.max(np.abs(u_ref))))
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
-    metric = max(abs(r1 - 2.0), abs(r2 - 2.0))
-    return CriterionResult(
-        8, "first-order convergence", metric <= 0.4, metric, 0.4,
-        f"halving ratios {r1:.2f}, {r2:.2f}",
-    )
+    legs = (Leg("halving ratio offset", max(abs(r1 - 2.0), abs(r2 - 2.0)), 0.4),)
+    return CriterionResult(8, "first-order convergence", legs,
+                           f"halving ratios {r1:.2f}, {r2:.2f}")
 
 
 def check_liouville_order() -> CriterionResult:
@@ -841,12 +858,9 @@ def check_liouville_order() -> CriterionResult:
         errs.append(float(np.max(np.abs(
             stationary_wigner_residual(airy_profile(), grid).values))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    metric = min(orders)
-    return CriterionResult(
-        9, "phase-space transport residual", metric >= 1.9, metric, 1.9,
-        f"observed orders {orders[0]:.2f}, {orders[1]:.2f}",
-        margin=(metric - 1.9) / 1.9,
-    )
+    legs = (Leg("observed order", min(orders), 1.9, ">="),)
+    return CriterionResult(9, "phase-space transport residual", legs,
+                           f"observed orders {orders[0]:.2f}, {orders[1]:.2f}")
 
 
 def check_rays() -> CriterionResult:
@@ -866,13 +880,11 @@ def check_rays() -> CriterionResult:
     t_star = 2.0 * p.eta0 * math.cos(p.psi) / p.mu1
     depth = linear_layer_caustic_depth(p)
     depth_err = abs(linear_layer_ray(t_star, 0.0, p)[1] - depth)
-    depth_ok = depth_err <= 1e-12 * max(1.0, abs(depth))
-    steps = "steps %d/%d (drift), %d/%d (caustic)" % (*path.steps, *touches.steps)
-    return CriterionResult(
-        10, "ray tracing", drift <= 1e-9 and t_err <= 1e-6 and depth_ok,
-        drift, 1e-9,
-        f"caustic offset {t_err:.2e}, depth offset {depth_err:.2e}; accepted/rejected {steps}",
-    )
+    legs = (Leg("hamiltonian drift", drift, 1e-9),
+            Leg("caustic offset", t_err, 1e-6),
+            Leg("depth offset", depth_err, 1e-12 * max(1.0, abs(depth))))
+    steps = "%d/%d (drift), %d/%d (caustic)" % (*path.steps, *touches.steps)
+    return CriterionResult(10, "ray tracing", legs, f"accepted/rejected steps {steps}")
 
 
 def check_special_functions() -> CriterionResult:
@@ -895,11 +907,9 @@ def check_special_functions() -> CriterionResult:
         (origin.bi, 3.0 ** (-1.0 / 6.0) / g23),
         (origin.bi_prime, 3.0 ** (1.0 / 6.0) / g13),
     )
-    origin_err = max(abs(a - b) / abs(b) for a, b in refs)
-    return CriterionResult(
-        11, "special functions", wronskian <= 1e-10 and origin_err <= 1e-12,
-        wronskian, 1e-10, f"origin values rel {origin_err:.2e}",
-    )
+    legs = (Leg("wronskian", wronskian, 1e-10),
+            Leg("origin values rel", max(abs(a - b) / abs(b) for a, b in refs), 1e-12))
+    return CriterionResult(11, "special functions", legs)
 
 
 _CHECKS: Tuple[Callable[..., CriterionResult], ...] = (
@@ -920,23 +930,17 @@ _CHECKS: Tuple[Callable[..., CriterionResult], ...] = (
 def run_validation(seed: int = 20240911) -> List[CriterionResult]:
     """Run all validation checks; a crash in one check becomes a failure
     entry rather than aborting the rest.  Each result carries the wall
-    time of its check and its margin."""
+    time of its check."""
     results = []
     for check in _CHECKS:
         started = time.perf_counter()
         try:
             result = check(seed=seed) if check is check_stationary_tables else check()
         except Exception as e:  # noqa: BLE001 - reported, not swallowed
-            ident = _CHECKS.index(check) + 1
-            result = CriterionResult(
-                ident, check.__name__.replace("check_", "").replace("_", " "),
-                False, float("inf"), float("nan"), f"error: {e}",
-            )
-        seconds = time.perf_counter() - started
-        margin = result.margin
-        if margin is None:
-            margin = (result.threshold - result.metric) / result.threshold
-        results.append(dataclasses.replace(result, seconds=seconds, margin=margin))
+            ident, legs = _CHECKS.index(check) + 1, (Leg("error", math.inf, math.nan),)
+            name = check.__name__.replace("check_", "").replace("_", " ")
+            result = CriterionResult(ident, name, legs, f"error: {e}")
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - started))
     return results
 
 
@@ -956,7 +960,11 @@ def cmd_validate(cfg: RunConfig) -> int:
         "version": __version__,
         "duration_seconds": time.time() - started,
         "all_passed": all(r.passed for r in results),
-        "criteria": [dataclasses.asdict(r) for r in results],
+        # each criterion's fields, its first leg's numbers, and each leg with its margin
+        "criteria": [{**dataclasses.asdict(r), "passed": r.passed, "metric": r.metric,
+                      "threshold": r.threshold, "margin": r.margin,
+                      "legs": [{**vars(leg), "margin": leg.margin} for leg in r.legs]}
+                     for r in results],
     }
     _write_json_atomic(os.path.join(cfg.out, "validate_report.json"), report)
     return 0 if report["all_passed"] else 1

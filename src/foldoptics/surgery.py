@@ -419,25 +419,19 @@ def offdiagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     return complex(out) if out.ndim == 0 else out
 
 
-def combined_wkb_wigner(x, k, epsilon: float, x0: float, extended: bool = False):
+def combined_wkb_wigner(x, k, epsilon: float, x0: float):
     """Recombined phase-space asymptotics of the two-phase WKB field:
     (1/(2 sqrt(x0))) (2/eps)^{2/3} Ai((2/eps)^{2/3} (k^2 - x)).
 
     The diagonal fold pairs supply this Airy profile where they live and
     its exponential tail outside the manifold; the interior cross-term
     oscillation reproduces its large-argument cosine; the exterior cross
-    terms cancel.  With extended=True the same closed form is evaluated
-    for x <= 0 (shadow zone), where it decays superexponentially.
+    terms cancel.  For x <= 0 (shadow zone) it decays superexponentially.
     """
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     x_arr = np.asarray(x, dtype=float)
     k_arr = np.asarray(k, dtype=float)
-    if not extended and np.any(x_arr <= 0.0):
-        raise ValueError(
-            "x must be positive in the illuminated zone; pass extended=True "
-            "to evaluate the closed form in the shadow"
-        )
     scale = (2.0 / epsilon) ** (2.0 / 3.0)
     out = 0.5 / math.sqrt(x0) * scale * airy_ai(scale * (k_arr ** 2 - x_arr))
     if np.isscalar(x) and np.isscalar(k):
@@ -445,18 +439,13 @@ def combined_wkb_wigner(x, k, epsilon: float, x0: float, extended: bool = False)
     return out
 
 
-def k_integral_amplitude(x, epsilon: float, x0: float, extended: bool = False):
+def k_integral_amplitude(x, epsilon: float, x0: float):
     """Zeroth k-moment of the recombined Wigner profile in closed form:
     pi eps^{-1/3} x0^{-1/2} Ai^2(-eps^{-2/3} x); a float for scalar x,
     otherwise an array of its shape."""
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     x = np.asarray(x, dtype=float)
-    if not extended and np.any(x <= 0.0):
-        raise ValueError(
-            "x must be positive in the illuminated zone; pass extended=True "
-            "to evaluate the closed form in the shadow"
-        )
     r1 = (2.0 / epsilon) ** (2.0 / 3.0)
     out = 0.5 / math.sqrt(x0) * r1 * airy_square_integral(r1, 0.0, -r1 * x)
     return float(out) if np.ndim(out) == 0 else out

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import foldoptics.cli as cli
 import foldoptics.rays as rays
 import foldoptics.wigner as wigner
-from foldoptics.cli import ConfigError, CriterionResult, RunConfig, main, merge_config
+from foldoptics.cli import ConfigError, CriterionResult, Leg, RunConfig, main, merge_config
 from foldoptics.kl import kl_field
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
 from foldoptics.surgery import RegionLabel
@@ -827,10 +827,14 @@ def test_validate_reports_and_exits_zero(tmp_path, capsys):
     assert report["all_passed"] is True
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
     assert all(c["passed"] for c in report["criteria"])
+    # the wall-clock gates of 01 and 02, and each second bound, are legs of their own
+    legs = [[leg["name"] for leg in c["legs"]] for c in report["criteria"]]
+    assert legs[0][1] == legs[1][2] == "seconds"
+    assert [len(names) for names in legs] == [2, 3, 1, 2, 1, 1, 3, 1, 1, 3, 2]
 
 
 def test_validate_failure_exits_one(tmp_path, monkeypatch, capsys):
-    forced = lambda: CriterionResult(1, "forced failure", False, 1.0, 0.5)
+    forced = lambda: CriterionResult(1, "forced failure", (Leg("forced", 1.0, 0.5),))
     monkeypatch.setattr(cli, "_CHECKS", (forced,))
     rc = main(["validate", "--out", str(tmp_path)])
     assert rc == 1
@@ -842,7 +846,8 @@ def test_validate_failure_exits_one(tmp_path, monkeypatch, capsys):
 def test_validate_report_carries_seconds_and_margins(tmp_path, monkeypatch, capsys):
     def upper():
         time.sleep(0.02)
-        return CriterionResult(1, "upper bound", True, 0.25, 1.0)
+        legs = (Leg("upper", 0.25, 1.0), Leg("strict", 1.0, 2.0, "<"))
+        return CriterionResult(1, "upper bound", legs)
 
     def boom():
         raise RuntimeError("probe")
@@ -855,11 +860,42 @@ def test_validate_report_carries_seconds_and_margins(tmp_path, monkeypatch, caps
     first, order, crash = report["criteria"]
     assert first["seconds"] >= 0.02
     assert first["margin"] == 0.75
+    assert [leg["margin"] for leg in first["legs"]] == [0.75, 0.5]
     # criterion 09 bounds its observed order from below
     assert order["threshold"] == 1.9
     assert order["margin"] == (order["metric"] - 1.9) / 1.9 > 0.0
+    assert order["legs"][0]["sense"] == ">="
     assert 0.0 < order["seconds"] < report["duration_seconds"]
     assert math.isnan(crash["margin"]) and crash["seconds"] >= 0.0
+    assert crash["legs"][0]["name"] == "error" and not crash["passed"]
+    holds = {"<=": lambda v, b: v <= b, "<": lambda v, b: v < b, ">=": lambda v, b: v >= b}
+    for c in report["criteria"]:
+        # the criterion passes when each leg does, and reports its first leg
+        assert c["legs"]
+        assert c["passed"] == all(holds[g["sense"]](g["value"], g["bound"]) for g in c["legs"])
+        lead = c["legs"][0]
+        assert (c["metric"], c["threshold"]) == (lead["value"], lead["bound"])
+        assert np.array_equal(c["margin"], lead["margin"], equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "sense, value, holds, margin",
+    [("<=", 2.0, True, 0.0), ("<", 2.0, False, 0.0), (">=", 2.0, True, 0.0),
+     ("<=", 1.0, True, 0.5), ("<", 1.0, True, 0.5), (">=", 1.0, False, -0.5),
+     ("<=", 3.0, False, -0.5), (">=", 3.0, True, 0.5)],
+)
+def test_leg_sense(sense, value, holds, margin):
+    # value against the bound 2: on the bound only the strict leg fails
+    leg = Leg("probe", value, 2.0, sense)
+    assert leg.passed is holds
+    assert leg.margin == margin
+
+
+def test_leg_with_a_zero_bound_has_no_margin():
+    # 07's far-field legs are bounded by the previous deviation, which a field
+    # equal to its reference makes 0: the report still gets written
+    leg = Leg("far field", 0.0, 0.0, "<")
+    assert not leg.passed and math.isnan(leg.margin)
 
 
 def test_validate_survives_a_crashing_check(monkeypatch):

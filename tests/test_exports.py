@@ -44,6 +44,7 @@ def test_package_imports_only_names_in_all():
 KEPT = {
     "ConfigError": "the usage error that main reports with exit 2",
     "RunConfig": "the one list of run options; main fills and validates it",
+    "Leg": "one bound of a criterion, the unit CriterionResult is built from",
     "CriterionResult": "the record run_validation returns per criterion",
     "run_validation": "the validation suite in process (tests/test_acceptance.py)",
     "main": "the foldoptics console entry point",

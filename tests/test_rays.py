@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -234,22 +235,27 @@ def test_no_command_or_tracer_loads_scipy(tmp_path):
     # the runtime needs numpy only; scipy is a reference of the tests
     src = os.path.dirname(os.path.dirname(os.path.abspath(foldoptics.__file__)))
     code = (
-        "import math, sys\n"
+        "import json, math, sys\n"
         "from foldoptics.cli import main\n"
         "from foldoptics.rays import airy_profile, find_caustic, integrate_hamiltonian\n"
-        "for argv in (['rays'], ['field', '--nx', '8'], ['wigner', '--nx', '8', '--nk', '8'],"
-        " ['validate']):\n"
-        f"    assert main([*argv, '--out', {str(tmp_path)!r} + '/' + argv[0]]) == 0\n"
+        "runs = (['rays'], ['field', '--nx', '8'], ['wigner', '--nx', '8', '--nk', '8'],"
+        " ['validate'])\n"
+        "codes = {argv[0]: main([*argv, '--out', sys.argv[1] + '/' + argv[0]]) for argv in runs}\n"
         "integrate_hamiltonian(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
         "find_caustic(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps(codes))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.split("\n")[-2] == "[]"
+    # the exit codes and the scipy modules are separate lines and separate findings
+    *_, codes, modules = out.stdout.splitlines()
+    assert json.loads(modules) == [], f"scipy modules loaded: {modules}"
+    expected = {"rays": 0, "field": 0, "wigner": 0, "validate": 0}
+    assert json.loads(codes) == expected, f"exit codes, scipy aside: {codes}"
 
 
 def _scipy_reference(profile, x0, k0, t_end):

@@ -636,9 +636,7 @@ def test_combined_finite_on_caustic():
 
 
 def test_combined_shadow_extension():
-    with pytest.raises(ValueError, match="extended"):
-        combined_wkb_wigner(-0.5, 0.0, EPS, X0)
-    v = combined_wkb_wigner(-0.5, 0.0, EPS, X0, extended=True)
+    v = combined_wkb_wigner(-0.5, 0.0, EPS, X0)
     on_manifold = combined_wkb_wigner(0.5, math.sqrt(0.5), EPS, X0)
     assert 0.0 < v < 1e-3 * on_manifold
 
@@ -673,7 +671,7 @@ def test_k_moment_closed_form():
 
 
 def test_k_moment_caustic_value():
-    got = k_integral_amplitude(0.0, 0.1, X0, extended=True)
+    got = k_integral_amplitude(0.0, 0.1, X0)
     assert got == pytest.approx(
         math.pi / math.sqrt(X0) * 0.1 ** (-1.0 / 3.0) * airy(0.0).ai ** 2, rel=1e-13
     )
