@@ -21,7 +21,6 @@ from .rays import (
 from .wkb import (
     BranchField,
     CausticZoneWarning,
-    WkbField,
     airy_greens,
     airy_inner_approx,
     airy_wkb_branches,
@@ -29,7 +28,7 @@ from .wkb import (
     linear_layer_phases,
     source_amplitude,
 )
-from .kl import KlAmplitudes, KlCoordinates, kl_amplitudes, kl_coordinates, kl_field
+from .kl import kl_amplitudes, kl_coordinates, kl_field
 from .stphase import (
     CfuCoefficients,
     SmallAlphaPoints,

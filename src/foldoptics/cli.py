@@ -38,6 +38,7 @@ from .rays import (
     LinearLayerParams,
     airy_profile,
     airy_ray_closed,
+    bisect_brackets,
     find_caustic,
     integrate_hamiltonian,
     linear_layer_caustic_depth,
@@ -60,7 +61,6 @@ from .wigner import (
     QuadraturePolicy,
     LagrangianCurve,
     WaveFunctionSampler,
-    bisect_brackets,
     semiclassical_wigner_uniform,
     wigner_exact_airy,
     wigner_moment0,
@@ -154,12 +154,11 @@ class RunConfig:
                 raise ConfigError(name, "grid counts must be at least 8")
         if self.sigma_samples % 2 or self.sigma_samples > _MAX_SIGMA_SAMPLES:
             raise ConfigError("sigma_samples", f"must be even and at most {_MAX_SIGMA_SAMPLES}")
-        if not self.xmin < self.xmax:
-            raise ConfigError("xmin", "bounds must satisfy xmin < xmax")
-        if not self.kmin < self.kmax:
-            raise ConfigError("kmin", "bounds must satisfy kmin < kmax")
-        if self.tmax is not None and not self.tmin < self.tmax:
-            raise ConfigError("tmin", "bounds must satisfy tmin < tmax")
+        for lo, hi in (("xmin", "xmax"), ("kmin", "kmax"), ("tmin", "tmax")):
+            if getattr(self, hi) is not None and not getattr(self, lo) < getattr(self, hi):
+                # name the bound moved from its default, the lower one if both were
+                name = hi if getattr(self, lo) == getattr(RunConfig, lo) else lo
+                raise ConfigError(name, f"bounds must satisfy {lo} < {hi}")
         if not 0.0 < self.taper_fraction < 0.5:
             raise ConfigError("taper_fraction", "must lie in (0, 0.5)")
         if not self.mu1 > 0:
@@ -488,11 +487,13 @@ def _wkb_field(x, epsilon: float, x0: float):
         return airy_wkb_field(x, epsilon, x0)
 
 
-def _airy_kl_callables(x0: float):
+def _airy_kl_field(x, epsilon: float, x0: float):
+    """The uniform field of the Airy problem's two WKB branches at x > 0: their
+    phases and amplitudes evaluated once, then phi, rho, g0, g1 and the field."""
     plus, minus = airy_wkb_branches(x0)
-    coords = kl_coordinates(plus.S, minus.S)
-    amps = kl_amplitudes(plus.A, minus.A, coords.rho)
-    return coords, amps
+    phi, rho = kl_coordinates(plus.S(x), minus.S(x))
+    g0, g1 = kl_amplitudes(plus.A(x), minus.A(x), rho)
+    return kl_field(phi, rho, g0, g1, epsilon)
 
 
 def cmd_field(cfg: RunConfig) -> int:
@@ -502,11 +503,10 @@ def cmd_field(cfg: RunConfig) -> int:
     nan = complex(math.nan, math.nan)
     if cfg.scenario == "airy":
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
-        coords, amps = _airy_kl_callables(cfg.x0)
         two_branch = (0.0 < xs) & (xs < cfg.x0)
         w = _wkb_field(np.where(two_branch, xs, 0.5 * cfg.x0), cfg.epsilon, cfg.x0)
         lit = xs > 0.0
-        u_kl = kl_field(coords, amps, cfg.epsilon, np.where(lit, xs, 1.0))
+        u_kl = _airy_kl_field(np.where(lit, xs, 1.0), cfg.epsilon, cfg.x0)
         fields = (
             np.where(two_branch, w, nan),
             np.where(lit, u_kl, nan),
@@ -522,8 +522,7 @@ def cmd_field(cfg: RunConfig) -> int:
         zs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
         layer = (linear_layer_caustic_depth(p) <= zs) & (zs <= p.h)
         s_plus, s_minus = linear_layer_phases(0.0, np.where(layer, zs, p.h), p)
-        phi = 0.5 * (s_plus + s_minus)
-        rho = (0.75 * (s_plus - s_minus)) ** (2.0 / 3.0)
+        phi, rho = kl_coordinates(s_plus, s_minus)
         columns = (zs, *(np.where(layer, c, math.nan) for c in (s_plus, s_minus, phi, rho)))
         tables = [("field", ("z", "s_plus", "s_minus", "phi", "rho"), columns)]
     _write_tables(cfg, "field", tables, started)
@@ -813,17 +812,16 @@ def check_cfu_engine() -> CriterionResult:
 
 def check_kl_uniformization() -> CriterionResult:
     x0 = 2.0
-    coords, amps = _airy_kl_callables(x0)
     xs = np.linspace(0.05, 1.95, 39)
     eps = 0.05
-    u_kl = kl_field(coords, amps, eps, xs)
+    u_kl = _airy_kl_field(xs, eps, x0)
     inner = airy_inner_approx(xs, x0, eps)
     identity = float(np.max(np.abs(u_kl - inner)) / np.max(np.abs(inner)))
 
     window = np.linspace(0.8, 1.2, 41)
     devs = []
     for e in (0.1, 0.05, 0.025):
-        kl_vals = kl_field(coords, amps, e, window)
+        kl_vals = _airy_kl_field(window, e, x0)
         wkb_vals = _wkb_field(window, e, x0)
         devs.append(float(np.max(np.abs(kl_vals - wkb_vals)) / np.max(np.abs(kl_vals))))
     legs = (Leg("identity rel", identity, 1e-12),

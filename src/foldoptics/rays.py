@@ -22,8 +22,6 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .wigner import bisect_brackets
-
 __all__ = [
     "RefractionProfile1D",
     "RayPath",
@@ -47,6 +45,8 @@ _JACOBIAN_DELTA = 1e-5
 _CAUSTIC_J_TOL = 1e-6
 # find_caustic scans J for sign changes over this many equal subintervals.
 _CAUSTIC_SCAN = 2000
+# bisect_brackets: halvings enough to take any cell down to adjacent doubles
+_BISECTION_STEPS = 64
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980): stage rows, the
 # fifth-order weights, the error weights (fifth minus fourth order, the last
@@ -173,6 +173,25 @@ def _jacobian_launch(profile: RefractionProfile1D, x0: float, k0: float):
     if any(eta2(xb) < 0 for xb in offsets):
         raise ValueError("Jacobian offset leaves the medium (eta^2 < 0)")
     return delta, *((xb, sgn * math.sqrt(eta2(xb))) for xb in offsets)
+
+
+def bisect_brackets(f: Callable, a, b, fa, fb):
+    """Vectorised bisection of the cells [a, b], where f(a) = fa and
+    f(b) = fb have opposite signs (or one is 0).  Runs at most
+    _BISECTION_STEPS halvings, stopping once every cell is down to
+    adjacent doubles, and returns the end of each cell with the smaller
+    |f|.  f is called on whole arrays of midpoints."""
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (a + b)
+        live = (mid > a) & (mid < b)
+        if not live.any():
+            break
+        fm = f(mid)
+        upper = live & (fa * fm > 0.0)
+        lower = live & ~upper
+        a, fa = np.where(upper, mid, a), np.where(upper, fm, fa)
+        b, fb = np.where(lower, mid, b), np.where(lower, fm, fb)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def _rms(v):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kl import kl_coordinates
 from .specfun import airy
 
 __all__ = [
@@ -84,14 +85,12 @@ def cfu_match(phi_1, phi_2, f_1, f_2, phi_xx_1, phi_xx_2) -> CfuCoefficients:
     # on 1-d operands a scalar call runs numpy's array loops too, whose pow
     # can differ by an ulp from its scalar arithmetic
     phi_1, phi_2, f_1, f_2, phi_xx_1, phi_xx_2 = np.atleast_1d(*data)
-    if np.any(phi_1 < phi_2):
-        raise ValueError("phase ordering violated: need phi_1 >= phi_2")
+    # (phi0, xi) is the (phi, rho) pair of the uniform field; raises on phi_1 < phi_2
+    phi0, xi = kl_coordinates(phi_1, phi_2)
     if not np.all((phi_xx_1 < 0.0) & (0.0 < phi_xx_2)):
         raise ValueError("curvature signs violated: need phi''_1 < 0 < phi''_2")
     if np.any(phi_1 == phi_2):
         raise ValueError("coalesced stationary points (xi = 0): use cfu_small_alpha")
-    phi0 = 0.5 * (phi_1 + phi_2)
-    xi = (0.75 * (phi_1 - phi_2)) ** (2.0 / 3.0)
     r1 = f_1 / np.sqrt(np.abs(phi_xx_1))
     r2 = f_2 / np.sqrt(phi_xx_2)
     A0 = xi**0.25 * (r1 + r2) / math.sqrt(2.0)

@@ -35,9 +35,6 @@ __all__ = [
     "wigner_moment1",
 ]
 
-# bisect_brackets: halvings enough to take any cell down to adjacent doubles
-_BISECTION_STEPS = 64
-
 # The chord solver's steps per cell, and the chord integrals' panels: at most
 _CHORD_STEPS = 64
 _MAX_PANELS = 256
@@ -235,25 +232,6 @@ def wigner_exact_airy(x, k, epsilon: float, x0: float):
     if np.isscalar(x) and np.isscalar(k):
         return float(out)
     return out
-
-
-def bisect_brackets(f: Callable, a, b, fa, fb):
-    """Vectorised bisection of the cells [a, b], where f(a) = fa and
-    f(b) = fb have opposite signs (or one is 0).  Runs at most
-    _BISECTION_STEPS halvings, stopping once every cell is down to
-    adjacent doubles, and returns the end of each cell with the smaller
-    |f|.  f is called on whole arrays of midpoints."""
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (a + b)
-        live = (mid > a) & (mid < b)
-        if not live.any():
-            break
-        fm = f(mid)
-        upper = live & (fa * fm > 0.0)
-        lower = live & ~upper
-        a, fa = np.where(upper, mid, a), np.where(upper, fm, fa)
-        b, fb = np.where(lower, mid, b), np.where(lower, fm, fb)
-    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def _chord_square(curve: LagrangianCurve, x, k):

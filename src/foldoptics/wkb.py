@@ -23,7 +23,6 @@ from .specfun import airy, airy_ai
 __all__ = [
     "CausticZoneWarning",
     "BranchField",
-    "WkbField",
     "source_amplitude",
     "airy_wkb_branches",
     "airy_wkb_field",
@@ -45,29 +44,9 @@ class CausticZoneWarning(UserWarning):
 class BranchField:
     """One geometric-optics branch: phase, principal amplitude, Maslov index."""
 
-    label: str
     S: Callable[[float], float]
     A: Callable[[float], complex]
     maslov_index: int
-    domain: Tuple[float, float]
-
-    def contains(self, x: float) -> bool:
-        return self.domain[0] < x < self.domain[1]
-
-
-@dataclass(frozen=True)
-class WkbField:
-    branches: Tuple[BranchField, ...]
-    epsilon: float
-
-    def value(self, x: float) -> complex:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        total = 0.0 + 0.0j
-        for b in self.branches:
-            if b.contains(x):
-                total += b.A(x) * complex(np.exp(1j * b.S(x) / self.epsilon))
-        return total
 
 
 def source_amplitude(x0: float) -> complex:
@@ -90,18 +69,14 @@ def airy_wkb_branches(x0: float) -> Tuple[BranchField, BranchField]:
     q = x0**0.25
 
     plus = BranchField(
-        label="plus",
         S=lambda x: (2.0 / 3.0) * x**1.5 + c0,
         A=lambda x: -1j * a0 * q * x ** (-0.25),
         maslov_index=1,
-        domain=(0.0, x0),
     )
     minus = BranchField(
-        label="minus",
         S=lambda x: -(2.0 / 3.0) * x**1.5 + c0,
         A=lambda x: a0 * q * x ** (-0.25),
         maslov_index=0,
-        domain=(0.0, x0),
     )
     return plus, minus
 

@@ -297,9 +297,9 @@ def test_criterion_07_fails_on_perturbed_rho(monkeypatch):
     # kl_coordinates' rho off by 1e-4 (relative); phi as it is
     coordinates = cli.kl_coordinates
 
-    def perturbed(S_plus, S_minus):
-        c = coordinates(S_plus, S_minus)
-        return dataclasses.replace(c, rho=lambda x: 1.0001 * c.rho(x))
+    def perturbed(s_plus, s_minus):
+        phi, rho = coordinates(s_plus, s_minus)
+        return phi, 1.0001 * rho
 
     monkeypatch.setattr(cli, "kl_coordinates", perturbed)
     result = check_kl_uniformization()

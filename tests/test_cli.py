@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -9,7 +10,9 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
+import tempfile
 import time
 import warnings
 
@@ -20,9 +23,7 @@ from hypothesis import strategies as st
 
 import foldoptics.cli as cli
 import foldoptics.rays as rays
-import foldoptics.wigner as wigner
 from foldoptics.cli import ConfigError, CriterionResult, Leg, RunConfig, main, merge_config
-from foldoptics.kl import kl_field
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
 from foldoptics.surgery import RegionLabel
 from foldoptics.wkb import (
@@ -105,6 +106,10 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         (["wigner", "--sigma-samples", "1025"], "sigma_samples"),
         (["rays", "--tmin", "10"], "tmin"),
         (["rays", "--scenario", "linear_layer", "--tmin", "10"], "tmin"),
+        # a bound pair's refusal names the bound that moved from its default
+        (["field", "--xmax=-1"], "xmax"),
+        (["wigner", "--kmax=-1e6"], "kmax"),
+        (["rays", "--tmax", "0"], "tmax"),
     ],
 )
 def test_invariant_violations_exit_2_with_field_name(capsys, argv, field):
@@ -187,6 +192,35 @@ def test_edge_and_huge_floats_exit_2_by_name_or_write_finite_data(
         for path in out.glob("*.csv"):
             cells = _cells_outside_the_nan_masks(_float_columns(path), cfg)
             assert np.all(np.isfinite(cells)), (flag, path.name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=600, deadline=None)
+@given(
+    st.sampled_from([("rays", "airy"), ("rays", "linear_layer"), ("field", "airy"),
+                     ("field", "linear_layer"), ("wigner", "airy")]),
+    st.sampled_from(FLOAT_FIELDS),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e6", "-1e6", "1e-300"]),
+)
+def test_one_edge_float_exits_0_with_finite_data_or_2_naming_it(case, name, value):
+    # any subcommand, one float option at an edge value, on small grids: a run
+    # writes no infinite cell and nothing non-finite outside the NaN masks, a
+    # refusal names that option; nothing exits 1 or raises
+    command, scenario = case
+    flag = f"--{name.replace('_', '-')}={value}"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        rc = main([command, "--scenario", scenario, "--nx", "8", "--nk", "8", "--nt", "8",
+                   flag, "--out", out])
+        tables = [_float_columns(path) for path in pathlib.Path(out).glob("*.csv")]
+    if rc == 2:
+        assert err.getvalue().startswith(f"usage error: {name}:"), (flag, err.getvalue())
+        return
+    assert rc == 0 and tables, (flag, err.getvalue())
+    cfg = RunConfig(scenario=scenario, **{name: float(value)})
+    for columns in tables:
+        assert not any(np.isinf(c).any() for c in columns.values()), flag
+        assert np.all(np.isfinite(_cells_outside_the_nan_masks(columns, cfg))), flag
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,7 +447,7 @@ def test_wigner_default_export_between_cells_match_exact(tmp_path):
 def test_wigner_default_export_bisects_nothing(tmp_path, monkeypatch):
     # the chords of X = p^2 come from Newton's first confirming step
     calls = []
-    for module in (cli, rays, wigner):
+    for module in (cli, rays):
         bisect = module.bisect_brackets
         monkeypatch.setattr(
             module, "bisect_brackets", lambda *a, f=bisect: calls.append(1) or f(*a)
@@ -547,14 +581,13 @@ def test_airy_field_export_matches_per_point_scalar_calls(tmp_path):
     assert main(["field", "--out", str(tmp_path)]) == 0
     c = _field_columns(tmp_path)
     cfg = RunConfig()
-    coords, amps = cli._airy_kl_callables(cfg.x0)
     scalar = {name: [] for name in ("wkb", "kl", "greens", "inner")}
     for x in map(float, c["x"]):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             scalar["wkb"].append(airy_wkb_field(x, cfg.epsilon, cfg.x0)
                                  if 0.0 < x < cfg.x0 else complex(math.nan, math.nan))
-        scalar["kl"].append(kl_field(coords, amps, cfg.epsilon, x)
+        scalar["kl"].append(cli._airy_kl_field(x, cfg.epsilon, cfg.x0)
                             if x > 0.0 else complex(math.nan, math.nan))
         scalar["greens"].append(airy_greens(x, cfg.x0, cfg.epsilon))
         scalar["inner"].append(airy_inner_approx(x, cfg.x0, cfg.epsilon))

@@ -48,8 +48,6 @@ KEPT = {
     "CriterionResult": "the record run_validation returns per criterion",
     "run_validation": "the validation suite in process (tests/test_acceptance.py)",
     "main": "the foldoptics console entry point",
-    "KlCoordinates": "the type kl_coordinates returns",
-    "KlAmplitudes": "the type kl_amplitudes returns",
     "RayPath": "the type integrate_hamiltonian returns",
     "constant_profile": "the homogeneous medium that tests ray and transport laws in",
     "AiryValues": "the type airy returns",
@@ -66,7 +64,6 @@ KEPT = {
     "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
     "TruncationWarning": "the category of the k-moments' boundary-mass warning",
     "BranchField": "the type airy_wkb_branches returns",
-    "WkbField": "the reference of test_field_value_equals_branch_sum",
     "source_amplitude": "the WKB amplitude at the source that the fields share",
 }
 
