@@ -8,7 +8,8 @@ caustic and stays bounded on it.
 
 Each function takes values at the field points, not functions of x: scalars
 give a float (phi, rho) or complex (g0, g1, field), arrays an array of their
-broadcast shape.  Each per-point refusal raises if any point violates it.
+broadcast shape; scalars run as 1-element arrays, so a scalar call returns
+the array's element.  Each per-point refusal raises if any point violates it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ def kl_coordinates(s_plus, s_minus):
     Requires S+ >= S- pointwise; an ordering that fails at any point raises
     rather than returning a complex rho.
     """
+    scalar = np.ndim(s_plus) == np.ndim(s_minus) == 0
+    s_plus, s_minus = np.atleast_1d(s_plus, s_minus)
     gap = s_plus - s_minus
     if np.any(gap < 0.0):
         raise ValueError("phase ordering violated: S+ < S-")
-    return 0.5 * (s_plus + s_minus), (0.75 * gap) ** (2.0 / 3.0)
+    phi, rho = 0.5 * (s_plus + s_minus), (0.75 * gap) ** (2.0 / 3.0)
+    return (phi.item(), rho.item()) if scalar else (phi, rho)
 
 
 def kl_amplitudes(a_plus, a_minus, rho):
@@ -51,6 +55,8 @@ def kl_amplitudes(a_plus, a_minus, rho):
     not taken there, so g1 is clean on the caustic.  A nonvanishing
     combination at rho = 0 is a genuine singularity and raises.
     """
+    scalar = np.ndim(a_plus) == np.ndim(a_minus) == np.ndim(rho) == 0
+    a_plus, a_minus, rho = np.atleast_1d(a_plus, a_minus, rho)
     g0 = (rho**0.25 / math.sqrt(2.0)) * (a_plus - 1j * a_minus)
     combo = a_plus + 1j * a_minus
     scale = np.abs(a_plus) + np.abs(a_minus)
@@ -60,7 +66,7 @@ def kl_amplitudes(a_plus, a_minus, rho):
     if np.any(live & (r == 0.0)):
         raise ZeroDivisionError("g1 singular: A+ + iA- does not vanish on the caustic")
     g1 = np.where(live, (r**-0.25 / math.sqrt(2.0)) * combo, 0.0)
-    return g0, complex(g1) if np.ndim(g1) == 0 else g1
+    return (g0.item(), g1.item()) if scalar else (g0, g1)
 
 
 def kl_field(phi, rho, g0, g1, epsilon: float):
@@ -70,6 +76,8 @@ def kl_field(phi, rho, g0, g1, epsilon: float):
     complex for scalar values, a complex array for arrays."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    scalar = not any(np.ndim(a) for a in (phi, rho, g0, g1))
+    phi, rho, g0, g1 = np.atleast_1d(phi, rho, g0, g1)
     v = airy(-(epsilon ** (-2.0 / 3.0)) * rho)
     u = (
         math.sqrt(2.0 * math.pi)
@@ -78,4 +86,4 @@ def kl_field(phi, rho, g0, g1, epsilon: float):
         * np.exp(1j * phi / epsilon)
         * (g0 * v.ai + 1j * epsilon ** (1.0 / 3.0) * g1 * v.ai_prime)
     )
-    return complex(u) if np.ndim(u) == 0 else u
+    return u.item() if scalar else u

@@ -8,10 +8,13 @@ from an in-house Taylor table in the central band |z| <= 7.8 (8-term
 expansions about centres every 1/32 on [-9, 9], walked along y'' = z y,
 DLMF 9.2, from closed forms; built at import in about 2 ms), and beyond
 it from the large-argument asymptotic expansions (DLMF 9.7), summed by
-Horner's rule.  Against mpmath at 30 digits the central band's largest
-relative error is 2.0e-15 (scipy.special.airy: 1.5e-14 there), and the
-largest on [-100, 30] is 1e-13, from the asymptotic side; on z < 0 both
-are relative to the modulus sqrt(Ai^2 + Bi^2).  The module also provides
+Horner's rule to one term count per band, the optimal truncation at its
+edge: 29 for both tails and 36 for the table's start at z = 9 (see
+_even_odd).  So each value depends on its own argument alone.  Against
+mpmath at 30 digits the central band's largest relative error is 2.0e-15
+(scipy.special.airy: 1.5e-14 there), and the largest on [-100, 30] is
+1e-13, from the asymptotic side; on z < 0 both are relative to the
+modulus sqrt(Ai^2 + Bi^2).  The module also provides
 the full-line integral of Ai over a quadratic argument (which produces
 Ai^2) and the half-line Fourier integral of a power.
 
@@ -34,8 +37,6 @@ __all__ = [
     "fourier_power_integral",
 ]
 
-_N_ASYMPTOTIC_TERMS = 46
-
 # |z| beyond which airy leaves the central table for the asymptotic
 # expansions, on both sides of the origin; the table itself reaches 9.
 _SWITCH_RADIUS = 7.8
@@ -51,14 +52,13 @@ _TABLE_ORDER = 8
 _TABLE_RADIUS = 9.0
 _WALK_TERMS = 16
 _CHUNK_POINTS = 4096
+_TAIL_TERMS = 29  # asymptotic terms, floor(2 zeta) at |z| = 7.8: see _even_odd
+_START_TERMS = 36  # and at z = _TABLE_RADIUS, where the walk of Ai starts
 
 
 def _asymptotic_coefficients(n):
     """Rows u_k, v_k of the Airy asymptotic expansions (DLMF 9.7.2)."""
-    u = np.empty(n)
-    v = np.empty(n)
-    u[0] = 1.0
-    v[0] = 1.0
+    u, v = np.ones(n), np.ones(n)
     for k in range(n - 1):
         u[k + 1] = u[k] * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (
             216.0 * (k + 1) * (2 * k + 1)
@@ -67,7 +67,7 @@ def _asymptotic_coefficients(n):
     return np.stack([u, v])
 
 
-_UV = _asymptotic_coefficients(_N_ASYMPTOTIC_TERMS)
+_UV = _asymptotic_coefficients(_START_TERMS)
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -81,20 +81,19 @@ class AiryValues:
     bi_prime: np.ndarray
 
 
-def _even_odd(zeta, sign, series):
+def _even_odd(zeta, sign, series, n):
     """(E, O), a row for each coefficient row c of `series`, with
-    E = sum_k c[2k] w^k and O = sum_k c[2k+1] w^k / zeta, w = sign/zeta^2,
-    all in one Horner pass.  With sign = +1, E - O and E + O are the
-    series in -1/zeta and +1/zeta of the exponential expansions; with
-    sign = -1, E and O are the even and odd parts of the oscillatory ones.
+    E = sum_k c[2k] w^k and O = sum_k c[2k+1] w^k / zeta over the first n
+    terms, w = sign/zeta^2, all in one Horner pass.  With sign = +1, E - O
+    and E + O are the series in -1/zeta and +1/zeta of the exponential
+    expansions; with sign = -1, E and O are the even and odd parts of the
+    oscillatory ones.
 
-    The term count is fixed per call from the smallest zeta present,
-    n = min(46, floor(2 zeta_min)), and at least 2 so that both parts have
-    a term: the terms shrink until k ~ 2 zeta, so this is the optimal
-    truncation for the worst point, and every larger zeta is truncated no
-    later than its own optimum.
+    n is the band's count, not the call's: the terms shrink until k ~ 2 zeta,
+    so floor(2 zeta) at the band's edge is the optimal truncation where the
+    terms are largest.  The tails take 29 (zeta(7.8) = 14.5); the table's
+    start takes 36 (zeta(9) = 18), as 29 moves Ai(9) by an ulp.
     """
-    n = min(_N_ASYMPTOTIC_TERMS, max(2, int(2.0 * zeta.min())))
     inv = 1.0 / zeta
     w = sign * inv * inv
     # Horner rows, highest power first: the even parts, then the odd parts,
@@ -111,14 +110,14 @@ def _even_odd(zeta, sign, series):
     return acc[:parts], acc[parts:] * inv
 
 
-def _asymptotic_positive(z, series=_UV):
+def _asymptotic_positive(z, series=_UV, terms=_TAIL_TERMS):
     """Rows Ai, Ai', Bi, Bi' for z > 0 from the exponential expansions
-    (DLMF 9.7.5-9.7.8); Ai alone, with no exp(+zeta), when `series` holds
-    only the u_k."""
+    (DLMF 9.7.5-9.7.8), `terms` terms long; Ai alone, with no exp(+zeta),
+    when `series` holds only the u_k."""
     zeta = (2.0 / 3.0) * z ** 1.5
     root4 = z ** 0.25
     # the Ai series alternates (-1/zeta), the Bi series does not (+1/zeta)
-    even, odd = _even_odd(zeta, 1.0, series)
+    even, odd = _even_odd(zeta, 1.0, series, terms)
     expm = np.exp(-zeta)
     ai = expm / (2.0 * _SQRT_PI * root4) * (even[0] - odd[0])
     if len(series) == 1:
@@ -141,8 +140,7 @@ def _asymptotic_negative(z, series=_UV):
     zeta = (2.0 / 3.0) * t ** 1.5
     root4 = t ** 0.25
     chi = zeta - 0.25 * math.pi
-    # Even/odd splits of the u and v sequences feed the oscillatory forms.
-    even, odd = _even_odd(zeta, -1.0, series)
+    even, odd = _even_odd(zeta, -1.0, series, _TAIL_TERMS)
     cos_chi = np.cos(chi)
     sin_chi = np.sin(chi)
     p, q = even[0], odd[0]
@@ -205,7 +203,7 @@ def _central_table():
     g13, g23 = math.gamma(1.0 / 3.0), math.gamma(2.0 / 3.0)
     ai0, aip0 = 1.0 / (3.0 ** (2.0 / 3.0) * g23), -1.0 / (3.0 ** (1.0 / 3.0) * g13)
     bi0, bip0 = 1.0 / (3.0 ** (1.0 / 6.0) * g23), 3.0 ** (1.0 / 6.0) / g13
-    ai_end, aip_end = (float(v[0]) for v in _asymptotic_positive(up[-1:])[:2])
+    ai_end, aip_end = (float(v[0]) for v in _asymptotic_positive(up[-1:], terms=_START_TERMS)[:2])
     ai_neg = _walk(-up, ai0, aip0)
     bi_neg = _walk(-up, bi0, bip0)
     bi_pos = _walk(up, bi0, bip0)
@@ -266,13 +264,9 @@ def _by_band(z, evaluators, rows):
 
 
 def airy(z) -> AiryValues:
-    """Evaluate Ai, Ai', Bi, Bi' at real z (scalar or array).
-
-    The central Taylor table for |z| <= 7.8, the asymptotic expansions
-    outside.  Relative error against mpmath is at most 2.0e-15 inside
-    and 1e-13 on [-100, 30] (relative to the modulus sqrt(Ai^2 + Bi^2) on
-    z < 0).
-    """
+    """Evaluate Ai, Ai', Bi, Bi' at real z (scalar or array): the central
+    Taylor table for |z| <= 7.8 and the asymptotic expansions outside, to
+    the accuracy the module docstring gives."""
     out = _by_band(z, (_central, _asymptotic_positive, _asymptotic_negative), 4)
     return AiryValues(*(out.tolist() if out.ndim == 1 else out))
 

@@ -104,17 +104,18 @@ def cfu_eval(c: CfuCoefficients, lam):
     """Two-term uniform value
     e^{i lambda phi0} [2 pi A0 lambda^{-1/3} Ai(-lambda^{2/3} xi)
                        - 2 pi i B0 lambda^{-2/3} Ai'(-lambda^{2/3} xi)],
-    complex for scalar coefficients and lambda, otherwise a complex array
-    of their broadcast shape."""
-    lam = np.asarray(lam, dtype=float)
+    complex for scalar coefficients and lambda (run as 1-element arrays, as
+    in cfu_match), otherwise a complex array of their broadcast shape."""
+    scalar = not any(np.ndim(a) for a in (c.phi0, c.xi, c.A0, c.B0, lam))
+    phi0, xi, a0, b0, lam = np.atleast_1d(c.phi0, c.xi, c.A0, c.B0, np.asarray(lam, dtype=float))
     if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
-    v = airy(-(lam ** (2.0 / 3.0)) * c.xi)
-    u = np.exp(1j * lam * c.phi0) * (
-        2.0 * math.pi * c.A0 * lam ** (-1.0 / 3.0) * v.ai
-        - 2.0j * math.pi * c.B0 * lam ** (-2.0 / 3.0) * v.ai_prime
+    v = airy(-(lam ** (2.0 / 3.0)) * xi)
+    u = np.exp(1j * lam * phi0) * (
+        2.0 * math.pi * a0 * lam ** (-1.0 / 3.0) * v.ai
+        - 2.0j * math.pi * b0 * lam ** (-2.0 / 3.0) * v.ai_prime
     )
-    return complex(u) if np.ndim(u) == 0 else u
+    return u.item() if scalar else u
 
 
 def cfu_small_alpha(

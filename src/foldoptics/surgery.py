@@ -434,9 +434,7 @@ def combined_wkb_wigner(x, k, epsilon: float, x0: float):
     k_arr = np.asarray(k, dtype=float)
     scale = (2.0 / epsilon) ** (2.0 / 3.0)
     out = 0.5 / math.sqrt(x0) * scale * airy_ai(scale * (k_arr ** 2 - x_arr))
-    if np.isscalar(x) and np.isscalar(k):
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def k_integral_amplitude(x, epsilon: float, x0: float):

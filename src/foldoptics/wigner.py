@@ -229,9 +229,7 @@ def wigner_exact_airy(x, k, epsilon: float, x0: float):
         raise ValueError("epsilon and x0 must be positive")
     arg = 2.0 ** (2.0 / 3.0) * epsilon ** (-2.0 / 3.0) * (np.asarray(k) ** 2 - x)
     out = 2.0 ** (-1.0 / 3.0) * epsilon ** (-2.0 / 3.0) / math.sqrt(x0) * airy_ai(arg)
-    if np.isscalar(x) and np.isscalar(k):
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _chord_square(curve: LagrangianCurve, x, k):

@@ -6,6 +6,8 @@ The two-phase WKB field on 0 < x < x0 is the sum of the direct branch
 (S+, Maslov index 1).  The exact fundamental solution (point source at
 x0, outgoing at +infinity) and its small-eps inner approximation provide
 the reference fields the WKB and uniform expansions are checked against.
+Scalars run as 1-element arrays, as numpy's scalar arithmetic can round
+apart from its array loops, so a scalar call returns the array's element.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ def airy_wkb_branches(x0: float) -> Tuple[BranchField, BranchField]:
     S_pm(x) = +-(2/3) x^{3/2} + (2/3) x0^{3/2},
     A_- = alpha0 x0^{1/4} x^{-1/4},  A_+ = -i A_-  (one caustic touch).
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-    a0 = source_amplitude(x0)
+    a0 = source_amplitude(x0)  # raises unless x0 > 0
     c0 = (2.0 / 3.0) * x0**1.5
     q = x0**0.25
 
@@ -93,7 +93,7 @@ def airy_wkb_field(x, epsilon: float, x0: float):
     """
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
-    x_arr = np.asarray(x, dtype=np.float64)
+    x_arr = np.array(x, dtype=np.float64, ndmin=1)
     if np.any(x_arr <= 0.0) or np.any(x_arr >= x0):
         raise ValueError("airy_wkb_field requires 0 < x < x0")
     if np.any(x_arr < CAUSTIC_ZONE_FACTOR * epsilon ** (2.0 / 3.0)):
@@ -109,7 +109,7 @@ def airy_wkb_field(x, epsilon: float, x0: float):
     amp = x0**0.25 * x_arr ** (-0.25)
     # -i e^{i osc} + e^{-i osc} from one cos/sin pair, to the bit
     u = a0 * phase0 * amp * ((np.cos(osc) + np.sin(osc)) * (1 - 1j))
-    return complex(u) if np.ndim(x) == 0 else u
+    return u.item() if np.ndim(x) == 0 else u
 
 
 def airy_greens(x, x0: float, epsilon: float):
@@ -127,14 +127,13 @@ def airy_greens(x, x0: float, epsilon: float):
     a = epsilon ** (-2.0 / 3.0)
     coeff = math.pi * epsilon ** (-1.0 / 3.0) * complex(np.exp(-1j * math.pi / 4.0))
     v0 = airy(-a * x0)
-    x_arr = np.asarray(x, dtype=np.float64)
+    x_arr = np.array(x, dtype=np.float64, ndmin=1)
     v = airy(-a * x_arr)
-    ai = np.asarray(v.ai)
     # Bi only where the x > x0 side reads it: deep in the shadow it overflows to inf
     left = x_arr <= x0
     bi = np.where(left, 0.0, v.bi)
-    u = np.where(left, coeff * (v0.ai - 1j * v0.bi) * ai, coeff * v0.ai * (ai - 1j * bi))
-    return complex(u) if np.ndim(x) == 0 else u
+    u = np.where(left, coeff * (v0.ai - 1j * v0.bi) * v.ai, coeff * v0.ai * (v.ai - 1j * bi))
+    return u.item() if np.ndim(x) == 0 else u
 
 
 def airy_inner_approx(x, x0: float, epsilon: float):
@@ -152,10 +151,9 @@ def airy_inner_approx(x, x0: float, epsilon: float):
         * complex(np.exp(1j * (2.0 / 3.0) * x0**1.5 / epsilon))
         * epsilon ** (-1.0 / 6.0)
     )
-    x_arr = np.asarray(x, dtype=np.float64)
-    ai = np.asarray(airy_ai(-(epsilon ** (-2.0 / 3.0)) * x_arr))
-    u = coeff * ai
-    return complex(u) if np.ndim(x) == 0 else u
+    x_arr = np.array(x, dtype=np.float64, ndmin=1)
+    u = coeff * airy_ai(-(epsilon ** (-2.0 / 3.0)) * x_arr)
+    return u.item() if np.ndim(x) == 0 else u
 
 
 def linear_layer_phases(y, z, p: LinearLayerParams):
@@ -169,10 +167,13 @@ def linear_layer_phases(y, z, p: LinearLayerParams):
     Raises if any point lies below the caustic depth (beta imaginary) or
     above the boundary.
     """
+    scalar = np.ndim(y) == np.ndim(z) == 0
+    y, z = np.atleast_1d(y, z)
     if np.any(z > p.h):
         raise ValueError("layer phases defined for z <= h")
     b = p.beta(z)  # raises below the caustic
     c = p.eta0 * math.cos(p.psi)
     common = (2.0 / (3.0 * p.mu1)) * c**3 + p.eta0 * y * math.sin(p.psi)
     cubic = (2.0 / (3.0 * p.mu1)) * b**3
-    return common + cubic, common - cubic
+    s_plus, s_minus = common + cubic, common - cubic
+    return (s_plus.item(), s_minus.item()) if scalar else (s_plus, s_minus)
