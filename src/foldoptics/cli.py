@@ -17,18 +17,19 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 import time
 import warnings
+from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .wigner import (
     wigner_moment1,
     wigner_numeric,
 )
-from .wigner import _required_samples
+from .wigner import _required_samples, _sigma_windows
 from .wkb import (
     CausticZoneWarning,
     airy_greens,
@@ -243,11 +244,16 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # output plumbing
 
 # A table is (name, header, columns): one equal-length column (array or
-# sequence) per header entry.
-Table = Tuple[str, Sequence[str], Sequence[object]]
+# sequence) per header entry, or an iterable, read once, of such column
+# tuples, one block of rows each.
+Table = Tuple[str, Sequence[str], Union[Sequence[object], Iterable[Sequence[object]]]]
 
 # Float cells per CSV block: the writer's working memory is O(block).
 _BLOCK_CELLS = 8192
+
+# Cells per block of (x, k) rows: the wigner export and criterion 09 evaluate
+# their grids a block of rows at a time, so their memory does not grow with nx.
+_GRID_CELLS = 2**13
 
 
 def _split(x):
@@ -341,72 +347,111 @@ def _column_bytes(column: np.ndarray) -> np.ndarray:
     return column.astype(np.bytes_)
 
 
-def _csv_chunks(header: Sequence[str], columns: Sequence[object]):
-    """A table's CSV bytes and Python-formatted cells, a block at a time: four
-    little-endian uint64 words a cell, NUL-padded, with ',' or newline in its last
-    byte, joined without NULs.  Floats via _format_g17, other columns via
-    _column_bytes (ints as '%d', labels as they are: ASCII without comma, quote,
-    newline or NUL, and shorter than 32 bytes)."""
-    yield (",".join(header) + "\n").encode(), 0
-    cols = [np.asarray(c) for c in columns]
-    floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
-    # runs of adjacent float columns, as slices [a, b) of the formatted frames
-    cuts = [i for i in range(1, len(floats)) if floats[i] != floats[i - 1] + 1]
-    runs = list(zip([0] + cuts, cuts + [len(floats)])) if floats else []
-    step = max(1, _BLOCK_CELLS // max(1, len(floats)))
-    # one frame a table: each block rewrites every cell of its leading rows
-    frame = np.empty((min(step, len(cols[0])), len(cols), 4), dtype="<u8")
-    for start in range(0, len(cols[0]), step):
-        block = [c[start:start + step] for c in cols]
-        frames, fallback = _format_g17(np.stack([block[j] for j in floats], axis=-1, dtype=float)
-                                       if floats else np.empty((len(block[0]), 0)))
-        cells = frame[:len(block[0])]
-        for a, b in runs:
-            cells[:, floats[a]:floats[a] + b - a] = frames[:, a:b]
-        for j, c in enumerate(block):
-            if j not in floats:
-                text = _column_bytes(c)
-                if text.itemsize >= 32 and np.char.str_len(text).max() >= 32:
-                    raise ValueError(f"{header[j]}: a text cell of 32 bytes or more")
-                cells[:, j] = text.astype("S32").view("<u8").reshape(-1, 4)
-        u8 = cells.view(np.uint8)
-        u8[:, :, -1] = ord(",")
-        u8[:, -1, -1] = ord("\n")
-        yield cells.tobytes().translate(None, b"\0"), fallback
-        del frames  # before the next block is formatted
+def _csv_encoder(header: Sequence[str]):
+    """A table's CSV head bytes, a generator function of the bytes and
+    Python-formatted cells of one block of columns, and its tail bytes.  A
+    block goes out in pieces of _BLOCK_CELLS float cells, four little-endian
+    uint64 words a cell, NUL-padded, with ',' or newline in its last byte,
+    joined without NULs.  Floats via _format_g17, other columns via
+    _column_bytes (ints as '%d', labels as they are: ASCII without comma,
+    quote, newline or NUL, and shorter than 32 bytes)."""
+    frame = np.empty((0, len(header), 4), dtype="<u8")  # one a table, grown to its longest piece
+
+    def encode(columns: Sequence[object]):
+        nonlocal frame
+        cols = [np.asarray(c) for c in columns]
+        floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+        # runs of adjacent float columns, as slices [a, b) of the formatted frames
+        cuts = [i for i in range(1, len(floats)) if floats[i] != floats[i - 1] + 1]
+        runs = list(zip([0] + cuts, cuts + [len(floats)])) if floats else []
+        step = max(1, _BLOCK_CELLS // max(1, len(floats)))
+        if len(frame) < min(step, len(cols[0])):
+            frame = np.empty((min(step, len(cols[0])), len(cols), 4), dtype="<u8")
+        for start in range(0, len(cols[0]), step):
+            block = [c[start:start + step] for c in cols]
+            frames, fallback = _format_g17(
+                np.stack([block[j] for j in floats], axis=-1, dtype=float)
+                if floats else np.empty((len(block[0]), 0)))
+            cells = frame[:len(block[0])]  # each piece rewrites every cell of its leading rows
+            for a, b in runs:
+                cells[:, floats[a]:floats[a] + b - a] = frames[:, a:b]
+            for j, c in enumerate(block):
+                if j not in floats:
+                    text = _column_bytes(c)
+                    if text.itemsize >= 32 and np.char.str_len(text).max() >= 32:
+                        raise ValueError(f"{header[j]}: a text cell of 32 bytes or more")
+                    cells[:, j] = text.astype("S32").view("<u8").reshape(-1, 4)
+            u8 = cells.view(np.uint8)
+            u8[:, :, -1] = ord(",")
+            u8[:, -1, -1] = ord("\n")
+            yield cells.tobytes().translate(None, b"\0"), fallback
+            del frames  # before the next piece is formatted
+
+    return (",".join(header) + "\n").encode(), encode, b""
 
 
-def _json_chunks(header: Sequence[str], columns: Sequence[object]):
-    """The bytes json.dump({"columns": ..., "rows": ...}, sort_keys=True) writes."""
-    yield f'{{"columns": {json.dumps(list(header))}, "rows": ['.encode(), 0
-    cols = [np.asarray(c) for c in columns]
-    step = max(1, _BLOCK_CELLS // len(cols))
-    for start in range(0, len(cols[0]), step):  # one json.dumps a block of rows
-        rows = list(zip(*(c[start:start + step].tolist() for c in cols)))
-        yield (", " * (start > 0) + json.dumps(rows)[1:-1]).encode(), 0
-    yield b"]}\n", 0
+def _json_encoder(header: Sequence[str]):
+    """As _csv_encoder, for the bytes json.dump({"columns": ..., "rows": ...},
+    sort_keys=True) writes: one json.dumps a piece of rows, ', ' between."""
+    first = True
+
+    def encode(columns: Sequence[object]):
+        nonlocal first
+        cols = [np.asarray(c) for c in columns]
+        step = max(1, _BLOCK_CELLS // len(cols))
+        for start in range(0, len(cols[0]), step):
+            rows = list(zip(*(c[start:start + step].tolist() for c in cols)))
+            yield (", " * (not first) + json.dumps(rows)[1:-1]).encode(), 0
+            first = False
+
+    return f'{{"columns": {json.dumps(list(header))}, "rows": ['.encode(), encode, b"]}\n"
 
 
 def _write_tables(
     cfg: RunConfig, command: str, tables: Sequence[Table], started: float
 ) -> None:
     """Write each table in the configured formats, hashing each file as it is
-    written, then the manifest, atomically and last.  CSV goes out in blocks of
-    _BLOCK_CELLS float cells, each the bytes of '%.17g' % x, computed in numpy
-    for |x| in [1e-27, 1e16) but within 1e-9 of a decimal tie (exact ties too)
-    or 2.3e-12 above a power of ten; Python formats the other finite nonzero
-    cells, which the manifest entry counts as `cells_fallback`."""
+    written, then the manifest, atomically and last.  A table's blocks are
+    read once, each going to every format in turn.  Data files are written
+    under temporary names, renamed once every table is whole: a failed export
+    leaves none.  CSV cells are the bytes of '%.17g' % x, computed in numpy
+    for |x| in [1e-27, 1e16) but within 1e-9 of a decimal tie (exact ties
+    too) or 2.3e-12 above a power of ten; Python formats the other finite
+    nonzero cells, which the manifest entry counts as `cells_fallback`."""
     os.makedirs(cfg.out, exist_ok=True)
     outputs: List[Dict[str, object]] = []
-    for (name, header, columns), fmt in itertools.product(tables, sorted(cfg.formats)):
-        digest, fallback = hashlib.sha256(), 0
-        with open(os.path.join(cfg.out, f"{name}.{fmt}"), "wb") as f:
-            for data, cells in (_csv_chunks if fmt == "csv" else _json_chunks)(header, columns):
-                digest.update(data)
-                f.write(data)
-                fallback += cells
-        outputs.append({"path": f"{name}.{fmt}", "sha256": digest.hexdigest(),
-                        "rows": len(columns[0]), "cells_fallback": fallback})
+    temps: List[str] = []
+    try:
+        for name, header, columns in tables:
+            fmts = sorted(cfg.formats)
+            temps += [os.path.join(cfg.out, f"{name}.{fmt}.tmp") for fmt in fmts]
+            coders = [(_csv_encoder if fmt == "csv" else _json_encoder)(header) for fmt in fmts]
+            digests = [hashlib.sha256(head) for head, _, _ in coders]
+            fallback, rows = [0] * len(fmts), 0
+            with contextlib.ExitStack() as stack:
+                files = [stack.enter_context(open(temp, "wb")) for temp in temps[-len(fmts):]]
+                for f, (head, _, _) in zip(files, coders):
+                    f.write(head)
+                for block in [columns] if isinstance(columns, abc.Sequence) else columns:
+                    rows += len(block[0])
+                    for i, (_, encode, _) in enumerate(coders):
+                        for data, cells in encode(block):
+                            digests[i].update(data)
+                            files[i].write(data)
+                            fallback[i] += cells
+                    del block  # before the next block is computed
+                for f, digest, (_, _, tail) in zip(files, digests, coders):
+                    f.write(tail)
+                    digest.update(tail)
+            outputs += [{"path": f"{name}.{fmt}", "sha256": digest.hexdigest(), "rows": rows,
+                         "cells_fallback": cells}
+                        for fmt, digest, cells in zip(fmts, digests, fallback)]
+        for temp in temps:
+            os.replace(temp, temp[:-len(".tmp")])
+    except BaseException:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
+        raise
     manifest = {
         "command": command,
         "config": dataclasses.asdict(cfg),
@@ -567,31 +612,39 @@ def cmd_wigner(cfg: RunConfig) -> int:
         (cfg.xmin - 2.5, cfg.xmax + 3.0),
         cfg.epsilon,
     )
-    try:
-        policy = QuadraturePolicy(cfg.sigma_samples, cfg.taper_fraction)
-        grid = wigner_numeric(sampler, xs, ks, policy)
+    policy = QuadraturePolicy(cfg.sigma_samples, cfg.taper_fraction)
+    try:  # every row's sampling is checked before any row is computed
+        _sigma_windows(sampler, xs, ks, policy.sigma_samples)
     except ValueError as e:
         raise _undersampled(cfg, sampler, xs, ks, str(e)) from None
+    curve, labels = _airy_curve(cfg.x0), np.array([r.value for r in RegionLabel])
 
-    x, k = xs[:, None], ks[None, :]
-    w_exact = wigner_exact_airy(x, k, cfg.epsilon, cfg.x0)
-    w_comb = combined_wkb_wigner(x, k, cfg.epsilon, cfg.x0)
-    w_semi = semiclassical_wigner_uniform(_airy_curve(cfg.x0), x, k, cfg.epsilon)
-    table = stationary_table(np.where(ks >= 0.0, 1, 2), x, k)
-    labels = np.array([r.value for r in RegionLabel])
+    def columns(rows: slice):  # the table's rows for x-rows `rows`, row-major over (x, k)
+        x, k = xs[rows, None], ks[None, :]
+        numeric = wigner_numeric(sampler, xs[rows], ks, policy).values
+        w_exact = wigner_exact_airy(x, k, cfg.epsilon, cfg.x0)
+        w_comb = combined_wkb_wigner(x, k, cfg.epsilon, cfg.x0)
+        w_semi = semiclassical_wigner_uniform(curve, x, k, cfg.epsilon)
+        table = stationary_table(np.where(ks >= 0.0, 1, 2), x, k)
+        return [np.ravel(c) for c in (
+            np.repeat(xs[rows], cfg.nk), np.tile(ks, x.size), labels[table.region], table.n_real,
+            w_exact, w_comb, numeric, w_semi, numeric - w_exact, w_semi - w_exact,
+        )]
+
     header = (
         "x", "k", "region", "n_stationary",
         "w_exact", "w_combined", "w_numeric", "w_semiclassical",
         "diff_numeric", "diff_semiclassical",
     )
-    # row-major over (x, k)
-    columns = (
-        np.repeat(xs, cfg.nk), np.tile(ks, cfg.nx), labels[table.region], table.n_real,
-        w_exact, w_comb, grid.values, w_semi, grid.values - w_exact, w_semi - w_exact,
-    )
-    columns = [np.ravel(c) for c in columns]
-    _write_tables(cfg, "wigner", [("wigner", header, columns)], started)
+    blocks = map(columns, _row_blocks(cfg.nx, cfg.nk))
+    _write_tables(cfg, "wigner", [("wigner", header, blocks)], started)
     return 0
+
+
+def _row_blocks(rows: int, cols: int) -> List[slice]:
+    """Runs of consecutive rows of about _GRID_CELLS cells each, covering range(rows)."""
+    step = max(1, _GRID_CELLS // cols)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +831,8 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
     rng = np.random.default_rng(seed)
     xs = 0.05 + 3.95 * rng.random(_DRAWS)
     ks = rng.uniform(-2.2, 2.2, _DRAWS)
-    # the real simple points of every branch: (branch, draw, table value)
-    points = []
+    # the real simple points of each branch, root-verified a branch at a time
+    worst, count = 0.0, 0
     for index in (1, 2, 3, 4):
         try:
             table = stationary_table(index, xs, ks)
@@ -788,13 +841,14 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
             return CriterionResult(5, "stationary-point tables", legs, f"error: {e}")
         curv = table.curvatures
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
-        draw = np.nonzero(simple)[0]
-        points.append((np.full(draw.size, index - 1), draw, table.locations.real[simple]))
-    branch, draw, sigma = (np.concatenate(v) for v in zip(*points))
-    res = _verify_by_root_finding(np.array(_SIGNS).T[:, branch], xs[draw], ks[draw], sigma)
-    legs = (Leg("root residual", float(np.max(res, initial=0.0)), _ROOT_RESIDUAL),)
+        draw, sigma = np.nonzero(simple)[0], table.locations.real[simple]
+        del table, curv, simple  # before the root search
+        signs = np.repeat(np.array(_SIGNS[index - 1])[:, None], draw.size, axis=1)
+        res = _verify_by_root_finding(signs, xs[draw], ks[draw], sigma)
+        worst, count = max(worst, float(np.max(res, initial=0.0))), count + draw.size
+    legs = (Leg("root residual", worst, _ROOT_RESIDUAL),)
     return CriterionResult(5, "stationary-point tables", legs,
-                           f"{draw.size} real points root-verified over {_DRAWS} draws")
+                           f"{count} real points root-verified over {_DRAWS} draws")
 
 
 def check_cfu_engine() -> CriterionResult:
@@ -848,13 +902,17 @@ def check_wkb_convergence() -> CriterionResult:
 def check_liouville_order() -> CriterionResult:
     eps, x0 = 0.1, 2.0
     xs, ks = np.linspace(0.3, 1.7, 401), np.linspace(-1.2, 1.2, 401)
-    w = wigner_exact_airy(xs[:, None], ks[None, :], eps, x0)
+    w = np.empty((xs.size, ks.size))
+    for rows in _row_blocks(xs.size, ks.size):
+        w[rows] = wigner_exact_airy(xs[rows, None], ks[None, :], eps, x0)
     errs = []
     # linspace puts the 101- and 201-node grids on every 4th and 2nd node
     for step in (4, 2, 1):
-        grid = PhaseSpaceGrid(xs[::step], ks[::step], w[::step, ::step], eps)
-        errs.append(float(np.max(np.abs(
-            stationary_wigner_residual(airy_profile(), grid).values))))
+        sx, sk, sw = xs[::step], ks[::step], w[::step, ::step]
+        # the largest residual over slabs of interior rows, each with a halo row either side
+        slabs = (slice(rows.start, rows.stop + 2) for rows in _row_blocks(sx.size - 2, sk.size))
+        errs.append(max(float(np.max(np.abs(stationary_wigner_residual(
+            airy_profile(), PhaseSpaceGrid(sx[r], sk, sw[r], eps)).values))) for r in slabs))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     legs = (Leg("observed order", min(orders), 1.9, ">="),)
     return CriterionResult(9, "phase-space transport residual", legs,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 __all__ = [
     "RefractionProfile1D",
@@ -82,8 +81,8 @@ class RefractionProfile1D:
     domain.
     """
 
-    eta_squared: Callable[[ArrayLike], ArrayLike]
-    eta_squared_prime: Callable[[ArrayLike], ArrayLike]
+    eta_squared: Callable[[np.ndarray], np.ndarray]
+    eta_squared_prime: Callable[[np.ndarray], np.ndarray]
     name: str = "profile"
     domain: tuple = (-math.inf, math.inf)
 

@@ -452,7 +452,9 @@ def k_integral_amplitude(x, epsilon: float, x0: float):
 def stationary_wigner_residual(
     profile: RefractionProfile1D, g: PhaseSpaceGrid
 ) -> PhaseSpaceGrid:
-    """Residual k df/dx + (1/2) (eta^2)'(x) df/dk on the interior grid.
+    """Residual k df/dx + (1/2) (eta^2)'(x) df/dk on the interior grid, by
+    three-point differences that do not depend on the rest of the grid: a
+    slab of rows with a halo row either side gives the whole grid's bits.
 
     The transport closure is exact only when (eta^2)''' vanishes
     identically: every higher dispersion correction carries a third or
@@ -465,8 +467,8 @@ def stationary_wigner_residual(
     if xs.size < 3 or ks.size < 3:
         raise ValueError("residual stencil needs at least 3 points in x and in k")
     values = np.asarray(g.values)
-    fx = np.gradient(values, xs, axis=0)
-    fk = np.gradient(values, ks, axis=1)
+    fx = _central_difference(values[:, 1:-1], xs)
+    fk = _central_difference(values[1:-1].T, ks).T
     p = profile.eta_squared_prime
     # (eta^2)''' by central differences of (eta^2)' on 7 probe points
     probe = np.linspace(xs[0], xs[-1], 7)
@@ -478,5 +480,16 @@ def stationary_wigner_residual(
             "terms beyond the transport closure"
         )
     transport = np.broadcast_to(p(xs), xs.shape)
-    res = ks[None, :] * fx + 0.5 * transport[:, None] * fk
-    return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res[1:-1, 1:-1], g.epsilon)
+    res = ks[None, 1:-1] * fx + 0.5 * transport[1:-1, None] * fk
+    return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res, g.epsilon)
+
+
+def _central_difference(f: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """df/dcoords along the first axis of f at the interior nodes, by np.gradient's
+    three-point stencil for uneven spacing, written out: np.gradient takes its
+    even-spacing formula when every spacing it is given is equal, so a slab of
+    a grid would not keep the bits of the whole grid."""
+    dx = np.diff(coords)[:, None]
+    dx1, dx2 = dx[:-1], dx[1:]
+    return (-dx2 / (dx1 * (dx1 + dx2)) * f[:-2] + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
+            + dx1 / (dx2 * (dx1 + dx2)) * f[2:])

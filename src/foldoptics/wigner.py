@@ -156,6 +156,28 @@ def _fft_length(m: int) -> int:
     return min((p << (-(-m // p) - 1).bit_length() for p in odd if p < 2 * m), default=1)
 
 
+def _sigma_windows(psi: WaveFunctionSampler, xs: np.ndarray, ks: np.ndarray, n: int):
+    """Each row's sigma half-width: the largest symmetric window inside the
+    sampler support.  Rows outside it, or that n samples would undersample
+    (NaN k too), are refused, the first of them named."""
+    k_max = float(np.max(np.abs(ks))) if ks.size else 0.0
+    a, b = psi.support
+    sigma_max = np.minimum(xs - a, b - xs)
+    needed = _required_samples(k_max, sigma_max, psi.epsilon)
+    outside = ~((a <= xs) & (xs <= b))
+    refused = outside | ((sigma_max > 0.0) & ~(n >= needed))
+    if refused.any():
+        i = int(refused.argmax())
+        if outside[i]:
+            raise ValueError(f"x = {float(xs[i])} outside sampler support [{a}, {b}]")
+        raise ValueError(
+            f"sigma-quadrature undersampled at x = {xs[i]}: "
+            f"{n} samples < {needed[i]:.15g} required for "
+            f"k_max = {k_max}, sigma_max = {sigma_max[i]:.6g}, eps = {psi.epsilon}"
+        )
+    return sigma_max
+
+
 def wigner_numeric(
     psi: WaveFunctionSampler, xs, ks, q: QuadraturePolicy
 ) -> PhaseSpaceGrid:
@@ -180,21 +202,7 @@ def wigner_numeric(
     # refuses a non-uniform k-grid before any sampling; rows are filled below
     grid = PhaseSpaceGrid(xs=xs, ks=ks, values=np.zeros((xs.size, ks.size)), epsilon=psi.epsilon)
     eps, n, nk = psi.epsilon, q.sigma_samples, ks.size
-    k_max = float(np.max(np.abs(ks))) if nk else 0.0
-    a, b = psi.support  # each row's window: the largest symmetric one inside it
-    sigma_max = np.minimum(xs - a, b - xs)
-    needed = _required_samples(k_max, sigma_max, eps)
-    outside = ~((a <= xs) & (xs <= b))
-    refused = outside | ((sigma_max > 0.0) & ~(n >= needed))  # NaN k refused too
-    if refused.any():
-        i = int(refused.argmax())
-        if outside[i]:
-            raise ValueError(f"x = {float(xs[i])} outside sampler support [{a}, {b}]")
-        raise ValueError(
-            f"sigma-quadrature undersampled at x = {xs[i]}: "
-            f"{n} samples < {needed[i]:.15g} required for "
-            f"k_max = {k_max}, sigma_max = {sigma_max[i]:.6g}, eps = {eps}"
-        )
+    sigma_max = _sigma_windows(psi, xs, ks, n)
 
     k0 = ks[0] if nk else 0.0
     dk = (ks[-1] - ks[0]) / (nk - 1) if nk > 1 else 0.0
@@ -239,6 +247,8 @@ def _chord_square(curve: LagrangianCurve, x, k):
     on a parabola.  A step outside the bracket seen so far bisects it, or
     doubles D while it has no upper end; a converged cell takes no further
     step, so it does not depend on the other cells.  D0 <= 0: no real chord.
+    A cell left without an upper end after the last step is refused as
+    having no real chord, any other unconverged cell as not converged.
     """
     x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(k))):
@@ -273,7 +283,9 @@ def _chord_square(curve: LagrangianCurve, x, k):
         D[live[~done]] = step[~done]
         live, lo, hi = live[~done], lo[~done], hi[~done]
     if live.size:
-        raise ValueError(f"chord equation did not converge at x = {x[live[0]]}, k = {k[live[0]]}")
+        i, what = live[0], ("did not converge" if hi[0] < np.inf else
+                            "has no real root: X(k+d) + X(k-d) does not reach 2x")
+        raise ValueError(f"chord equation {what} at x = {x[i]}, k = {k[i]}")
     return D, slope2
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,18 @@ def test_criterion_09_coarse_grids_are_slices_of_the_finest():
         assert ks[::step].tobytes() == sub_ks.tobytes()
         direct = wigner_exact_airy(sub_xs[:, None], sub_ks[None, :], eps, x0)
         assert np.ascontiguousarray(w[::step, ::step]).tobytes() == direct.tobytes()
+
+
+def test_criterion_09_runs_in_bounded_memory():
+    # W (1.3 MB) is filled, and its residual taken, a block of rows at a time
+    check_liouville_order()
+    tracemalloc.start()
+    try:
+        check_liouville_order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, peak
 
 
 def test_criterion_10_rays():

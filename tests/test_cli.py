@@ -14,6 +14,7 @@ import pathlib
 import re
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -499,6 +500,100 @@ def test_manifest_checksums_match_files(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+def _wigner_export(out, argv):
+    """A csv,json wigner export's file bytes and manifest entries."""
+    assert main(["wigner", *argv, "--format", "csv,json", "--out", str(out)]) == 0
+    outputs = json.loads((out / "wigner_manifest.json").read_text())["outputs"]
+    return {o["path"]: (out / o["path"]).read_bytes() for o in outputs}, outputs
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_wigner_row_blocks_keep_the_bytes_of_one_block(tmp_path, monkeypatch, rows):
+    # 33 x-rows in blocks of 1 row, or of 4 with a last block of 1: the bytes,
+    # sha256, rows and cells_fallback of one block; json's separators run
+    # across the blocks
+    argv = ["--nx", "33", "--nk", "17"]
+    assert len(cli._row_blocks(33, 17)) == 1
+    assert len(cli._row_blocks(64, 64)) == len(cli._row_blocks(8, 32)) == 1  # the defaults, the tile
+    files, outputs = _wigner_export(tmp_path / "one", argv)
+    assert [(o["rows"], o["cells_fallback"]) for o in outputs] == [(561, 238), (561, 0)]
+    monkeypatch.setattr(cli, "_GRID_CELLS", rows * 17)
+    assert [len(range(33)[b]) for b in cli._row_blocks(33, 17)][-2:] == [rows, 1]
+    assert _wigner_export(tmp_path / "blocks", argv) == (files, outputs)
+
+
+def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
+    # uneven blocks, one of them empty, through both formats at once
+    rng = np.random.default_rng(29)
+    rows = 2 * (cli._BLOCK_CELLS // 3) + 5
+    columns = (rng.choice(["down", "up"], rows), rng.integers(-9, 9, rows),
+               np.exp(rng.uniform(-80.0, 5.0, rows)), rng.normal(size=rows))
+    header = ("label", "n", "a", "b")
+    cuts = (0, 1, 1, 700, rows)
+    blocks = ([c[lo:hi] for c in columns] for lo, hi in zip(cuts, cuts[1:]))
+    manifests = []
+    for sub, table in (("one", columns), ("blocks", blocks)):
+        cfg = RunConfig(out=str(tmp_path / sub), formats=("csv", "json"))
+        cli._write_tables(cfg, "test", [("table", header, table)], 0.0)
+        manifests.append(json.loads((tmp_path / sub / "test_manifest.json").read_text())["outputs"])
+    assert manifests[0] == manifests[1]
+    assert manifests[0][0]["rows"] == rows and manifests[0][0]["cells_fallback"] > 0
+    for name in ("table.csv", "table.json"):
+        assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_wigner_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_GRID_CELLS", 17)
+    table, calls = cli.stationary_table, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("third block")
+        return table(*args)
+
+    monkeypatch.setattr(cli, "stationary_table", failing)
+    out = tmp_path / "w"
+    with pytest.raises(RuntimeError, match="third block"):
+        main(["wigner", "--nx", "8", "--nk", "17", "--format", "csv,json", "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows", [None, 1])
+def test_wigner_undersampled_later_row_is_refused_before_any_block(
+    tmp_path, monkeypatch, capsys, rows
+):
+    # x > 0.55 needs more than 120 samples: the whole grid is checked first,
+    # with the message of one wigner_numeric call on it
+    if rows:
+        monkeypatch.setattr(cli, "_GRID_CELLS", rows * 64)
+    out = tmp_path / "w"
+    assert main(["wigner", "--sigma-samples", "120", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: sigma_samples: sigma-quadrature undersampled at x = 0.557142857142857: "
+        "120 samples < 121 required for k_max = 1.6, sigma_max = 2.95714, eps = 0.05\n")
+    assert not out.exists()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wigner_export_memory_is_flat_in_nx(tmp_path):
+    # 40 x-rows are one block, 400 rows four: the peak is one block's
+    peaks = []
+    for nx in ("40", "400"):
+        argv = ["wigner", "--nx", nx, "--nk", "64", "--out", str(tmp_path / nx)]
+        assert main(argv) == 0  # caches filled outside the trace
+        peaks.append(_traced_peak(lambda: main(argv)))
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -712,12 +807,14 @@ def test_label_columns_render_the_bytes_of_astype():
         cli._column_bytes(np.array(["up", "\u00e9"]))
 
 
-def test_text_cells_of_32_bytes_are_refused_not_cut():
-    # a cell is four words, its last byte the separator
-    ok = b"".join(data for data, _ in cli._csv_chunks(("a", "b"), (["x" * 31], [1.5])))
-    assert ok == b"a,b\n" + b"x" * 31 + b",1.5\n"
+def test_text_cells_of_32_bytes_are_refused_not_cut(tmp_path):
+    # a cell is four words, its last byte the separator; a refused table leaves no file
+    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cli._write_tables(cfg, "test", [("ok", ("a", "b"), (["x" * 31], [1.5]))], 0.0)
+    assert (tmp_path / "ok.csv").read_bytes() == b"a,b\n" + b"x" * 31 + b",1.5\n"
     with pytest.raises(ValueError, match="a: a text cell of 32 bytes or more"):
-        list(cli._csv_chunks(("a", "b"), (["x" * 32], [1.5])))
+        cli._write_tables(cfg, "cut", [("cut", ("a", "b"), (["x" * 32], [1.5]))], 0.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv", "test_manifest.json"]
 
 
 def _g17(values):

@@ -232,17 +232,20 @@ def test_layer_beta_raises_below_caustic():
 
 
 def test_no_command_or_tracer_loads_scipy(tmp_path):
-    # the runtime needs numpy only; scipy is a reference of the tests
+    # the runtime needs numpy only; scipy is a reference of the tests, and
+    # numpy.typing (0.8 ms of imports) serves annotations alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(foldoptics.__file__)))
     code = (
         "import json, math, sys\n"
         "from foldoptics.cli import main\n"
+        "typing_at_import = 'numpy.typing' in sys.modules\n"
         "from foldoptics.rays import airy_profile, find_caustic, integrate_hamiltonian\n"
         "runs = (['rays'], ['field', '--nx', '8'], ['wigner', '--nx', '8', '--nk', '8'],"
         " ['validate'])\n"
         "codes = {argv[0]: main([*argv, '--out', sys.argv[1] + '/' + argv[0]]) for argv in runs}\n"
         "integrate_hamiltonian(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
         "find_caustic(airy_profile(), 2.0, -math.sqrt(2.0), 4.0)\n"
+        "print(json.dumps([typing_at_import, 'numpy.typing' in sys.modules]))\n"
         "print(json.dumps(codes))\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
@@ -252,8 +255,9 @@ def test_no_command_or_tracer_loads_scipy(tmp_path):
         check=True, timeout=120,
     )
     # the exit codes and the scipy modules are separate lines and separate findings
-    *_, codes, modules = out.stdout.splitlines()
+    *_, typing, codes, modules = out.stdout.splitlines()
     assert json.loads(modules) == [], f"scipy modules loaded: {modules}"
+    assert json.loads(typing) == [False, False], "numpy.typing loaded (at import, after the runs)"
     expected = {"rays": 0, "field": 0, "wigner": 0, "validate": 0}
     assert json.loads(codes) == expected, f"exit codes, scipy aside: {codes}"
 

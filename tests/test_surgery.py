@@ -713,6 +713,34 @@ def test_liouville_annihilates_transported_profiles():
     assert np.max(np.abs(res.values)) < 1e-3
 
 
+@pytest.mark.parametrize("n", [101, 201, 401])
+def test_residual_stencil_is_np_gradient_bit_for_bit(n):
+    # criterion 09's grids: linspace's spacings differ in their last bits, so
+    # np.gradient takes its uneven-spacing formula, which the residual writes
+    # out; with it, slabs of rows with a halo row give the whole grid's bits
+    g = _airy_grid(n)
+    assert np.any(np.diff(g.xs) != np.diff(g.xs)[0])
+    fx = np.gradient(g.values, g.xs, axis=0)[1:-1, 1:-1]
+    fk = np.gradient(g.values, g.ks, axis=1)[1:-1, 1:-1]
+    assert surgery._central_difference(g.values[:, 1:-1], g.xs).tobytes() == fx.tobytes()
+    assert surgery._central_difference(g.values[1:-1].T, g.ks).T.tobytes() == fk.tobytes()
+    whole = stationary_wigner_residual(airy_profile(), g).values
+    slabs = [stationary_wigner_residual(
+        airy_profile(), PhaseSpaceGrid(g.xs[i:i + 50], g.ks, g.values[i:i + 50], g.epsilon)).values
+        for i in range(0, n - 2, 48)]
+    assert np.concatenate(slabs).tobytes() == whole.tobytes()
+
+
+def test_residual_stencil_matches_np_gradient_on_an_even_grid():
+    # equal spacings send np.gradient to its even-spacing formula
+    xs = 0.125 * np.arange(-12.0, 13.0)
+    f = np.sin(xs)[:, None] * np.cos(2.0 * xs)[None, :] + xs[:, None] ** 3
+    for axis, got in ((0, surgery._central_difference(f[:, 1:-1], xs)),
+                      (1, surgery._central_difference(f[1:-1].T, xs).T)):
+        want = np.gradient(f, xs, axis=axis)[1:-1, 1:-1]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_liouville_counterexample():
     xs = np.linspace(0.3, 1.7, 21)
     ks = np.linspace(-1.0, 1.0, 21)

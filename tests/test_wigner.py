@@ -497,6 +497,17 @@ def _chord_cases():
 _CHORD_CASES = _chord_cases()
 
 
+def test_chord_refusal_names_a_chord_that_does_not_exist():
+    # X = 1 - cos p: inside the curve (D0 > 0), but X(k+d) + X(k-d) stays
+    # below 3.047 against 2x = 3.370, so the bracket never gets an upper end
+    sine = LagrangianCurve(X=lambda p: 1.0 - np.cos(p), X1=np.sin, X2=np.cos, rho=lambda p: 1.0)
+    x, k = 1.6848618679697396, 1.0195583134326507
+    with pytest.raises(ValueError) as refusal:
+        semiclassical_wigner_uniform(sine, x, k, 0.05)
+    assert str(refusal.value) == ("chord equation has no real root: X(k+d) + X(k-d) does not "
+                                  f"reach 2x at x = {x}, k = {k}")
+
+
 def _outcome(fn, *args):
     """fn(*args), or the message of the ValueError it raises."""
     try:
