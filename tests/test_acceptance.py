@@ -53,20 +53,37 @@ def report(result):
 
 
 def test_criterion_01_surgery_identity():
-    # max |combined - exact| <= 1e-12 on 200x200, eps = 0.05, x0 = 2, < 5 s
+    # max |combined - exact| <= 1e-12 on 200x200, eps = 0.05, x0 = 2 (run_validation
+    # adds the < 5 s gate)
     assert report(check_surgery_identity())
 
 
 def test_criterion_02_end_to_end_wignerization():
     # numeric Wigner transform of the two-branch WKB field vs the combined
     # fold form: band envelope rel <= 5e-2 at eps = 0.05, decreasing when
-    # eps is halved, < 60 s
+    # eps is halved (run_validation adds the < 60 s gate)
     assert report(check_band_wignerization())
 
 
 def test_criterion_02_band_error_decreases_again():
     # one more halving for good measure: the band error keeps falling
     assert band_comparison_metric(0.0125) < band_comparison_metric(0.025)
+
+
+def test_criterion_02_samples_inside_its_support(monkeypatch):
+    # the sampler is the bare WKB field: every point x +- sigma_j it asks for lies
+    # strictly inside the support (1, 16), where the two-branch field is defined
+    seen = []
+
+    def recording(u, epsilon, x0):
+        seen.append((float(np.min(u)), float(np.max(u))))
+        return wkb_field(u, epsilon, x0)
+
+    wkb_field = cli._wkb_field
+    monkeypatch.setattr(cli, "_wkb_field", recording)
+    metrics = [band_comparison_metric(eps) for eps in (0.05, 0.025)]
+    assert 1.0 < min(lo for lo, _ in seen) and max(hi for _, hi in seen) < 16.0
+    assert metrics == [0.034596435385309696, 0.0033823328104360256]
 
 
 def test_criterion_03_fundamental_solution_quadrature():

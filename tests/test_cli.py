@@ -532,7 +532,7 @@ def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
     cuts = (0, 1, 1, 700, rows)
     blocks = ([c[lo:hi] for c in columns] for lo, hi in zip(cuts, cuts[1:]))
     manifests = []
-    for sub, table in (("one", columns), ("blocks", blocks)):
+    for sub, table in (("one", [columns]), ("blocks", blocks)):
         cfg = RunConfig(out=str(tmp_path / sub), formats=("csv", "json"))
         cli._write_tables(cfg, "test", [("table", header, table)], 0.0)
         manifests.append(json.loads((tmp_path / sub / "test_manifest.json").read_text())["outputs"])
@@ -540,6 +540,25 @@ def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
     assert manifests[0][0]["rows"] == rows and manifests[0][0]["cells_fallback"] > 0
     for name in ("table.csv", "table.json"):
         assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_one_block_of_columns_writes_the_pinned_table(tmp_path):
+    # a table is an iterable of blocks: one block of text, int and float columns
+    # writes these bytes and manifest entries, pinned by their digests
+    columns = (np.array(["down", "up", "incident"]), np.array([3, -1, 0]),
+               np.array([0.1, -0.0, 1e-300]), [2.0 / 3.0, math.nan, -1e20])
+    cfg = RunConfig(out=str(tmp_path), formats=("csv", "json"))
+    cli._write_tables(cfg, "test", [("table", ("ray_id", "n", "x", "y"), [columns])], 0.0)
+    assert (tmp_path / "table.csv").read_bytes() == (
+        b"ray_id,n,x,y\ndown,3,0.10000000000000001,0.66666666666666663\n"
+        b"up,-1,-0,nan\nincident,0,1e-300,-1e+20\n")
+    outputs = json.loads((tmp_path / "test_manifest.json").read_text())["outputs"]
+    assert outputs == [
+        {"path": "table.csv", "rows": 3, "cells_fallback": 3,
+         "sha256": "0585e3f1d2cb93d84f01b58b0843784aead1dc21a16889474a3d49c7b9903b43"},
+        {"path": "table.json", "rows": 3, "cells_fallback": 0,
+         "sha256": "d8179c99b80927ea622ade7d74e2a560cdbd94256873162554dd4dd114c40d31"},
+    ]
 
 
 def test_wigner_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
@@ -753,7 +772,8 @@ def test_csv_writer_matches_csv_module_reference(tmp_path):
         ("empty", ("ray_id", "t"), ((), ())),
     ]
     cfg = RunConfig(out=str(tmp_path), formats=("csv",))
-    cli._write_tables(cfg, "test", tables, 0.0)
+    blocks = [(name, header, [columns]) for name, header, columns in tables]
+    cli._write_tables(cfg, "test", blocks, 0.0)
     for name, header, columns in tables:
         assert (tmp_path / f"{name}.csv").read_bytes() == _csv_reference(header, columns), name
     assert (tmp_path / "empty.csv").read_bytes() == b"ray_id,t\n"
@@ -776,7 +796,7 @@ def test_csv_blocks_rewrite_every_cell_of_the_shared_frame(tmp_path):
     columns = (x, -x, label, count, 4.0 * x, -x, x / 3.0)
     header = ("x", "k", "label", "count", "a", "b", "c")
     cfg = RunConfig(out=str(tmp_path), formats=("csv",))
-    cli._write_tables(cfg, "test", [("table", header, columns)], 0.0)
+    cli._write_tables(cfg, "test", [("table", header, [columns])], 0.0)
     data = (tmp_path / "table.csv").read_bytes()
     assert data == _csv_reference(header, columns)
     assert data.endswith(b"\n0.5,-0.5,up,0,2,-0.5,0.16666666666666666\n")
@@ -791,7 +811,7 @@ def test_json_tables_match_one_json_dump(tmp_path):
                rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True))
     header = ("region", "x", "y", "n")
     cfg = RunConfig(out=str(tmp_path), formats=("json",))
-    cli._write_tables(cfg, "test", [("table", header, columns), ("empty", ("t",), ((),))], 0.0)
+    cli._write_tables(cfg, "test", [("table", header, [columns]), ("empty", ("t",), [((),)])], 0.0)
     want = {"columns": list(header), "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
     assert (tmp_path / "table.json").read_text() == json.dumps(want, sort_keys=True) + "\n"
     assert (tmp_path / "empty.json").read_text() == '{"columns": ["t"], "rows": []}\n'
@@ -810,10 +830,10 @@ def test_label_columns_render_the_bytes_of_astype():
 def test_text_cells_of_32_bytes_are_refused_not_cut(tmp_path):
     # a cell is four words, its last byte the separator; a refused table leaves no file
     cfg = RunConfig(out=str(tmp_path), formats=("csv",))
-    cli._write_tables(cfg, "test", [("ok", ("a", "b"), (["x" * 31], [1.5]))], 0.0)
+    cli._write_tables(cfg, "test", [("ok", ("a", "b"), [(["x" * 31], [1.5])])], 0.0)
     assert (tmp_path / "ok.csv").read_bytes() == b"a,b\n" + b"x" * 31 + b",1.5\n"
     with pytest.raises(ValueError, match="a: a text cell of 32 bytes or more"):
-        cli._write_tables(cfg, "cut", [("cut", ("a", "b"), (["x" * 32], [1.5]))], 0.0)
+        cli._write_tables(cfg, "cut", [("cut", ("a", "b"), [(["x" * 32], [1.5])])], 0.0)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv", "test_manifest.json"]
 
 
@@ -888,7 +908,7 @@ def test_manifest_counts_fallback_cells(tmp_path):
     # NaN, inf and zeros are constants
     column = np.array([1e-300, 5e-324, -1e20, 1e15 + 0.25, 1.0, 0.0, -0.0, math.nan, math.inf, 0.5])
     cfg = RunConfig(out=str(tmp_path), formats=("csv", "json"))
-    cli._write_tables(cfg, "test", [("table", ("v",), (column,))], 0.0)
+    cli._write_tables(cfg, "test", [("table", ("v",), [(column,)])], 0.0)
     manifest = json.loads((tmp_path / "test_manifest.json").read_text())
     fallback = {o["path"]: o["cells_fallback"] for o in manifest["outputs"]}
     assert fallback == {"table.csv": 5, "table.json": 0}
@@ -973,6 +993,24 @@ def test_validate_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert report["all_passed"] is False
 
 
+def test_a_slow_criterion_trips_its_wall_clock_gate(monkeypatch):
+    # every clock reading after the first is 6 s late: criterion 01's span reads
+    # 6 s against its 5 s gate, criterion 02's its own time
+    real, readings = time.perf_counter, iter(range(10**6))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: real() + 6.0 * (next(readings) > 0))
+    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS[:2])
+    surgery, band = cli.run_validation()
+    assert surgery.seconds >= 6.0 and band.seconds < 6.0
+    # the signature of a tripped gate: the criterion fails while its metric holds
+    assert not surgery.passed and surgery.metric <= surgery.threshold
+    assert [leg.name for leg in surgery.legs if not leg.passed] == ["seconds"]
+    assert band.passed
+    for result, bound in ((surgery, 5.0), (band, 60.0)):
+        gate = result.legs[-1]
+        assert (gate.name, gate.value, gate.bound, gate.sense) == (
+            "seconds", result.seconds, bound, "<")
+
+
 def test_validate_report_carries_seconds_and_margins(tmp_path, monkeypatch, capsys):
     def upper():
         time.sleep(0.02)
@@ -990,7 +1028,10 @@ def test_validate_report_carries_seconds_and_margins(tmp_path, monkeypatch, caps
     first, order, crash = report["criteria"]
     assert first["seconds"] >= 0.02
     assert first["margin"] == 0.75
-    assert [leg["margin"] for leg in first["legs"]] == [0.75, 0.5]
+    assert [leg["margin"] for leg in first["legs"][:2]] == [0.75, 0.5]
+    # id 1 carries criterion 01's wall-clock gate as its last leg, read off `seconds`
+    gate = first["legs"][2]
+    assert (gate["name"], gate["value"], gate["bound"]) == ("seconds", first["seconds"], 5.0)
     # criterion 09 bounds its observed order from below
     assert order["threshold"] == 1.9
     assert order["margin"] == (order["metric"] - 1.9) / 1.9 > 0.0
