@@ -48,13 +48,9 @@ from .rays import (
 )
 from .specfun import airy, airy_ai
 from .stphase import CfuCoefficients, cfu_eval
-from .surgery import _SIGNS, _phase_s, _phase_ss
 from .surgery import (
-    RegionLabel,
-    combined_wkb_wigner,
-    k_integral_amplitude,
-    stationary_table,
-    stationary_wigner_residual,
+    _N_REAL, _SIGNS, RegionLabel, _phase_s, _phase_ss, _region_codes, _row_codes,
+    combined_wkb_wigner, k_integral_amplitude, stationary_table, stationary_wigner_residual,
 )
 from .wigner import (
     PhaseSpaceGrid,
@@ -249,8 +245,9 @@ Table = Tuple[str, Sequence[str], Iterable[Sequence[object]]]
 # Float cells per CSV block: the writer's working memory is O(block).
 _BLOCK_CELLS = 8192
 
-# Cells per block of (x, k) rows: the wigner export and criterion 09 evaluate
-# their grids a block of rows at a time, so their memory does not grow with nx.
+# Cells per block of (x, k) rows: the wigner export and criterion 09 evaluate their grids a
+# block at a time, so memory does not grow with nx.  The export's peak is wigner_numeric's
+# chirp-z work arrays over one block's columns; 2^14 keeps it flat but is no faster at 1000^2.
 _GRID_CELLS = 2**13
 
 
@@ -599,7 +596,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.scenario != "airy":
         raise ConfigError("scenario", "wigner export supports the airy scenario")
-    # the stationary-point table is defined for x > 0 alone
+    # the region codes are defined for x > 0 alone
     if not cfg.xmin > 0.0:
         raise ConfigError("xmin", "wigner grids need x > 0 (illuminated side)")
     xs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
@@ -623,9 +620,10 @@ def cmd_wigner(cfg: RunConfig) -> int:
         w_exact = wigner_exact_airy(x, k, cfg.epsilon, cfg.x0)
         w_comb = combined_wkb_wigner(x, k, cfg.epsilon, cfg.x0)
         w_semi = semiclassical_wigner_uniform(curve, x, k, cfg.epsilon)
-        table = stationary_table(np.where(ks >= 0.0, 1, 2), x, k)
+        region = _region_codes(x, k)  # n_real: branch 1's real points where k >= 0, else 2's
+        n_real = _N_REAL[_row_codes(np.where(ks >= 0.0, 1, 2), k, region)]
         return [np.ravel(c) for c in (
-            np.repeat(xs[rows], cfg.nk), np.tile(ks, x.size), labels[table.region], table.n_real,
+            np.repeat(xs[rows], cfg.nk), np.tile(ks, x.size), labels[region], n_real,
             w_exact, w_comb, numeric, w_semi, numeric - w_exact, w_semi - w_exact,
         )]
 

@@ -218,33 +218,45 @@ def _cross_point(a, x, k):
     return a * np.copysign(sigma0, k), np.nan, c, np.nan
 
 
-# The table, one row per (branch pair, region): a function of its cells'
-# (a, x, k), a the sign of sqrt(x + sigma) in F_sigma, that gives (slot-0
-# point, slot-1 point, slot-0 curvature, slot-1 curvature); None: no points.
+# The table, one row per (branch pair, region): its number of real points and a
+# function of its cells' (a, x, k), a the sign of sqrt(x + sigma) in F_sigma, that gives
+# (slot-0 point, slot-1 point, slot-0 curvature, slot-1 curvature); None: no points.
 _ROWS = (
-    _imaginary_pair,  # F1/F2 Exterior
-    lambda a, x, k: (0.0, np.nan, 0.0, np.nan),  # F1/F2 OnManifold: double fold point
-    _real_pair,  # F1/F2 Between
-    lambda a, x, k: (x, -x, -a * math.inf, a * math.inf),  # F1/F2 OnConjugate: window edges
-    None, None, None, None,  # F1/F2 Interior; F3/F4 Exterior, OnManifold, Between
-    lambda a, x, k: (a * np.copysign(x, k), np.nan, a * math.inf, np.nan),  # F3/F4 OnConjugate
-    _cross_point,  # F3/F4 Interior
-    None,  # F1/F2 with the wrong sign of k
+    (0, _imaginary_pair),  # F1/F2 Exterior
+    (1, lambda a, x, k: (0.0, np.nan, 0.0, np.nan)),  # F1/F2 OnManifold: double fold point
+    (2, _real_pair),  # F1/F2 Between
+    (2, lambda a, x, k: (x, -x, -a * math.inf, a * math.inf)),  # F1/F2 OnConjugate: window edges
+    *[(0, None)] * 4,  # F1/F2 Interior; F3/F4 Exterior, OnManifold, Between
+    (1, lambda a, x, k: (a * np.copysign(x, k), np.nan, a * math.inf, np.nan)),  # F3/F4 OnConjugate
+    (1, _cross_point),  # F3/F4 Interior
+    (0, None),  # F1/F2 with the wrong sign of k
 )
+_N_REAL = np.array([n for n, _ in _ROWS])
 
 
-def _closed_forms(index, a, x, k, region):
-    """Unverified points and curvatures of the flat cells, two slots each
-    and NaN in unused ones; each row of _ROWS is evaluated on its own cells."""
-    # region code on branches 1/2, 5 + code on branches 3/4, and 10 for a
-    # diagonal branch with the wrong sign of k
-    row = np.where(index <= 2, np.where(_diagonal_sign_ok(index, k), region, 10), 5 + region)
+def _row_codes(index, k, region):
+    """Rows of _ROWS: region on branches 1/2 (10 for the wrong sign of k), 5 + region on 3/4."""
+    return np.where(index <= 2, np.where(_diagonal_sign_ok(index, k), region, 10), 5 + region)
+
+
+def _closed_forms(row, a, x, k):
+    """Unverified points and curvatures of the flat cells in rows `row` of _ROWS, two
+    slots each and NaN in unused ones; each row is evaluated on its own cells."""
     loc, curv = np.full((row.size, 2), np.nan, dtype=complex), np.full((row.size, 2), np.nan)
     for r in np.flatnonzero(np.bincount(row, minlength=len(_ROWS))):  # the rows that occur
-        if _ROWS[r] is not None:
+        if _ROWS[r][1] is not None:
             at = np.flatnonzero(row == r)
-            loc[at, 0], loc[at, 1], curv[at, 0], curv[at, 1] = _ROWS[r](a[at], x[at], k[at])
+            loc[at, 0], loc[at, 1], curv[at, 0], curv[at, 1] = _ROWS[r][1](a[at], x[at], k[at])
     return loc, curv
+
+
+def _branch_cells(index, x, k, branches, message):
+    """index, x and k broadcast together, x and k as floats, each index one of `branches`."""
+    index, x, k = np.broadcast_arrays(np.asarray(index), np.asarray(x, dtype=float),
+                                      np.asarray(k, dtype=float))
+    if not np.logical_or.reduce([index == b for b in branches]).all():
+        raise ValueError(message)
+    return index, x, k
 
 
 def stationary_table(index, x, k) -> StationaryTable:
@@ -263,16 +275,12 @@ def stationary_table(index, x, k) -> StationaryTable:
     sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The first failing point,
     in broadcast order, raises RuntimeError.
     """
-    index, x, k = np.broadcast_arrays(
-        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
-    )
-    if not np.all((index == 1) | (index == 2) | (index == 3) | (index == 4)):
-        raise ValueError("branch index must be 1, 2, 3 or 4")
+    index, x, k = _branch_cells(index, x, k, (1, 2, 3, 4), "branch index must be 1, 2, 3 or 4")
     region = _region_codes(x, k)
     shape, index, x, k = region.shape, index.ravel(), x.ravel(), k.ravel()
     a = np.where((index == 1) | (index == 3), 1.0, -1.0)
     b = np.where((index == 1) | (index == 4), 1.0, -1.0)
-    loc, curv = _closed_forms(index, a, x, k, region.ravel())
+    loc, curv = _closed_forms(_row_codes(index, k, region.ravel()), a, x, k)
 
     # the occupied slots as flat arrays, each with its cell's index, a, b, x, k
     slots = np.flatnonzero(~np.isnan(loc))
@@ -324,11 +332,7 @@ def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     Cells on or inside the conjugate parabola raise; cells with the wrong
     sign of k give 0 under one NoStationaryPointWarning per call.
     """
-    index, x, k = np.broadcast_arrays(
-        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
-    )
-    if not np.all((index == 1) | (index == 2)):
-        raise ValueError("diagonal branches are indices 1 and 2")
+    index, x, k = _branch_cells(index, x, k, (1, 2), "diagonal branches are indices 1 and 2")
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     table = stationary_table(index, x, k)
@@ -378,11 +382,7 @@ def offdiagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     contribution is 0.  Cells on x = 2 k^2 take the interior limit under
     one SingularCurvatureWarning per call.
     """
-    index, x, k = np.broadcast_arrays(
-        np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
-    )
-    if not np.all((index == 3) | (index == 4)):
-        raise ValueError("off-diagonal branches are indices 3 and 4")
+    index, x, k = _branch_cells(index, x, k, (3, 4), "off-diagonal branches are indices 3 and 4")
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
     region = _region_codes(x, k)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
@@ -150,6 +151,7 @@ def _required_samples(k_max, sigma_max, epsilon: float):
     return np.ceil(4.0 * k_max * sigma_max / (math.pi * epsilon))
 
 
+@lru_cache
 def _fft_length(m: int) -> int:
     """The smallest 2^a 3^b 5^c >= m (numpy's FFT has radix-3 and -5 passes)."""
     odd = (3**i * 5**j for i in range(m.bit_length()) for j in range(m.bit_length()))

@@ -26,7 +26,7 @@ import foldoptics.cli as cli
 import foldoptics.rays as rays
 from foldoptics.cli import ConfigError, CriterionResult, Leg, RunConfig, main, merge_config
 from foldoptics.rays import airy_profile, find_caustic, linear_layer_caustic_depth
-from foldoptics.surgery import RegionLabel
+from foldoptics.surgery import REGION_TOL, RegionLabel, stationary_table
 from foldoptics.wkb import (
     CausticZoneWarning,
     airy_greens,
@@ -230,7 +230,7 @@ def test_one_edge_float_exits_0_with_finite_data_or_2_naming_it(case, name, valu
     [
         # Bi overflows to inf on the shadow side, where the Green's field reads Ai alone
         (["field", "--xmin=-1e6"], 0),
-        # combined_wkb_wigner and stationary_table are defined for x > 0 alone
+        # combined_wkb_wigner and the region codes are defined for x > 0 alone
         (["wigner", "--xmin=0"], 2),
         # no stage reads a power of x that overflows at the smallest doubles
         (["wigner", "--xmin=1e-300"], 0),
@@ -561,17 +561,43 @@ def test_one_block_of_columns_writes_the_pinned_table(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    # all five regions, k = 0 exactly, cells on both parabolas and x = 1e-300
+    ["--xmin", "1e-300", "--xmax", "2", "--nx", "9", "--kmin", "-1", "--kmax", "1", "--nk", "9"],
+    # x = 1 and 2 a third of REGION_TOL off the parabolas, at k = -1 and 1
+    ["--xmin", "0.99999999999966", "--xmax", "2.00000000000066", "--nx", "8",
+     "--kmin", "-1", "--kmax", "1", "--nk", "8"],
+], ids=["regions", "bands"])
+def test_wigner_region_columns_equal_the_stationary_table(tmp_path, argv):
+    # the export reads its region codes and counts; the table builds and checks the points
+    assert main(["wigner", *argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "wigner.csv")
+    col = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    x, k = (np.array(col[name], dtype=float) for name in ("x", "k"))
+    table = stationary_table(np.where(k >= 0.0, 1, 2), x, k)
+    labels = np.array([r.value for r in RegionLabel])
+    assert col["region"] == list(labels[table.region])
+    assert col["n_stationary"] == [str(n) for n in table.n_real]
+    if x[0] == 1e-300:
+        assert set(col["region"]) == set(labels) and 0.0 in k
+        (at,) = np.flatnonzero((x == 1e-300) & (k == 0.0))  # on the manifold, and no point
+        assert (col["region"][at], col["n_stationary"][at]) == ("OnManifold", "0")
+    else:
+        off = np.abs(x - np.where(x < 1.5, 1.0, 2.0) * k * k)
+        assert np.count_nonzero((0.0 < off) & (off <= REGION_TOL)) == 4
+
+
 def test_wigner_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_GRID_CELLS", 17)
-    table, calls = cli.stationary_table, []
+    semiclassical, calls = cli.semiclassical_wigner_uniform, []
 
-    def failing(*args):
+    def failing(*args):  # called once per block
         calls.append(1)
         if len(calls) == 3:
             raise RuntimeError("third block")
-        return table(*args)
+        return semiclassical(*args)
 
-    monkeypatch.setattr(cli, "stationary_table", failing)
+    monkeypatch.setattr(cli, "semiclassical_wigner_uniform", failing)
     out = tmp_path / "w"
     with pytest.raises(RuntimeError, match="third block"):
         main(["wigner", "--nx", "8", "--nk", "17", "--format", "csv,json", "--out", str(out)])

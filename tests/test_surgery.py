@@ -406,6 +406,37 @@ def test_table_equals_the_np_choose_reference_bit_for_bit(inputs):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes(), name
 
 
+# a representative cell (branch, x, k) of each row of surgery._ROWS, per branch of its pair
+_ROW_CELLS = (
+    ((1, 1.0, 1.3), (2, 1.0, -1.3)),  # F1/F2 Exterior
+    ((1, 1.0, 1.0), (2, 1.0, -1.0)),  # F1/F2 OnManifold
+    ((1, 1.0, 0.8), (2, 1.0, -0.8)),  # F1/F2 Between
+    ((1, 1.28, 0.8), (2, 1.28, -0.8)),  # F1/F2 OnConjugate
+    ((1, 1.0, 0.5), (2, 1.0, -0.5)),  # F1/F2 Interior
+    ((3, 1.0, 1.3), (4, 1.0, -1.3)),  # F3/F4 Exterior
+    ((3, 1.0, 1.0), (4, 1.0, -1.0)),  # F3/F4 OnManifold
+    ((3, 1.0, 0.8), (4, 1.0, -0.8)),  # F3/F4 Between
+    ((3, 1.28, 0.8), (4, 1.28, -0.8)),  # F3/F4 OnConjugate
+    ((3, 1.0, 0.5), (4, 1.0, -0.5)),  # F3/F4 Interior
+    ((1, 1.0, -0.8), (2, 1.0, 0.8), (1, 1e-300, 0.0), (1, 0.5, 0.0)),  # wrong sign of k
+)
+
+
+def test_each_row_counts_the_real_points_its_function_returns():
+    # the count the wigner export writes cannot drift from the row's points
+    assert len(_ROW_CELLS) == len(surgery._ROWS) == len(surgery._N_REAL)
+    for row, cells in enumerate(_ROW_CELLS):
+        count, points = surgery._ROWS[row]
+        assert surgery._N_REAL[row] == count
+        for index, x, k in cells:
+            x, k = np.array(x), np.array(k)
+            assert surgery._row_codes(index, k, surgery._region_codes(x, k)) == row
+            a = 1.0 if index in (1, 3) else -1.0
+            slots = np.array(points(a, x, k)[:2] if points else (), dtype=complex)
+            real = ~np.isnan(slots) & (slots.imag == 0.0)
+            assert np.count_nonzero(real) == count == stationary_table(index, x, k).n_real
+
+
 def test_table_evaluates_rows_on_their_cells_and_checks_occupied_slots(monkeypatch):
     index, xs, ks = _criterion_draws()
     table = stationary_table(index, xs, ks)
