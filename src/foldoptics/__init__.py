@@ -19,7 +19,6 @@ from .rays import (
     linear_layer_ray,
 )
 from .wkb import (
-    BranchField,
     CausticZoneWarning,
     airy_greens,
     airy_inner_approx,
@@ -54,12 +53,10 @@ from .surgery import (
     RegionLabel,
     SingularCurvatureWarning,
     StationaryTable,
-    WignerBranchIntegral,
     combined_wkb_wigner,
     diagonal_asymptotics,
     k_integral_amplitude,
     offdiagonal_asymptotics,
     stationary_table,
     stationary_wigner_residual,
-    wigner_branches,
 )

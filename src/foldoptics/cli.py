@@ -413,7 +413,6 @@ def _write_tables(
     for |x| in [1e-27, 1e16) but within 1e-9 of a decimal tie (exact ties
     too) or 2.3e-12 above a power of ten; Python formats the other finite
     nonzero cells, which the manifest entry counts as `cells_fallback`."""
-    os.makedirs(cfg.out, exist_ok=True)
     outputs: List[Dict[str, object]] = []
     temps: List[str] = []
     try:
@@ -530,10 +529,9 @@ def _wkb_field(x, epsilon: float, x0: float):
 def _airy_kl_field(x, epsilon: float, x0: float):
     """The uniform field of the Airy problem's two WKB branches at x > 0: their
     phases and amplitudes evaluated once, then phi, rho, g0, g1 and the field."""
-    plus, minus = airy_wkb_branches(x0)
-    phi, rho = kl_coordinates(plus.S(x), minus.S(x))
-    g0, g1 = kl_amplitudes(plus.A(x), minus.A(x), rho)
-    return kl_field(phi, rho, g0, g1, epsilon)
+    phases, amplitudes = airy_wkb_branches(x, x0)
+    phi, rho = kl_coordinates(*phases)
+    return kl_field(phi, rho, *kl_amplitudes(*amplitudes, rho), epsilon)
 
 
 def cmd_field(cfg: RunConfig) -> int:
@@ -780,20 +778,19 @@ _ROOT_RESIDUAL = 1e-10
 _BRACKETS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1)
 
 
-def _verify_by_root_finding(signs, x, k, sigma):
+def _verify_by_root_finding(a, b, x, k, sigma):
     """Independently confirm tabulated stationary points: bracket the
     phase gradient around each, bisect, and return the residual at each
-    located root (inf where the root drifts off the table value); the rows
-    of signs give each point its branch's (a, b).  Brackets grow through
-    the _BRACKETS levels inside the window [-x, x], each level on the
-    points still unbracketed, whose new brackets are bisected as a group.
+    located root (inf where the root drifts off the table value); (a, b) is
+    the sign pair of the points' branch.  Brackets grow through the
+    _BRACKETS levels inside the window [-x, x], each level on the points
+    still unbracketed, whose new brackets are bisected as a group.
     Points left without a bracket report the residual at the table value.
     Where one double moves F_sigma by a step above the bound (|F_sigmasigma|
     spacing(sigma), next to the window edge, where F_sigma has a
     sqrt(x - sigma) term), |F_sigma| is scaled by the bound over the step."""
     def gradient(at):  # F_sigma of the points `at`, as a function of their sigma
-        a, b, xa, ka = signs[0][at], signs[1][at], x[at], k[at]
-        return lambda s: _phase_s(a, b, s, xa, ka)
+        return functools.partial(_phase_s, a, b, x=x[at], k=k[at])
 
     scale = np.maximum(1.0, np.abs(sigma))
     point = sigma.copy()
@@ -803,16 +800,16 @@ def _verify_by_root_finding(signs, x, k, sigma):
         if not left.size:
             break
         f, s, w, xl = gradient(left), sigma[left], widen * scale[left], x[left]
-        a, b = np.maximum(s - w, -xl), np.minimum(s + w, xl)
-        fa, fb = f(a), f(b)
-        new = fa * fb < 0
+        lo, hi = np.maximum(s - w, -xl), np.minimum(s + w, xl)
+        flo, fhi = f(lo), f(hi)
+        new = flo * fhi < 0
         at = left[new]
-        root = bisect_brackets(gradient(at), a[new], b[new], fa[new], fb[new])
+        root = bisect_brackets(gradient(at), lo[new], hi[new], flo[new], fhi[new])
         point[at] = root
         drift[at] = np.abs(root - sigma[at]) > 1e-7 * scale[at]
         left = left[~new]
-    step = np.abs(_phase_ss(*signs, point, x, k)) * np.spacing(np.abs(point))
-    residual = np.abs(_phase_s(*signs, point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
+    step = np.abs(_phase_ss(a, b, point, x, k)) * np.spacing(np.abs(point))
+    residual = np.abs(_phase_s(a, b, point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
     return np.where(drift, np.inf, residual)
 
 
@@ -832,8 +829,7 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
         draw, sigma = np.nonzero(simple)[0], table.locations.real[simple]
         del table, curv, simple  # before the root search
-        signs = np.repeat(np.array(_SIGNS[index - 1])[:, None], draw.size, axis=1)
-        res = _verify_by_root_finding(signs, xs[draw], ks[draw], sigma)
+        res = _verify_by_root_finding(*_SIGNS[index - 1], xs[draw], ks[draw], sigma)
         worst, count = max(worst, float(np.max(res, initial=0.0))), count + draw.size
     legs = (Leg("root residual", worst, _ROOT_RESIDUAL),)
     return CriterionResult(5, "stationary-point tables", legs,
@@ -1004,7 +1000,6 @@ def cmd_validate(cfg: RunConfig) -> int:
             f"metric={r.metric:.3e} threshold={r.threshold:.3e}"
             + (f" ({r.detail})" if r.detail else "")
         )
-    os.makedirs(cfg.out, exist_ok=True)
     report = {
         "config": dataclasses.asdict(cfg),
         "version": __version__,
@@ -1060,12 +1055,28 @@ _COMMANDS = {
 }
 
 
+def _make_out(path: str) -> List[str]:
+    """Make the output directory, or raise a usage error; return the levels made, deepest first."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made, head = made + [head], os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("out", f"cannot create {path}: {e.strerror}") from None
+    return made
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    made: List[str] = []
     try:
         cfg = merge_config(args)
+        made = _make_out(cfg.out)
         return _COMMANDS[args.command](cfg)
     except ConfigError as e:
+        for path in made:  # a usage error leaves no directory behind
+            os.rmdir(path)
         print(f"usage error: {e.field}: {e}", file=sys.stderr)
         return 2
 

@@ -83,20 +83,17 @@ class RefractionProfile1D:
 
     eta_squared: Callable[[np.ndarray], np.ndarray]
     eta_squared_prime: Callable[[np.ndarray], np.ndarray]
-    name: str = "profile"
     domain: tuple = (-math.inf, math.inf)
 
 
 def airy_profile() -> RefractionProfile1D:
-    return RefractionProfile1D(lambda x: x, lambda x: 1.0, "airy", (0.0, math.inf))
+    return RefractionProfile1D(lambda x: x, lambda x: 1.0, (0.0, math.inf))
 
 
 def constant_profile(c_squared: float) -> RefractionProfile1D:
     if c_squared <= 0:
         raise ValueError("constant profile requires eta^2 > 0")
-    return RefractionProfile1D(
-        lambda x: c_squared, lambda x: 0.0, "constant", (-math.inf, math.inf)
-    )
+    return RefractionProfile1D(lambda x: c_squared, lambda x: 0.0)
 
 
 @dataclass
@@ -109,9 +106,6 @@ class RayPath:
     k: np.ndarray
     J: np.ndarray
     S: np.ndarray
-    x0: float
-    k0: float
-    profile_name: str
     truncated: bool = False
     steps: tuple = (0, 0)
 
@@ -313,10 +307,8 @@ def integrate_hamiltonian(
     t = np.linspace(0.0, t_end, max(129, int(math.ceil(50.0 * t_end)) + 1))
     t = t[t <= t_exit]
     y = dense(t)
-    return RayPath(
-        t=t, x=y[0], k=y[1], J=_jacobian(y, delta), S=y[2], x0=x0, k0=k0,
-        profile_name=profile.name, truncated=t_exit < math.inf, steps=steps,
-    )
+    return RayPath(t=t, x=y[0], k=y[1], J=_jacobian(y, delta), S=y[2],
+                   truncated=t_exit < math.inf, steps=steps)
 
 
 def airy_ray_closed(t: float, x0: float, k0: float):

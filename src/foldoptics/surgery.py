@@ -33,8 +33,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Tuple
 
 import numpy as np
 
@@ -48,9 +46,7 @@ __all__ = [
     "RegionLabel",
     "NoStationaryPointWarning",
     "SingularCurvatureWarning",
-    "WignerBranchIntegral",
     "StationaryTable",
-    "wigner_branches",
     "stationary_table",
     "diagonal_asymptotics",
     "offdiagonal_asymptotics",
@@ -90,23 +86,6 @@ class SingularCurvatureWarning(UserWarning):
     """Stationary-point curvature diverges on the conjugate parabola."""
 
 
-@dataclass(frozen=True)
-class WignerBranchIntegral:
-    """One of the four branch integrals: amplitude D(sigma, x) and phase
-    F(sigma; x, k) with closed-form sigma-derivatives to third order."""
-
-    index: int
-    D: Callable[[float, float], complex]
-    F: Callable[[float, float, float], float]
-    F_sigma: Callable[[float, float, float], float]
-    F_sigmasigma: Callable[[float, float, float], float]
-    F_sigmasigmasigma: Callable[[float, float, float], float]
-
-    def __post_init__(self):
-        if self.index not in (1, 2, 3, 4):
-            raise ValueError("branch index must be 1, 2, 3 or 4")
-
-
 def _phase(a, b, sigma, x, k):
     cubic = a * (x + sigma) ** 1.5 - b * (x - sigma) ** 1.5
     return (2.0 / 3.0) * cubic - 2.0 * k * sigma
@@ -121,36 +100,8 @@ def _phase_ss(a, b, sigma, x, k):
     return 0.5 * (a * (x + sigma) ** -0.5 - b * (x - sigma) ** -0.5)
 
 
-def _phase_sss(a, b, sigma, x, k):
-    return -0.25 * (a * (x + sigma) ** -1.5 + b * (x - sigma) ** -1.5)
-
-
 def _diagonal_amplitude(sigma, x, x0):
     return 0.25 / math.sqrt(x0) * (x * x - sigma * sigma) ** -0.25
-
-
-def wigner_branches(x0: float) -> Tuple[WignerBranchIntegral, ...]:
-    """The four branch integrals of the squared two-phase field with
-    source abscissa x0, in index order 1..4.  The amplitude and phase
-    callables take scalars or broadcasting arrays; D is complex."""
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-
-    def d_diag(sigma, x):
-        return _diagonal_amplitude(np.asarray(sigma, dtype=float), x, x0) + 0j
-
-    def d_plus_minus(sigma, x):
-        return -1j * d_diag(sigma, x)
-
-    def d_minus_plus(sigma, x):
-        return 1j * d_diag(sigma, x)
-
-    amplitudes = (d_diag, d_diag, d_plus_minus, d_minus_plus)
-    phases = (_phase, _phase_s, _phase_ss, _phase_sss)
-    return tuple(
-        WignerBranchIntegral(index, d, *(partial(f, *signs) for f in phases))
-        for index, (d, signs) in enumerate(zip(amplitudes, _SIGNS), start=1)
-    )
 
 
 def _region_codes(x: np.ndarray, k: np.ndarray) -> np.ndarray:

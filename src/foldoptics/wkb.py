@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Tuple
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .specfun import airy, airy_ai
 
 __all__ = [
     "CausticZoneWarning",
-    "BranchField",
     "source_amplitude",
     "airy_wkb_branches",
     "airy_wkb_field",
@@ -42,15 +39,6 @@ class CausticZoneWarning(UserWarning):
     """Field evaluated inside the caustic boundary layer."""
 
 
-@dataclass(frozen=True)
-class BranchField:
-    """One geometric-optics branch: phase, principal amplitude, Maslov index."""
-
-    S: Callable[[float], float]
-    A: Callable[[float], complex]
-    maslov_index: int
-
-
 def source_amplitude(x0: float) -> complex:
     """WKB amplitude of the wave at the source, alpha0 = e^{-i pi/4} x0^{-1/2}/2."""
     if x0 <= 0:
@@ -58,27 +46,20 @@ def source_amplitude(x0: float) -> complex:
     return 0.5 * complex(np.exp(-1j * math.pi / 4.0)) / math.sqrt(x0)
 
 
-def airy_wkb_branches(x0: float) -> Tuple[BranchField, BranchField]:
-    """The reflected (+) and direct (-) branches on (0, x0).
+def airy_wkb_branches(x, x0: float):
+    """Phases (S+, S-) and principal amplitudes (A+, A-) of the reflected (+)
+    and direct (-) branches at x in (0, x0), scalar or array:
 
     S_pm(x) = +-(2/3) x^{3/2} + (2/3) x0^{3/2},
     A_- = alpha0 x0^{1/4} x^{-1/4},  A_+ = -i A_-  (one caustic touch).
     """
     a0 = source_amplitude(x0)  # raises unless x0 > 0
-    c0 = (2.0 / 3.0) * x0**1.5
-    q = x0**0.25
-
-    plus = BranchField(
-        S=lambda x: (2.0 / 3.0) * x**1.5 + c0,
-        A=lambda x: -1j * a0 * q * x ** (-0.25),
-        maslov_index=1,
-    )
-    minus = BranchField(
-        S=lambda x: -(2.0 / 3.0) * x**1.5 + c0,
-        A=lambda x: a0 * q * x ** (-0.25),
-        maslov_index=0,
-    )
-    return plus, minus
+    c0, q = (2.0 / 3.0) * x0**1.5, x0**0.25
+    x_arr = np.array(x, dtype=np.float64, ndmin=1)
+    cubic, root4 = (2.0 / 3.0) * x_arr**1.5, x_arr ** (-0.25)
+    values = [cubic + c0, -cubic + c0, -1j * a0 * q * root4, a0 * q * root4]
+    values = [v.item() if np.ndim(x) == 0 else v for v in values]
+    return tuple(values[:2]), tuple(values[2:])
 
 
 def airy_wkb_field(x, epsilon: float, x0: float):

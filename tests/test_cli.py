@@ -121,6 +121,22 @@ def test_invariant_violations_exit_2_with_field_name(capsys, argv, field):
     assert not os.path.exists("/tmp/never-written")
 
 
+def test_uncreatable_out_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("validation ran")
+
+    monkeypatch.setattr(cli, "run_validation", never)
+    (tmp_path / "file").write_text("")
+    assert main(["validate", "--out", str(tmp_path / "file" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: out:")
+
+
+def test_usage_error_after_the_out_directory_is_made_removes_it(capsys, tmp_path):
+    assert main(["wigner", "--xmin", "-1", "--out", str(tmp_path / "a" / "b")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: xmin:")
+    assert list(tmp_path.iterdir()) == []
+
+
 # tmax, default None, is the one float option without a float default
 FLOAT_FIELDS = [
     f.name
@@ -534,6 +550,7 @@ def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
     manifests = []
     for sub, table in (("one", [columns]), ("blocks", blocks)):
         cfg = RunConfig(out=str(tmp_path / sub), formats=("csv", "json"))
+        (tmp_path / sub).mkdir()  # main creates the directory before a command runs
         cli._write_tables(cfg, "test", [("table", header, table)], 0.0)
         manifests.append(json.loads((tmp_path / sub / "test_manifest.json").read_text())["outputs"])
     assert manifests[0] == manifests[1]

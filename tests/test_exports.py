@@ -1,11 +1,18 @@
 """Every exported name resolves: the benchmark tracer looks up each name of
 a module's __all__, and the package imports its public names from them.
-Public names that no other module uses, and public methods and properties of
-exported classes that no module reads, are listed with their reasons."""
+Public names that no other module uses, public methods and properties of
+exported classes that no module reads, and fields of exported dataclasses
+that no module reads as an attribute, are listed with their reasons.
+
+Members and fields are matched by attribute name across the package, not
+by the object they are read from: a field that shares its name with an
+attribute of another object is counted as read (an unread `x0` field of a
+record would be hidden by the reads of `cfg.x0`)."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -38,46 +45,64 @@ def test_package_imports_only_names_in_all():
 
 
 # Public functions and classes that no other module of the package uses, and
-# `Class.member` methods and properties that no module reads, each with the
-# reason it stays.  A name missing here fails the guard below:
-# use it, add it here with its reason, or delete it.
+# `Class.member` methods, properties and dataclass fields that no module
+# reads, each with the reason it stays.  A name missing here fails the guard
+# below: use it, add it here with its reason, or delete it.
 KEPT = {
     "ConfigError": "the usage error that main reports with exit 2",
     "RunConfig": "the one list of run options; main fills and validates it",
     "Leg": "one bound of a criterion, the unit CriterionResult is built from",
     "CriterionResult": "the record run_validation returns per criterion",
+    "CriterionResult.seconds": "written to the report through dataclasses.asdict",
     "run_validation": "the validation suite in process (tests/test_acceptance.py)",
     "main": "the foldoptics console entry point",
     "RayPath": "the type integrate_hamiltonian returns",
+    "RayPath.t": "the sample times integrate_hamiltonian returns, read by tests",
+    "RayPath.J": "the ray Jacobian integrate_hamiltonian returns, read by tests",
+    "RayPath.S": "the accumulated phase integrate_hamiltonian returns, read by tests",
+    "RayPath.truncated": "the domain-exit flag integrate_hamiltonian returns, read by tests",
     "constant_profile": "the homogeneous medium that tests ray and transport laws in",
     "AiryValues": "the type airy returns",
     "fourier_power_integral": "the closed-form reference of the standard_spa tests",
     "SmallAlphaPoints": "the type cfu_small_alpha returns",
+    "SmallAlphaPoints.x1": "reserved for a uniform stationary-phase criterion (ROADMAP item 4)",
+    "SmallAlphaPoints.x2": "reserved for a uniform stationary-phase criterion (ROADMAP item 4)",
+    "SmallAlphaPoints.imaginary": "reserved for a uniform stationary-phase criterion "
+                                  "(ROADMAP item 4)",
     "standard_spa": "the interior leg a regional-recombination criterion would read",
     "cfu_small_alpha": "the xi -> 0 leg a uniform stationary-phase criterion would read",
     "NoStationaryPointWarning": "the category of diagonal_asymptotics' wrong-sign warning",
     "SingularCurvatureWarning": "the category of offdiagonal_asymptotics' x = 2k^2 warning",
-    "WignerBranchIntegral": "the type wigner_branches returns",
     "StationaryTable": "the type stationary_table returns",
-    "wigner_branches": "the paper's four branch integrals, the table's reference",
+    "StationaryTable.n_real": "the count the export's n_stationary column is tested against",
     "diagonal_asymptotics": "the surgery's diagonal leg, which no criterion sums yet",
     "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
     "TruncationWarning": "the category of the k-moments' boundary-mass warning",
-    "BranchField": "the type airy_wkb_branches returns",
     "source_amplitude": "the WKB amplitude at the source that the fields share",
 }
 
 
-def _referenced_names(name):
-    """Identifiers that module `name` of the package reads: names,
-    attributes and imported names, by its syntax tree."""
+def _nodes(name):
+    """Every node of the syntax tree of module `name` of the package."""
     path = os.path.join(os.path.dirname(foldoptics.__file__), f"{name}.py")
-    tree = ast.parse(open(path, encoding="utf-8").read())
+    return list(ast.walk(ast.parse(open(path, encoding="utf-8").read())))
+
+
+def _referenced_names(nodes):
+    """Identifiers a module reads: names, attributes and imported names."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
         else node.name
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def _attribute_reads(nodes):
+    """Attribute names a module reads (loads)."""
+    return {
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -92,7 +117,9 @@ def _public_members(cls):
 
 
 def test_public_names_no_other_module_uses_are_kept_for_a_reason():
-    refs = {name: _referenced_names(name) for name in MODULES}
+    nodes = {name: _nodes(name) for name in MODULES}
+    refs = {name: _referenced_names(nodes[name]) for name in MODULES}
+    reads = set().union(*(_attribute_reads(nodes[name]) for name in MODULES))
     unused = set()
     for name in MODULES:
         module = importlib.import_module(f"foldoptics.{name}")
@@ -107,6 +134,11 @@ def test_public_names_no_other_module_uses_are_kept_for_a_reason():
                 unused |= {
                     m for m in _public_members(obj)
                     if not any(m.split(".")[1] in refs[other] for other in MODULES)
+                }
+            if dataclasses.is_dataclass(obj):
+                unused |= {
+                    f"{obj.__name__}.{f.name}" for f in dataclasses.fields(obj)
+                    if f.name not in reads
                 }
     assert not unused - KEPT.keys(), sorted(unused - KEPT.keys())
     assert not KEPT.keys() - unused, sorted(KEPT.keys() - unused)  # stale entries

@@ -17,15 +17,14 @@ from foldoptics.wkb import (
 X0 = 2.0
 
 
-def kl_values(S_plus, S_minus, A_plus, A_minus, x):
-    """phi, rho, g0 and g1 of two branches' phases and amplitudes at x."""
-    phi, rho = kl_coordinates(S_plus(x), S_minus(x))
-    return (phi, rho, *kl_amplitudes(A_plus(x), A_minus(x), rho))
+def kl_values(phases, amplitudes):
+    """phi, rho, g0 and g1 of two branches' phases (S+, S-) and amplitudes (A+, A-)."""
+    phi, rho = kl_coordinates(*phases)
+    return (phi, rho, *kl_amplitudes(*amplitudes, rho))
 
 
 def airy_kl_values(x):
-    plus, minus = airy_wkb_branches(X0)
-    return kl_values(plus.S, minus.S, plus.A, minus.A, x)
+    return kl_values(*airy_wkb_branches(x, X0))
 
 
 def test_airy_coordinates_reduce_to_identity():
@@ -125,8 +124,7 @@ def test_array_field_matches_scalar_calls():
 def test_array_field_raises_the_scalar_ordering_error():
     # S+ - S- = -2x: S+ < S- only at x = 0.5
     def field(x):
-        return kl_field(*kl_values(lambda x: -x, lambda x: x,
-                                   lambda x: 1.0 + 0j, lambda x: 0j, x), 0.05)
+        return kl_field(*kl_values((-x, x), (1.0 + 0j, 0j)), 0.05)
 
     assert np.all(np.isfinite(field(np.array([-1.0, -0.5]))))
     for x in (0.5, np.array([-1.0, -0.5, 0.5])):
@@ -137,8 +135,7 @@ def test_array_field_raises_the_scalar_ordering_error():
 def test_array_field_raises_the_scalar_g1_singularity():
     # rho = x^2 vanishes at x = 0, where A+ + iA- = 1 + i does not
     def field(x):
-        return kl_field(*kl_values(lambda x: x * x, lambda x: -x * x,
-                                   lambda x: 1.0 + 0j, lambda x: 1.0 + 0j, x), 0.05)
+        return kl_field(*kl_values((x * x, -x * x), (1.0 + 0j, 1.0 + 0j)), 0.05)
 
     for x in (0.0, np.array([-0.5, 0.0, 0.5])):
         with pytest.raises(ZeroDivisionError, match="g1 singular"):
@@ -150,8 +147,7 @@ def test_array_field_raises_the_scalar_g1_singularity():
 def test_array_g1_vanishes_only_where_the_combination_does():
     # A+ + iA- vanishes at x = 0 alone, so g1 is 0 there even though rho = 0
     def g1(x):
-        return kl_values(lambda x: 1.0 + x * x, lambda x: 1.0 - x * x,
-                         lambda x: -1j + x, lambda x: 1.0 + 0 * x, x)[3]
+        return kl_values((1.0 + x * x, 1.0 - x * x), (-1j + x, 1.0 + 0 * x))[3]
 
     xs = np.array([-0.5, 0.0, 0.5])
     assert g1(xs)[1] == 0.0

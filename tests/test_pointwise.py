@@ -21,6 +21,7 @@ from foldoptics import (
     airy_ai,
     airy_greens,
     airy_inner_approx,
+    airy_wkb_branches,
     airy_wkb_field,
     cfu_eval,
     combined_wkb_wigner,
@@ -65,6 +66,8 @@ _CORES = {
     "airy_ai-tails": (airy_ai, (_TAILS,)),
     "airy_ai-mixed": (airy_ai, (_MIXED,)),
     "airy_wkb_field": (lambda x: airy_wkb_field(x, 0.025, 2.0), (_uniform(1e-3, 2.0),)),
+    # ((S+, S-), (A+, A-)) as four parts
+    "airy_wkb_branches": (lambda x: sum(airy_wkb_branches(x, 2.0), ()), (_uniform(1e-3, 2.0),)),
     "airy_greens": (lambda x: airy_greens(x, 2.0, 0.05), (_uniform(-1.0, 4.0),)),
     "airy_inner_approx": (lambda x: airy_inner_approx(x, 2.0, 0.05), (_uniform(-1.0, 4.0),)),
     "linear_layer_phases": (lambda y, z: linear_layer_phases(y, z, _LAYER),

@@ -107,7 +107,7 @@ def test_nonpositive_duration_rejected():
 
 
 def test_domain_exit_sets_truncated_flag():
-    prof = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, "slab", (0.0, 10.0))
+    prof = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, (0.0, 10.0))
     path = integrate_hamiltonian(prof, 5.0, -1.0, 10.0)
     assert path.truncated
     # the samples stop at the exit time t = 5, where the ray meets x = 0
@@ -128,7 +128,7 @@ def test_find_caustic_at_turning_point():
 def test_find_caustic_finds_every_touch_of_a_bound_ray():
     # eta^2 = 1 - x^2: x(t) = -cos(t) from (0, -1) turns at x = +-1 and
     # touches the caustic at t = (2n + 1) pi/2
-    prof = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x, "harmonic")
+    prof = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x)
     hits = find_caustic(prof, 0.0, -1.0, 8.5)
     assert len(hits) == 3
     for n, (t_c, x_c) in enumerate(hits):
@@ -294,10 +294,10 @@ def _scipy_reference(profile, x0, k0, t_end):
     return sol, delta, (accepted, (sol.nfev - 2) // 6 - accepted)
 
 
-SLAB = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, "slab", (0.0, 10.0))
-HARMONIC = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x, "harmonic")
+SLAB = RefractionProfile1D(lambda x: 1.0, lambda x: 0.0, (0.0, 10.0))
+HARMONIC = RefractionProfile1D(lambda x: 1.0 - x * x, lambda x: -2.0 * x)
 STEP = RefractionProfile1D(
-    lambda x: 2.0 + np.tanh(20.0 * x), lambda x: 20.0 / np.cosh(20.0 * x) ** 2, "step"
+    lambda x: 2.0 + np.tanh(20.0 * x), lambda x: 20.0 / np.cosh(20.0 * x) ** 2
 )
 
 
@@ -326,6 +326,6 @@ def test_tracer_matches_scipy_rk45(profile, x0, k0, t_end):
 def test_tracer_refuses_a_vanishing_step():
     # a NaN derivative fails every error test, so the step shrinks to 10
     # spacings of t and the tracer gives up
-    prof = RefractionProfile1D(lambda x: 1.0 + 0.0 * x, lambda x: math.nan, "broken")
+    prof = RefractionProfile1D(lambda x: 1.0 + 0.0 * x, lambda x: math.nan)
     with pytest.raises(RuntimeError, match="ray integration failed"):
         integrate_hamiltonian(prof, 0.0, 1.0, 1.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,14 +21,15 @@ from foldoptics.surgery import (
     offdiagonal_asymptotics,
     stationary_table,
     stationary_wigner_residual,
-    wigner_branches,
 )
 from foldoptics.wigner import PhaseSpaceGrid, wigner_exact_airy, wigner_moment1
 from foldoptics.wkb import airy_inner_approx
 
 X0 = 2.0
 EPS = 0.05
-BRANCHES = wigner_branches(X0)
+# branch i's phase F and its sigma-derivatives are these at the sign pair _SIGNS[i - 1]
+PHASES = (surgery._phase, surgery._phase_s, surgery._phase_ss)
+SIGNS = surgery._SIGNS
 
 RNG_SEED = 20240911
 
@@ -60,37 +62,31 @@ def test_classify_requires_illuminated_zone():
         stationary_table(3, [1.0, -1.0], 0.5)
 
 
-def _phases(w):
-    return w.F, w.F_sigma, w.F_sigmasigma, w.F_sigmasigmasigma
-
-
 def test_phase_values_at_origin():
     x, k = 1.3, 0.4
-    f, fs, fss, fsss = (g(0.0, x, k) for g in _phases(BRANCHES[0]))
+    f, fs, fss = (g(*SIGNS[0], 0.0, x, k) for g in PHASES)
     assert f == 0.0
     assert fs == pytest.approx(2.0 * math.sqrt(x) - 2.0 * k, rel=1e-15)
     assert fss == 0.0
-    assert fsss == pytest.approx(-0.5 * x**-1.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("idx", [0, 1, 2, 3])
 def test_phase_derivatives_consistent(idx):
-    w = BRANCHES[idx]
     rng = np.random.default_rng(RNG_SEED + idx)
     h = 1e-6
     for _ in range(20):
         x = rng.uniform(0.5, 3.0)
         k = rng.uniform(-1.5, 1.5)
         sigma = rng.uniform(-0.4, 0.4) * x
-        f_p, f_m, f_0 = ([g(s, x, k) for g in _phases(w)] for s in (sigma + h, sigma - h, sigma))
+        f_p, f_m, f_0 = ([g(*SIGNS[idx], s, x, k) for g in PHASES]
+                         for s in (sigma + h, sigma - h, sigma))
         assert (f_p[0] - f_m[0]) / (2 * h) == pytest.approx(f_0[1], rel=1e-7, abs=1e-7)
         assert (f_p[1] - f_m[1]) / (2 * h) == pytest.approx(f_0[2], rel=1e-6, abs=1e-6)
-        assert (f_p[2] - f_m[2]) / (2 * h) == pytest.approx(f_0[3], rel=1e-5, abs=1e-5)
 
 
 def test_mirror_phase_relations():
     rng = np.random.default_rng(RNG_SEED)
-    f1, f2, f3, f4 = (b.F for b in BRANCHES)
+    f1, f2, f3, f4 = (partial(surgery._phase, *signs) for signs in SIGNS)
     for _ in range(25):
         x = rng.uniform(0.3, 3.0)
         k = rng.uniform(-1.5, 1.5)
@@ -102,19 +98,17 @@ def test_mirror_phase_relations():
 
 
 def test_amplitudes():
+    # the diagonal branches' amplitude D(sigma, x)
     x, sigma = 1.4, 0.6
-    d1 = BRANCHES[0].D(sigma, x)
-    assert d1 == pytest.approx(0.25 / math.sqrt(X0) * (x * x - sigma * sigma) ** -0.25)
-    assert d1.imag == 0.0
-    assert BRANCHES[1].D(sigma, x) == d1
-    assert BRANCHES[2].D(sigma, x) == pytest.approx(-1j * d1)
-    assert BRANCHES[3].D(sigma, x) == pytest.approx(1j * d1)
+    d = surgery._diagonal_amplitude(sigma, x, X0)
+    assert d == pytest.approx(0.25 / math.sqrt(X0) * (x * x - sigma * sigma) ** -0.25)
     # array in, array out
     sigmas, xs = np.array([0.1, 0.2]), np.array([1.0, 1.0])
-    for branch in BRANCHES:
-        got = branch.D(sigmas, xs)
-        assert got.shape == (2,) and got.dtype == complex
-        np.testing.assert_allclose(got, [branch.D(s, x) for s, x in zip(sigmas, xs)], rtol=1e-15)
+    got = surgery._diagonal_amplitude(sigmas, xs, X0)
+    assert got.shape == (2,)
+    np.testing.assert_allclose(
+        got, [surgery._diagonal_amplitude(s, x, X0) for s, x in zip(sigmas, xs)], rtol=1e-15
+    )
 
 
 def test_fold_pair_closed_forms():
@@ -122,9 +116,9 @@ def test_fold_pair_closed_forms():
     x, k = 1.0, 0.8
     sigma0 = 2.0 * k * math.sqrt(x - k * k)
     assert math.sqrt(x + sigma0) + math.sqrt(x - sigma0) == pytest.approx(2.0 * k)
-    f0 = BRANCHES[0].F(sigma0, x, k)
+    f0 = surgery._phase(*SIGNS[0], sigma0, x, k)
     assert f0 == pytest.approx((4.0 / 3.0) * (x - k * k) ** 1.5, rel=1e-13)
-    fss = BRANCHES[0].F_sigmasigma(sigma0, x, k)
+    fss = surgery._phase_ss(*SIGNS[0], sigma0, x, k)
     assert fss == pytest.approx(-math.sqrt(x - k * k) / (2.0 * k * k - x), rel=1e-12)
     assert x * x - sigma0 * sigma0 == pytest.approx((x - 2.0 * k * k) ** 2, rel=1e-12)
 
@@ -160,24 +154,24 @@ def test_stationary_tables_random_sweep():
     # off the parabolas' tolerance bands, the region is read from x, k^2 and 2 k^2
     kk = ks * ks
     regions = np.where(xs < kk, 0, np.where(xs < 2.0 * kk, 2, 4))
-    for w in BRANCHES:
-        table = stationary_table(w.index, xs, ks)
+    for index in (1, 2, 3, 4):
+        table = stationary_table(index, xs, ks)
         off_curves = np.isin(table.region, (1, 3), invert=True)
         assert np.array_equal(table.region[off_curves], regions[off_curves])
         for i in np.flatnonzero(off_curves):
             x, k, region = xs[i], ks[i], REGIONS[table.region[i]]
-            if w.index in (1, 2):
-                sign_ok = k > 0 if w.index == 1 else k < 0
+            if index in (1, 2):
+                sign_ok = k > 0 if index == 1 else k < 0
                 key = (1, region)
                 count, real, mults = EXPECTED_COUNTS[key] if sign_ok else (0, True, set())
             else:
-                count, real, mults = EXPECTED_COUNTS[(w.index, region)]
+                count, real, mults = EXPECTED_COUNTS[(index, region)]
             loc, curv = _cell(table, i)
-            assert loc.size == count, (w.index, region)
+            assert loc.size == count, (index, region)
             assert table.n_real[i] == np.count_nonzero(loc.imag == 0.0)
             assert np.all(loc.imag == 0.0) == real or count == 0
             assert _multiplicities(curv) == mults
-            res = w.F_sigma(loc[loc.imag == 0.0].real, x, k)
+            res = surgery._phase_s(*SIGNS[index - 1], loc[loc.imag == 0.0].real, x, k)
             assert np.all(np.abs(res) <= 1e-10 * max(1.0, abs(k) + math.sqrt(x)))
 
 
@@ -188,9 +182,6 @@ def test_double_point_on_manifold():
     assert loc.tolist() == [0j]
     assert _multiplicities(curv) == {"double"}
     assert table.n_real == 1
-    assert BRANCHES[0].F_sigmasigmasigma(0.0, 1.44, 1.2) == pytest.approx(
-        -0.5 * 1.44**-1.5
-    )
 
 
 def test_conjugate_curve_edge_points():
@@ -259,7 +250,6 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
     xs, ks, codes = _parabola_points()
     chord = 2.0 * np.abs(ks) * np.sqrt(np.abs(xs - ks * ks))
     for index in (1, 2, 3, 4):
-        w = BRANCHES[index - 1]
         table = stationary_table(np.full(xs.size, index), xs, ks)
         assert np.array_equal(table.region, codes)
         sign_ok = ks > 0 if index == 1 else ks < 0  # of the diagonal branches
@@ -305,7 +295,7 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
             # simple real points meet the plain tolerance up to the rounding of sigma
             simple = (loc.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
             sigma, c = loc.real[simple], curv[simple]
-            res = np.abs(w.F_sigma(sigma, x, k))
+            res = np.abs(surgery._phase_s(*SIGNS[index - 1], sigma, x, k))
             assert np.all(res <= 1e-10 * scale + np.abs(c) * np.spacing(np.abs(sigma)))
 
 
@@ -468,12 +458,11 @@ EDGE_DRAW = (0.9450085363356805, 0.6873894511528946)
 @pytest.mark.parametrize("idx", [2, 3])
 def test_interior_point_at_the_window_edge_passes(idx):
     x, k = EDGE_DRAW
-    w = BRANCHES[idx]
-    (loc,), (c,) = _cell(stationary_table(w.index, x, k))
+    (loc,), (c,) = _cell(stationary_table(idx + 1, x, k))
     sigma = loc.real
     assert 0.0 < x - abs(sigma) <= 2.0 * np.spacing(x)
     # rounding sigma alone leaves more than the plain tolerance ...
-    residual = abs(w.F_sigma(sigma, x, k))
+    residual = abs(surgery._phase_s(*SIGNS[idx], sigma, x, k))
     scale = max(1.0, math.sqrt(x) + abs(k))
     assert residual > 1e-10 * scale
     # ... and no more than the curvature times one spacing of sigma
@@ -801,7 +790,6 @@ def test_stationary_equation_accepts_quadratic_profile():
     prof = RefractionProfile1D(
         lambda x: 1.0 + 0.3 * x + 0.1 * x * x,
         lambda x: 0.3 + 0.2 * x,
-        name="quadratic",
     )
     g = _airy_grid(41)
     res = stationary_wigner_residual(prof, g)
@@ -812,7 +800,6 @@ def test_stationary_equation_rejects_cubic_profile():
     prof = RefractionProfile1D(
         lambda x: 1.0 + x**3,
         lambda x: 3.0 * x * x,
-        name="cubic",
     )
     with pytest.raises(ValueError, match="unsupported profile"):
         stationary_wigner_residual(prof, _airy_grid(41))
