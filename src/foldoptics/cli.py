@@ -11,7 +11,9 @@ Configuration is a plain key=value file (``--config``), overridden key by
 key with command-line flags.  Data files for identical configurations are
 byte-identical; every data file is listed in a JSON manifest with its
 sha256 checksum.  Exit codes: 0 success, 1 validation failure, 2 usage
-error.
+error.  A run raises its usage errors first, then makes the output
+directory, then writes its files: an export command returns its tables
+for `main` to write, so a usage error leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -458,14 +460,19 @@ def _write_tables(
 
 def _write_json_atomic(path: str, payload: Dict[str, object]) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(payload, f, sort_keys=True, indent=2)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each export returns its tables, having raised every usage error first
 
 def _resolve_tmax(cfg: RunConfig, default: float) -> float:
     """tmax, or the scenario's default when it is not given; tmin must lie
@@ -476,8 +483,7 @@ def _resolve_tmax(cfg: RunConfig, default: float) -> float:
     return tmax
 
 
-def cmd_rays(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_rays(cfg: RunConfig) -> List[Table]:
     if cfg.scenario == "airy":
         tmax = _resolve_tmax(cfg, 3.0 * math.sqrt(cfg.x0))
         root = math.sqrt(cfg.x0)
@@ -492,7 +498,7 @@ def cmd_rays(cfg: RunConfig) -> int:
         t = np.tile(np.linspace(cfg.tmin, tmax, cfg.nt), 2)
         k0 = np.repeat([-root, root], cfg.nt)
         x, k = airy_ray_closed(t, cfg.x0, k0)
-        tables = [
+        return [
             ("rays", ("ray_id", "t", "x", "k", "jacobian"),
              [(np.repeat(["down", "up"], cfg.nt), t, x, k, 1.0 + k0 * t / (2.0 * cfg.x0))]),
             # header only when neither ray touches a caustic
@@ -507,15 +513,13 @@ def cmd_rays(cfg: RunConfig) -> int:
         ky, kz = linear_layer_momentum(t, p)
         t_star = 0.5 * chord
         y_star, z_star = linear_layer_ray(t_star, 0.0, p)
-        tables = [
+        return [
             ("rays", ("ray_id", "t", "y", "z", "ky", "kz", "jacobian"),
              [(np.full(cfg.nt, "incident"), t, y, z, np.full(cfg.nt, ky), kz,
                linear_layer_jacobian(t, p))]),
             ("caustics", ("ray_id", "t", "y", "z", "caustic_depth"),
              [(["incident"], [t_star], [y_star], [z_star], [linear_layer_caustic_depth(p)])]),
         ]
-    _write_tables(cfg, "rays", tables, started)
-    return 0
 
 
 def _wkb_field(x, epsilon: float, x0: float):
@@ -534,8 +538,7 @@ def _airy_kl_field(x, epsilon: float, x0: float):
     return kl_field(phi, rho, *kl_amplitudes(*amplitudes, rho), epsilon)
 
 
-def cmd_field(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_field(cfg: RunConfig) -> List[Table]:
     # each field is evaluated once over its mask, with a stand-in point
     # outside it, and NaN there in the table
     nan = complex(math.nan, math.nan)
@@ -554,7 +557,7 @@ def cmd_field(cfg: RunConfig) -> int:
         header = ("x", "wkb_re", "wkb_im", "kl_re", "kl_im",
                   "greens_re", "greens_im", "inner_re", "inner_im")
         columns = (xs, *(part for u in fields for part in (u.real, u.imag)))
-        tables = [("field", header, [columns])]
+        return [("field", header, [columns])]
     else:
         p = cfg.layer_params()
         zs = np.linspace(cfg.xmin, cfg.xmax, cfg.nx)
@@ -562,9 +565,7 @@ def cmd_field(cfg: RunConfig) -> int:
         s_plus, s_minus = linear_layer_phases(0.0, np.where(layer, zs, p.h), p)
         phi, rho = kl_coordinates(s_plus, s_minus)
         columns = (zs, *(np.where(layer, c, math.nan) for c in (s_plus, s_minus, phi, rho)))
-        tables = [("field", ("z", "s_plus", "s_minus", "phi", "rho"), [columns])]
-    _write_tables(cfg, "field", tables, started)
-    return 0
+        return [("field", ("z", "s_plus", "s_minus", "phi", "rho"), [columns])]
 
 
 def _airy_curve(x0: float) -> LagrangianCurve:
@@ -590,8 +591,7 @@ def _undersampled(cfg: RunConfig, sampler, xs, ks, message: str) -> ConfigError:
     )
 
 
-def cmd_wigner(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_wigner(cfg: RunConfig) -> List[Table]:
     if cfg.scenario != "airy":
         raise ConfigError("scenario", "wigner export supports the airy scenario")
     # the region codes are defined for x > 0 alone
@@ -630,9 +630,7 @@ def cmd_wigner(cfg: RunConfig) -> int:
         "w_exact", "w_combined", "w_numeric", "w_semiclassical",
         "diff_numeric", "diff_semiclassical",
     )
-    blocks = map(columns, _row_blocks(cfg.nx, cfg.nk))
-    _write_tables(cfg, "wigner", [("wigner", header, blocks)], started)
-    return 0
+    return [("wigner", header, map(columns, _row_blocks(cfg.nx, cfg.nk)))]
 
 
 def _row_blocks(rows: int, cols: int) -> List[slice]:
@@ -693,6 +691,14 @@ class CriterionResult:
         return self.legs[0].margin
 
 
+# each criterion's name by id, read by its check and by run_validation's crash entry
+_NAMES = dict(enumerate((
+    "surgery identity", "end-to-end wignerization", "fundamental-solution quadrature",
+    "k-moments", "stationary-point tables", "uniform stationary-phase engine",
+    "uniform caustic field", "first-order convergence", "phase-space transport residual",
+    "ray tracing", "special functions"), start=1))
+
+
 def check_surgery_identity() -> CriterionResult:
     """Combined fold form vs the exact closed-form Wigner transform."""
     xs = np.linspace(0.05, 1.9, 200)
@@ -700,7 +706,7 @@ def check_surgery_identity() -> CriterionResult:
     exact = wigner_exact_airy(xs[:, None], ks[None, :], 0.05, 2.0)
     comb = combined_wkb_wigner(xs[:, None], ks[None, :], 0.05, 2.0)
     legs = (Leg("max |combined - exact|", float(np.max(np.abs(comb - exact))), 1e-12),)
-    return CriterionResult(1, "surgery identity", legs, "200x200 grid")
+    return CriterionResult(1, _NAMES[1], legs, "200x200 grid")
 
 
 # Calibrated band-comparison configuration: the WKB sampler is restricted
@@ -735,7 +741,7 @@ def check_band_wignerization() -> CriterionResult:
     coarse = band_comparison_metric(0.05)
     legs = (Leg("eps=0.05 band", coarse, 5e-2),
             Leg("eps=0.025 band", band_comparison_metric(0.025), coarse, "<"))
-    return CriterionResult(2, "end-to-end wignerization", legs)
+    return CriterionResult(2, _NAMES[2], legs)
 
 
 def check_fundamental_quadrature() -> CriterionResult:
@@ -752,8 +758,7 @@ def check_fundamental_quadrature() -> CriterionResult:
     mask = np.abs(exact) >= 0.01 * np.max(np.abs(exact))
     rel = float(np.max(np.abs(grid.values - exact)[mask] / np.abs(exact)[mask]))
     legs = (Leg("masked rel deviation", rel, 5e-3),)
-    return CriterionResult(3, "fundamental-solution quadrature", legs,
-                           f"{int(mask.sum())} masked points")
+    return CriterionResult(3, _NAMES[3], legs, f"{int(mask.sum())} masked points")
 
 
 def check_k_moments() -> CriterionResult:
@@ -767,7 +772,7 @@ def check_k_moments() -> CriterionResult:
     rel = float(np.max(np.abs(wigner_moment0(g) - ref) / np.abs(ref)))
     legs = (Leg("zeroth moment rel", rel, 1e-4),
             Leg("max flux", float(np.max(np.abs(wigner_moment1(g)))), 1e-10))
-    return CriterionResult(4, "k-moments", legs)
+    return CriterionResult(4, _NAMES[4], legs)
 
 
 # criterion 05's draws of (x, k), its bound on the stationary-point residual
@@ -824,7 +829,7 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
             table = stationary_table(index, xs, ks)
         except RuntimeError as e:
             legs = (Leg("root residual", math.inf, _ROOT_RESIDUAL),)
-            return CriterionResult(5, "stationary-point tables", legs, f"error: {e}")
+            return CriterionResult(5, _NAMES[5], legs, f"error: {e}")
         curv = table.curvatures
         simple = (table.locations.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
         draw, sigma = np.nonzero(simple)[0], table.locations.real[simple]
@@ -832,7 +837,7 @@ def check_stationary_tables(seed: int = 20240911) -> CriterionResult:
         res = _verify_by_root_finding(*_SIGNS[index - 1], xs[draw], ks[draw], sigma)
         worst, count = max(worst, float(np.max(res, initial=0.0))), count + draw.size
     legs = (Leg("root residual", worst, _ROOT_RESIDUAL),)
-    return CriterionResult(5, "stationary-point tables", legs,
+    return CriterionResult(5, _NAMES[5], legs,
                            f"{count} real points root-verified over {_DRAWS} draws")
 
 
@@ -845,8 +850,7 @@ def check_cfu_engine() -> CriterionResult:
         denom = np.maximum(np.abs(ref), lam ** (-1.0 / 3.0))
         worst = max(worst, float(np.max(np.abs(got - ref) / denom)))
     legs = (Leg("rel deviation", worst, 1e-6),)
-    return CriterionResult(6, "uniform stationary-phase engine", legs,
-                           "canonical cubic, lam in {10, 100}")
+    return CriterionResult(6, _NAMES[6], legs, "canonical cubic, lam in {10, 100}")
 
 
 def check_kl_uniformization() -> CriterionResult:
@@ -866,7 +870,7 @@ def check_kl_uniformization() -> CriterionResult:
     legs = (Leg("identity rel", identity, 1e-12),
             Leg("far field eps=0.05", devs[1], devs[0], "<"),
             Leg("far field eps=0.025", devs[2], devs[1], "<"))
-    return CriterionResult(7, "uniform caustic field", legs)
+    return CriterionResult(7, _NAMES[7], legs)
 
 
 def check_wkb_convergence() -> CriterionResult:
@@ -880,8 +884,7 @@ def check_wkb_convergence() -> CriterionResult:
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     legs = (Leg("halving ratio offset", max(abs(r1 - 2.0), abs(r2 - 2.0)), 0.4),)
-    return CriterionResult(8, "first-order convergence", legs,
-                           f"halving ratios {r1:.2f}, {r2:.2f}")
+    return CriterionResult(8, _NAMES[8], legs, f"halving ratios {r1:.2f}, {r2:.2f}")
 
 
 def check_liouville_order() -> CriterionResult:
@@ -900,8 +903,7 @@ def check_liouville_order() -> CriterionResult:
             airy_profile(), PhaseSpaceGrid(sx[r], sk, sw[r], eps)).values))) for r in slabs))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     legs = (Leg("observed order", min(orders), 1.9, ">="),)
-    return CriterionResult(9, "phase-space transport residual", legs,
-                           f"observed orders {orders[0]:.2f}, {orders[1]:.2f}")
+    return CriterionResult(9, _NAMES[9], legs, f"observed orders {orders[0]:.2f}, {orders[1]:.2f}")
 
 
 def check_rays() -> CriterionResult:
@@ -925,7 +927,7 @@ def check_rays() -> CriterionResult:
             Leg("caustic offset", t_err, 1e-6),
             Leg("depth offset", depth_err, 1e-12 * max(1.0, abs(depth))))
     steps = "%d/%d (drift), %d/%d (caustic)" % (*path.steps, *touches.steps)
-    return CriterionResult(10, "ray tracing", legs, f"accepted/rejected steps {steps}")
+    return CriterionResult(10, _NAMES[10], legs, f"accepted/rejected steps {steps}")
 
 
 def check_special_functions() -> CriterionResult:
@@ -950,7 +952,7 @@ def check_special_functions() -> CriterionResult:
     )
     legs = (Leg("wronskian", wronskian, 1e-10),
             Leg("origin values rel", max(abs(a - b) / abs(b) for a, b in refs), 1e-12))
-    return CriterionResult(11, "special functions", legs)
+    return CriterionResult(11, _NAMES[11], legs)
 
 
 _CHECKS: Tuple[Callable[..., CriterionResult], ...] = (
@@ -982,16 +984,14 @@ def run_validation(seed: int = 20240911) -> List[CriterionResult]:
             result = check(seed=seed) if check is check_stationary_tables else check()
         except Exception as e:  # noqa: BLE001 - reported, not swallowed
             ident, legs = _CHECKS.index(check) + 1, (Leg("error", math.inf, math.nan),)
-            name = check.__name__.replace("check_", "").replace("_", " ")
-            result = CriterionResult(ident, name, legs, f"error: {e}")
+            result = CriterionResult(ident, _NAMES[ident], legs, f"error: {e}")
         seconds = time.perf_counter() - started
         gate = (Leg("seconds", seconds, _GATES[result.id], "<"),) if result.id in _GATES else ()
         results.append(dataclasses.replace(result, legs=result.legs + gate, seconds=seconds))
     return results
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    started = time.time()
+def cmd_validate(cfg: RunConfig, started: float) -> int:
     results = run_validation(seed=cfg.seed)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -1047,38 +1047,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "rays": cmd_rays,
-    "field": cmd_field,
-    "wigner": cmd_wigner,
-    "validate": cmd_validate,
-}
+_COMMANDS = {"rays": cmd_rays, "field": cmd_field, "wigner": cmd_wigner}
 
 
-def _make_out(path: str) -> List[str]:
-    """Make the output directory, or raise a usage error; return the levels made, deepest first."""
-    made, head = [], os.path.abspath(path)
-    while not os.path.exists(head):
-        made, head = made + [head], os.path.dirname(head)
+def _make_out(path: str) -> None:
+    """Make the output directory, or raise a usage error."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError("out", f"cannot create {path}: {e.strerror}") from None
-    return made
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    started = time.time()
     args = build_parser().parse_args(argv)
-    made: List[str] = []
-    try:
+    try:  # every usage error is raised before the output directory is made
         cfg = merge_config(args)
-        made = _make_out(cfg.out)
-        return _COMMANDS[args.command](cfg)
+        tables = None if args.command == "validate" else _COMMANDS[args.command](cfg)
+        _make_out(cfg.out)
     except ConfigError as e:
-        for path in made:  # a usage error leaves no directory behind
-            os.rmdir(path)
         print(f"usage error: {e.field}: {e}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        return cmd_validate(cfg, started)
+    _write_tables(cfg, args.command, tables, started)
+    return 0
 
 
 if __name__ == "__main__":

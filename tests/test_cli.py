@@ -5,11 +5,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import math
-import os
 import pathlib
 import re
 import tempfile
@@ -111,29 +111,46 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         (["field", "--xmax=-1"], "xmax"),
         (["wigner", "--kmax=-1e6"], "kmax"),
         (["rays", "--tmax", "0"], "tmax"),
+        (["wigner", "--xmin", "-1"], "xmin"),
     ],
 )
-def test_invariant_violations_exit_2_with_field_name(capsys, argv, field):
-    rc = main(argv + ["--out", "/tmp/never-written"])
+def test_invariant_violations_exit_2_with_field_name(capsys, tmp_path, argv, field):
+    # the refusals a command makes itself (tmin, the wigner scenario, xmin,
+    # sigma_samples) come before the output directory too: none is made
+    rc = main(argv + ["--out", str(tmp_path / "a" / "b")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {field}:")
-    assert not os.path.exists("/tmp/never-written")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_uncreatable_out_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path):
+# the first work of each: the criteria, and a wigner block's numeric transform
+@pytest.mark.parametrize("command, work", [("validate", "run_validation"),
+                                           ("wigner", "wigner_numeric")])
+def test_uncreatable_out_is_a_usage_error_before_any_work(
+    monkeypatch, capsys, tmp_path, command, work
+):
     def never(*args, **kwargs):
-        raise AssertionError("validation ran")
+        raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(cli, "run_validation", never)
+    monkeypatch.setattr(cli, work, never)
     (tmp_path / "file").write_text("")
-    assert main(["validate", "--out", str(tmp_path / "file" / "out")]) == 2
+    assert main([command, "--out", str(tmp_path / "file" / "out")]) == 2
     assert capsys.readouterr().err.startswith("usage error: out:")
 
 
-def test_usage_error_after_the_out_directory_is_made_removes_it(capsys, tmp_path):
-    assert main(["wigner", "--xmin", "-1", "--out", str(tmp_path / "a" / "b")]) == 2
-    assert capsys.readouterr().err.startswith("usage error: xmin:")
+@pytest.mark.parametrize(
+    "command, scenario",
+    [("rays", "airy"), ("rays", "linear_layer"), ("field", "airy"), ("field", "linear_layer"),
+     ("wigner", "airy")],
+)
+def test_exports_return_their_tables_and_create_nothing(tmp_path, command, scenario):
+    cfg = RunConfig(scenario=scenario, nx=8, nk=8, nt=8, out=str(tmp_path / "out"))
+    tables = getattr(cli, f"cmd_{command}")(cfg)
+    # every block read, as the writer reads them
+    rows = {name: sum(len(block[0]) for block in blocks) for name, _, blocks in tables}
+    expected = {"rays": 16 if scenario == "airy" else 8, "field": 8, "wigner": 64}
+    assert rows[command] == expected[command]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -147,8 +164,11 @@ FLOAT_FIELDS = [
 
 @pytest.mark.parametrize("command", ["rays", "field", "wigner", "validate"])
 def test_non_finite_floats_exit_2_with_field_name(monkeypatch, capsys, tmp_path, command):
-    # a config that got past validation runs nothing here: it returns 0
-    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: 0)
+    # a config that got past validation computes nothing here: no tables, no criteria
+    if command == "validate":
+        monkeypatch.setattr(cli, "run_validation", lambda seed: [])
+    else:
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: [])
     assert len(FLOAT_FIELDS) == 13
     for name in FLOAT_FIELDS:
         for value in ("nan", "inf", "-inf"):
@@ -499,6 +519,13 @@ def test_sigma_samples_above_the_largest_accepted_is_a_usage_error(tmp_path, cap
 
 
 # -- manifests and determinism ----------------------------------------------
+
+
+def test_a_failed_json_write_leaves_neither_file_nor_temp_file(tmp_path):
+    # json.dump raises on the object after it has written part of the payload
+    with pytest.raises(TypeError):
+        cli._write_json_atomic(str(tmp_path / "r.json"), {"a": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -1110,6 +1137,20 @@ def test_leg_with_a_zero_bound_has_no_margin():
     # equal to its reference makes 0: the report still gets written
     leg = Leg("far field", 0.0, 0.0, "<")
     assert not leg.passed and math.isnan(leg.margin)
+
+
+def test_a_crashed_criterion_keeps_its_id_and_name(monkeypatch):
+    normal = [(r.id, r.name) for r in cli.run_validation()]
+    checks = cli._CHECKS
+    for i, check in enumerate(checks):
+        @functools.wraps(check)
+        def crash(*args, **kwargs):
+            raise RuntimeError("probe")
+
+        monkeypatch.setattr(cli, "_CHECKS", checks[:i] + (crash,) + checks[i + 1:])
+        result = cli.run_validation()[i]
+        assert result.detail == "error: probe" and not result.passed
+        assert (result.id, result.name) == normal[i]
 
 
 def test_validate_survives_a_crashing_check(monkeypatch):
