@@ -108,7 +108,8 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     """One run's parameters.  Each field is a config-file key and a flag of every
-    subcommand, `formats` as `format`: a comma-separated subset of csv,json."""
+    subcommand by its own name, given as text that merge_config converts to the
+    type of its default; `format` is a comma-separated subset of csv,json."""
 
     scenario: str = "airy"
     epsilon: float = 0.05
@@ -129,7 +130,7 @@ class RunConfig:
     h: float = 1.0
     psi: float = 0.35
     out: str = "runs"
-    formats: Tuple[str, ...] = ("csv",)
+    format: Tuple[str, ...] = ("csv",)
     seed: int = 20240911
 
     def validate(self) -> None:
@@ -169,9 +170,9 @@ class RunConfig:
             raise ConfigError("psi", "incidence angle must lie in (0, pi/2)")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
-        if not self.formats:
+        if not self.format:
             raise ConfigError("format", "at least one output format")
-        for fmt in self.formats:
+        for fmt in self.format:
             if fmt not in _FORMATS:
                 raise ConfigError(
                     "format", f"unknown format {fmt!r}; choose from csv, json"
@@ -181,15 +182,12 @@ class RunConfig:
         return LinearLayerParams(mu0=self.mu0, mu1=self.mu1, h=self.h, psi=self.psi)
 
 
-# option name (`formats` spelled `format`) -> the type of its RunConfig field's default,
-# tmax's None read as float
-_OPTIONS = {
-    "format" if f.name == "formats" else f.name: float if f.default is None else type(f.default)
-    for f in dataclasses.fields(RunConfig)
-}
+# option name -> the type of its RunConfig field's default, tmax's None read as float
+_OPTIONS = {f.name: float if f.default is None else type(f.default)
+            for f in dataclasses.fields(RunConfig)}
 
 
-def _convert(key: str, raw):
+def _convert(key: str, raw: str):
     """A config-file or flag value as the type of its option."""
     kind = _OPTIONS.get(key)
     if kind is None:
@@ -203,9 +201,10 @@ def _convert(key: str, raw):
         raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
 
 
-def load_config_file(path: str) -> Dict[str, object]:
-    """Parse a key=value file; '#' starts a comment, blank lines ignored."""
-    values: Dict[str, object] = {}
+def load_config_file(path: str) -> Dict[str, str]:
+    """Parse a key=value file into its unconverted values; '#' starts a
+    comment, blank lines ignored."""
+    values: Dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -220,19 +219,17 @@ def load_config_file(path: str) -> Dict[str, object]:
                 "config", f"{path}:{lineno}: expected key=value, got {text!r}"
             )
         key, raw = (part.strip() for part in text.split("=", 1))
-        values[key] = _convert(key, raw)
+        values[key] = raw
     return values
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then explicit flags; then validate."""
+    """Defaults, then the config file, then explicit flags, each value converted
+    here and only here, so a flag and a config line are refused alike; then validate."""
     values = load_config_file(args.config) if args.config is not None else {}
-    for key in _OPTIONS:
-        if getattr(args, key, None) is not None:
-            values[key] = _convert(key, getattr(args, key))
-    cfg = RunConfig()
-    for key, value in values.items():
-        setattr(cfg, "formats" if key == "format" else key, value)
+    values.update((key, getattr(args, key)) for key in _OPTIONS
+                  if getattr(args, key, None) is not None)
+    cfg = RunConfig(**{key: _convert(key, raw) for key, raw in values.items()})
     cfg.validate()
     return cfg
 
@@ -244,13 +241,18 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # rows, each one equal-length column (array or sequence) per header entry.
 Table = Tuple[str, Sequence[str], Iterable[Sequence[object]]]
 
-# Float cells per CSV block: the writer's working memory is O(block).
-_BLOCK_CELLS = 8192
-
-# Cells per block of (x, k) rows: the wigner export and criterion 09 evaluate their grids a
-# block at a time, so memory does not grow with nx.  The export's peak is wigner_numeric's
-# chirp-z work arrays over one block's columns; 2^14 keeps it flat but is no faster at 1000^2.
+# Cells per block of rows: the wigner export and criterion 09 evaluate their grids a
+# block of (x, k) rows at a time, and the writer encodes a block in pieces of this many
+# (CSV: float) cells, so memory does not grow with the table.  The export's peak is
+# wigner_numeric's chirp-z work arrays over one block's columns; 2^14 keeps it flat but
+# is no faster at 1000^2.
 _GRID_CELLS = 2**13
+
+
+def _row_blocks(rows: int, cols: int) -> List[slice]:
+    """Runs of consecutive rows of about _GRID_CELLS cells each, covering range(rows)."""
+    step = max(1, _GRID_CELLS // cols)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _split(x):
@@ -347,9 +349,9 @@ def _column_bytes(column: np.ndarray) -> np.ndarray:
 def _csv_encoder(header: Sequence[str]):
     """A table's CSV head bytes, a generator function of the bytes and
     Python-formatted cells of one block of columns, and its tail bytes.  A
-    block goes out in pieces of _BLOCK_CELLS float cells, four little-endian
-    uint64 words a cell, NUL-padded, with ',' or newline in its last byte,
-    joined without NULs.  Floats via _format_g17, other columns via
+    block goes out in the row runs of _row_blocks, _GRID_CELLS float cells
+    each, four little-endian uint64 words a cell, NUL-padded, with ',' or
+    newline in its last byte, joined without NULs.  Floats via _format_g17, other columns via
     _column_bytes (ints as '%d', labels as they are: ASCII without comma,
     quote, newline or NUL, and shorter than 32 bytes)."""
     frame = np.empty((0, len(header), 4), dtype="<u8")  # one a table, grown to its longest piece
@@ -361,11 +363,10 @@ def _csv_encoder(header: Sequence[str]):
         # runs of adjacent float columns, as slices [a, b) of the formatted frames
         cuts = [i for i in range(1, len(floats)) if floats[i] != floats[i - 1] + 1]
         runs = list(zip([0] + cuts, cuts + [len(floats)])) if floats else []
-        step = max(1, _BLOCK_CELLS // max(1, len(floats)))
-        if len(frame) < min(step, len(cols[0])):
-            frame = np.empty((min(step, len(cols[0])), len(cols), 4), dtype="<u8")
-        for start in range(0, len(cols[0]), step):
-            block = [c[start:start + step] for c in cols]
+        for rows in _row_blocks(len(cols[0]), max(1, len(floats))):
+            block = [c[rows] for c in cols]
+            if len(frame) < len(block[0]):
+                frame = np.empty((len(block[0]), len(cols), 4), dtype="<u8")
             frames, fallback = _format_g17(
                 np.stack([block[j] for j in floats], axis=-1, dtype=float)
                 if floats else np.empty((len(block[0]), 0)))
@@ -395,10 +396,9 @@ def _json_encoder(header: Sequence[str]):
     def encode(columns: Sequence[object]):
         nonlocal first
         cols = [np.asarray(c) for c in columns]
-        step = max(1, _BLOCK_CELLS // len(cols))
-        for start in range(0, len(cols[0]), step):
-            rows = list(zip(*(c[start:start + step].tolist() for c in cols)))
-            yield (", " * (not first) + json.dumps(rows)[1:-1]).encode(), 0
+        for rows in _row_blocks(len(cols[0]), len(cols)):
+            text = json.dumps(list(zip(*(c[rows].tolist() for c in cols))))
+            yield (", " * (not first) + text[1:-1]).encode(), 0
             first = False
 
     return f'{{"columns": {json.dumps(list(header))}, "rows": ['.encode(), encode, b"]}\n"
@@ -419,7 +419,7 @@ def _write_tables(
     temps: List[str] = []
     try:
         for name, header, blocks in tables:
-            fmts = sorted(cfg.formats)
+            fmts = sorted(cfg.format)
             temps += [os.path.join(cfg.out, f"{name}.{fmt}.tmp") for fmt in fmts]
             coders = [(_csv_encoder if fmt == "csv" else _json_encoder)(header) for fmt in fmts]
             digests = [hashlib.sha256(head) for head, _, _ in coders]
@@ -631,12 +631,6 @@ def cmd_wigner(cfg: RunConfig) -> List[Table]:
         "diff_numeric", "diff_semiclassical",
     )
     return [("wigner", header, map(columns, _row_blocks(cfg.nx, cfg.nk)))]
-
-
-def _row_blocks(rows: int, cols: int) -> List[slice]:
-    """Runs of consecutive rows of about _GRID_CELLS cells each, covering range(rows)."""
-    step = max(1, _GRID_CELLS // cols)
-    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -1020,9 +1014,8 @@ def cmd_validate(cfg: RunConfig, started: float) -> int:
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value configuration file")
-    for key, kind in _OPTIONS.items():  # `format` is converted by merge_config
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                        type=None if kind is tuple else kind)
+    for key in _OPTIONS:  # as text: merge_config converts every value
+        sp.add_argument(f"--{key.replace('_', '-')}", dest=key)
 
 
 @functools.cache

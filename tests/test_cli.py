@@ -62,7 +62,7 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path):
     manifest = json.loads((tmp_path / "o" / "field_manifest.json").read_text())
     assert manifest["config"]["epsilon"] == 0.07
     assert manifest["config"]["nx"] == 16
-    assert manifest["config"]["formats"] == ["json"]
+    assert manifest["config"]["format"] == ["json"]
     assert not (tmp_path / "o" / "field.csv").exists()
     assert (tmp_path / "o" / "field.json").exists()
 
@@ -75,14 +75,25 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path):
         ("nx=2.5", "nx"),
         ("wavelength=3", "wavelength"),
         ("x0 = inf", "x0"),
+        ("tmax=x", "tmax"),
+        ("seed=1.5", "seed"),
     ],
 )
 def test_config_file_diagnostics_name_the_field(tmp_path, capsys, line, field):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(line + "\n")
-    rc = main(["field", "--config", str(cfg_file), "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["field", "--config", str(cfg_file), "--out", str(out)])
     assert rc == 2
-    assert f"usage error: {field}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {field}:")
+    assert not out.exists()
+    if "=" in line and field != "wavelength":
+        # the same value as a flag is converted by the same code: the same message
+        key, value = (part.strip() for part in line.split("="))
+        assert main(["field", f"--{key}", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -300,13 +311,13 @@ def test_subcommands_share_every_run_flag(capsys):
         assert seen - {"--help"} == flags, command
         args = vars(cli.build_parser().parse_args([command] + argv))
         assert args.pop("command") == command
-        assert len(args) == len(flags) and set(args.values()) <= {1, "1"}, command
+        assert len(args) == len(flags) and set(args.values()) == {"1"}, command  # every flag as text
 
 
 def test_every_run_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     # RunConfig's fields are the one list of run options: each is a flag of
-    # every subcommand and a config-file key, `formats` spelled `format`
-    keys = ["format" if f.name == "formats" else f.name for f in dataclasses.fields(RunConfig)]
+    # every subcommand and a config-file key, by the same name
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
     flags = {"--config"} | {"--" + key.replace("_", "-") for key in keys}
     assert len(flags) == 22
     for command in ("rays", "field", "wigner", "validate"):
@@ -316,7 +327,8 @@ def test_every_run_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
         assert listed - {"--help"} == flags, command
     # every key at its default (tmax has none), from a file or from flags
     want = RunConfig(tmax=5.0, out=str(tmp_path))
-    text = {key: str(getattr(want, key, "csv")) for key in keys}
+    text = {key: str(getattr(want, key)) for key in keys}
+    text["format"] = "csv"
     (tmp_path / "all.cfg").write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
     argvs = (["--config", str(tmp_path / "all.cfg")],
              [word for k, v in text.items() for word in ("--" + k.replace("_", "-"), v)])
@@ -327,10 +339,14 @@ def test_every_run_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     (tmp_path / "bad.cfg").write_text("wavelength=3\n")
     assert main(["rays", "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("usage error: wavelength:")
-    for argv in (["--nx", "2.5"], ["--epsilon", "abc"], ["--wavelength", "3"]):
-        with pytest.raises(SystemExit) as exc:  # argparse refuses bad flags
-            main(["rays"] + argv)
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # argparse refuses unknown flags
+        main(["rays", "--wavelength", "3"])
+    assert exc.value.code == 2
+    for argv, err in ((["--nx", "2.5"], "nx: expected an integer, got '2.5'"),
+                      (["--epsilon", "abc"], "epsilon: expected a number, got 'abc'")):
+        capsys.readouterr()
+        assert main(["rays", "--out", str(tmp_path / "no")] + argv) == 2  # merge_config refuses bad values
+        assert capsys.readouterr().err == f"usage error: {err}\n"
 
 
 def test_run_config_validate_direct():
@@ -568,7 +584,7 @@ def test_wigner_row_blocks_keep_the_bytes_of_one_block(tmp_path, monkeypatch, ro
 def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
     # uneven blocks, one of them empty, through both formats at once
     rng = np.random.default_rng(29)
-    rows = 2 * (cli._BLOCK_CELLS // 3) + 5
+    rows = 2 * (cli._GRID_CELLS // 3) + 5
     columns = (rng.choice(["down", "up"], rows), rng.integers(-9, 9, rows),
                np.exp(rng.uniform(-80.0, 5.0, rows)), rng.normal(size=rows))
     header = ("label", "n", "a", "b")
@@ -576,7 +592,7 @@ def test_tables_given_as_row_blocks_write_the_bytes_of_one_block(tmp_path):
     blocks = ([c[lo:hi] for c in columns] for lo, hi in zip(cuts, cuts[1:]))
     manifests = []
     for sub, table in (("one", [columns]), ("blocks", blocks)):
-        cfg = RunConfig(out=str(tmp_path / sub), formats=("csv", "json"))
+        cfg = RunConfig(out=str(tmp_path / sub), format=("csv", "json"))
         (tmp_path / sub).mkdir()  # main creates the directory before a command runs
         cli._write_tables(cfg, "test", [("table", header, table)], 0.0)
         manifests.append(json.loads((tmp_path / sub / "test_manifest.json").read_text())["outputs"])
@@ -591,7 +607,7 @@ def test_one_block_of_columns_writes_the_pinned_table(tmp_path):
     # writes these bytes and manifest entries, pinned by their digests
     columns = (np.array(["down", "up", "incident"]), np.array([3, -1, 0]),
                np.array([0.1, -0.0, 1e-300]), [2.0 / 3.0, math.nan, -1e20])
-    cfg = RunConfig(out=str(tmp_path), formats=("csv", "json"))
+    cfg = RunConfig(out=str(tmp_path), format=("csv", "json"))
     cli._write_tables(cfg, "test", [("table", ("ray_id", "n", "x", "y"), [columns])], 0.0)
     assert (tmp_path / "table.csv").read_bytes() == (
         b"ray_id,n,x,y\ndown,3,0.10000000000000001,0.66666666666666663\n"
@@ -828,7 +844,7 @@ def _csv_reference(header, columns):
 
 def test_csv_writer_matches_csv_module_reference(tmp_path):
     rng = np.random.default_rng(11)
-    rows = 3 * (cli._BLOCK_CELLS // 3) + 357  # three float columns: four blocks
+    rows = 3 * (cli._GRID_CELLS // 3) + 357  # three float columns: four blocks
     specials = [0.1, -0.0, 0.0, math.nan, -math.inf, 1e-300, 1e20, 1e15 + 0.25, 2.0 / 3.0]
     x = np.concatenate([specials, rng.uniform(-2.0, 2.0, rows - len(specials))])
     y = np.exp(rng.uniform(-80.0, 50.0, rows)) * rng.choice([-1.0, 1.0], rows)
@@ -841,7 +857,7 @@ def test_csv_writer_matches_csv_module_reference(tmp_path):
             rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True), x, y, np.linspace(0.1, 1.9, rows))),
         ("empty", ("ray_id", "t"), ((), ())),
     ]
-    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cfg = RunConfig(out=str(tmp_path), format=("csv",))
     blocks = [(name, header, [columns]) for name, header, columns in tables]
     cli._write_tables(cfg, "test", blocks, 0.0)
     for name, header, columns in tables:
@@ -853,7 +869,7 @@ def test_csv_blocks_rewrite_every_cell_of_the_shared_frame(tmp_path):
     # float runs (x, k) and (a, b, c) around a label and an int column, as in the
     # wigner table; the full first block holds long cells, the partial last block
     # short ones at the same row positions
-    step = cli._BLOCK_CELLS // 5
+    step = cli._GRID_CELLS // 5
     rows = step + 200
     long_cells = [1e-300, -0.0, math.nan, 1e15 + 0.25, -math.inf, -1.2345678901234567e-200]
     long_cells += _decimal_ties(np.random.default_rng(5))[:20]
@@ -865,7 +881,7 @@ def test_csv_blocks_rewrite_every_cell_of_the_shared_frame(tmp_path):
     count[:step] = -(2**63)
     columns = (x, -x, label, count, 4.0 * x, -x, x / 3.0)
     header = ("x", "k", "label", "count", "a", "b", "c")
-    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cfg = RunConfig(out=str(tmp_path), format=("csv",))
     cli._write_tables(cfg, "test", [("table", header, [columns])], 0.0)
     data = (tmp_path / "table.csv").read_bytes()
     assert data == _csv_reference(header, columns)
@@ -873,14 +889,14 @@ def test_csv_blocks_rewrite_every_cell_of_the_shared_frame(tmp_path):
 
 
 def test_json_tables_match_one_json_dump(tmp_path):
-    rows = 3 * (cli._BLOCK_CELLS // 4) + 17  # four columns: four blocks
+    rows = 3 * (cli._GRID_CELLS // 4) + 17  # four columns: four blocks
     rng = np.random.default_rng(7)
     v = np.concatenate([[math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300],
                         rng.normal(size=rows - 6)])
     columns = (rng.choice(["incident", "up"], rows), v, v[::-1],
                rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True))
     header = ("region", "x", "y", "n")
-    cfg = RunConfig(out=str(tmp_path), formats=("json",))
+    cfg = RunConfig(out=str(tmp_path), format=("json",))
     cli._write_tables(cfg, "test", [("table", header, [columns]), ("empty", ("t",), [((),)])], 0.0)
     want = {"columns": list(header), "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
     assert (tmp_path / "table.json").read_text() == json.dumps(want, sort_keys=True) + "\n"
@@ -899,7 +915,7 @@ def test_label_columns_render_the_bytes_of_astype():
 
 def test_text_cells_of_32_bytes_are_refused_not_cut(tmp_path):
     # a cell is four words, its last byte the separator; a refused table leaves no file
-    cfg = RunConfig(out=str(tmp_path), formats=("csv",))
+    cfg = RunConfig(out=str(tmp_path), format=("csv",))
     cli._write_tables(cfg, "test", [("ok", ("a", "b"), [(["x" * 31], [1.5])])], 0.0)
     assert (tmp_path / "ok.csv").read_bytes() == b"a,b\n" + b"x" * 31 + b",1.5\n"
     with pytest.raises(ValueError, match="a: a text cell of 32 bytes or more"):
@@ -977,7 +993,7 @@ def test_manifest_counts_fallback_cells(tmp_path):
     # outside [1e-27, 1e16), an exact tie, or just above a power of ten: per cell;
     # NaN, inf and zeros are constants
     column = np.array([1e-300, 5e-324, -1e20, 1e15 + 0.25, 1.0, 0.0, -0.0, math.nan, math.inf, 0.5])
-    cfg = RunConfig(out=str(tmp_path), formats=("csv", "json"))
+    cfg = RunConfig(out=str(tmp_path), format=("csv", "json"))
     cli._write_tables(cfg, "test", [("table", ("v",), [(column,)])], 0.0)
     manifest = json.loads((tmp_path / "test_manifest.json").read_text())
     fallback = {o["path"]: o["cells_fallback"] for o in manifest["outputs"]}
