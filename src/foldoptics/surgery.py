@@ -229,8 +229,7 @@ def stationary_table(index, x, k) -> StationaryTable:
     index, x, k = _branch_cells(index, x, k, (1, 2, 3, 4), "branch index must be 1, 2, 3 or 4")
     region = _region_codes(x, k)
     shape, index, x, k = region.shape, index.ravel(), x.ravel(), k.ravel()
-    a = np.where((index == 1) | (index == 3), 1.0, -1.0)
-    b = np.where((index == 1) | (index == 4), 1.0, -1.0)
+    a, b = np.array(_SIGNS)[index.astype(np.intp) - 1].T
     loc, curv = _closed_forms(_row_codes(index, k, region.ravel()), a, x, k)
 
     # the occupied slots as flat arrays, each with its cell's index, a, b, x, k

@@ -381,9 +381,15 @@ def _export_grid():
     return np.where(ks >= 0.0, 1, 2), xs[:, None], ks[None, :]
 
 
+def _float_branch_index():
+    # branch indices given as floats select the same sign pairs
+    index, xs, ks = _export_grid()
+    return index.astype(float), xs, ks
+
+
 @pytest.mark.parametrize(
-    "inputs", [_criterion_draws, _parabola_and_fold_points, _export_grid],
-    ids=["criterion-draws", "parabolas-and-fold", "export-grid"],
+    "inputs", [_criterion_draws, _parabola_and_fold_points, _export_grid, _float_branch_index],
+    ids=["criterion-draws", "parabolas-and-fold", "export-grid", "float-branch-index"],
 )
 def test_table_equals_the_np_choose_reference_bit_for_bit(inputs):
     index, xs, ks = inputs()
@@ -483,6 +489,20 @@ def test_interior_point_off_the_window_edge_fails(monkeypatch, shift):
     # of several failing points, the first in broadcast order is named
     with pytest.raises(RuntimeError, match="branch 4 fails the gradient check"):
         stationary_table([[4], [3]], x, [k, k])
+
+
+# a Between cell with 2 k^2 - x = 1.6e-8, far outside the OnConjugate band:
+# the clamp min(2|k| sqrt(x - k^2), x) rounds sigma0 onto the window edge x,
+# 1.2 doubles above the root, and the Newton polish needs |sigma| < x
+BETWEEN_EDGE_CELL = (0.9498410655537542, 0.6891447894597181)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the clamped Between pair is refused next to x = 2k^2")
+def test_between_point_next_to_the_conjugate_parabola_passes():
+    x, k = BETWEEN_EDGE_CELL
+    table = stationary_table([1, 2], x, [k, -k])
+    assert np.all(table.region == 2) and np.all(table.n_real == 2)
 
 
 @pytest.mark.parametrize(
