@@ -51,8 +51,8 @@ from .rays import (
 from .specfun import airy, airy_ai
 from .stphase import CfuCoefficients, cfu_eval
 from .surgery import (
-    _N_REAL, _SIGNS, RegionLabel, _phase_s, _phase_ss, _region_codes, _row_codes,
-    combined_wkb_wigner, k_integral_amplitude, stationary_table, stationary_wigner_residual,
+    _N_REAL, _SIGNS, RegionLabel, _check_transport_closure, _phase_s, _phase_ss, _region_codes,
+    _row_codes, _transport_residual, combined_wkb_wigner, k_integral_amplitude, stationary_table,
 )
 from .wigner import (
     PhaseSpaceGrid,
@@ -887,14 +887,16 @@ def check_liouville_order() -> CriterionResult:
     w = np.empty((xs.size, ks.size))
     for rows in _row_blocks(xs.size, ks.size):
         w[rows] = wigner_exact_airy(xs[rows, None], ks[None, :], eps, x0)
-    errs = []
+    # every grid spans xs, so one probe on it is the one the whole-grid residual makes
+    prof, errs = airy_profile(), []
+    _check_transport_closure(prof, xs[0], xs[-1])
     # linspace puts the 101- and 201-node grids on every 4th and 2nd node
     for step in (4, 2, 1):
         sx, sk, sw = xs[::step], ks[::step], w[::step, ::step]
         # the largest residual over slabs of interior rows, each with a halo row either side
         slabs = (slice(rows.start, rows.stop + 2) for rows in _row_blocks(sx.size - 2, sk.size))
-        errs.append(max(float(np.max(np.abs(stationary_wigner_residual(
-            airy_profile(), PhaseSpaceGrid(sx[r], sk, sw[r], eps)).values))) for r in slabs))
+        errs.append(max(float(np.max(np.abs(_transport_residual(prof, sx[r], sk, sw[r]))))
+                        for r in slabs))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     legs = (Leg("observed order", min(orders), 1.9, ">="),)
     return CriterionResult(9, _NAMES[9], legs, f"observed orders {orders[0]:.2f}, {orders[1]:.2f}")

@@ -273,7 +273,8 @@ def stationary_table(index, x, k) -> StationaryTable:
 def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     """Airy-form approximation of the diagonal branch integrals `index`
     at (x, k), broadcast together; a float for scalars, otherwise an
-    array.
+    array.  Scalars run as 1-element arrays, so a scalar call returns the
+    array call's element.
 
     Between the parabolas the two real stationary points of
     stationary_table are matched with the cubic canonical integral; on
@@ -285,6 +286,8 @@ def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     index, x, k = _branch_cells(index, x, k, (1, 2), "diagonal branches are indices 1 and 2")
     if epsilon <= 0 or x0 <= 0:
         raise ValueError("epsilon and x0 must be positive")
+    scalar = index.ndim == 0
+    index, x, k = np.atleast_1d(index, x, k)
     table = stationary_table(index, x, k)
     if np.any(table.region >= _ON_CONJUGATE):
         raise ValueError(
@@ -316,7 +319,7 @@ def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
     phi0[between], xi[between], A0[between], B0[between] = c.phi0, c.xi, c.A0, c.B0
     w = cfu_eval(CfuCoefficients(phi0, xi, A0, B0), 1.0 / epsilon) / (math.pi * epsilon)
     out = np.where(live, w.real, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return out.item() if scalar else out
 
 
 def offdiagonal_asymptotics(index, x, k, epsilon: float, x0: float):
@@ -416,12 +419,16 @@ def stationary_wigner_residual(
     ks = np.asarray(g.ks, dtype=float)
     if xs.size < 3 or ks.size < 3:
         raise ValueError("residual stencil needs at least 3 points in x and in k")
-    values = np.asarray(g.values)
-    fx = _central_difference(values[:, 1:-1], xs)
-    fk = _central_difference(values[1:-1].T, ks).T
+    _check_transport_closure(profile, xs[0], xs[-1])
+    res = _transport_residual(profile, xs, ks, g.values)
+    return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res, g.epsilon)
+
+
+def _check_transport_closure(profile: RefractionProfile1D, x_lo: float, x_hi: float) -> None:
+    """Refuse a profile whose (eta^2)''', by central differences of
+    (eta^2)' on 7 probe points over [x_lo, x_hi], is not 0."""
     p = profile.eta_squared_prime
-    # (eta^2)''' by central differences of (eta^2)' on 7 probe points
-    probe = np.linspace(xs[0], xs[-1], 7)
+    probe = np.linspace(x_lo, x_hi, 7)
     h = 1e-2 * np.maximum(np.abs(probe), 1.0)
     third = (p(probe + h) - 2.0 * p(probe) + p(probe - h)) / (h * h)
     if np.any(np.abs(third) > 1e-6 * np.maximum(1.0, np.abs(p(probe)))):
@@ -429,9 +436,16 @@ def stationary_wigner_residual(
             "unsupported profile: (eta^2)''' != 0 introduces dispersion "
             "terms beyond the transport closure"
         )
-    transport = np.broadcast_to(p(xs), xs.shape)
-    res = ks[None, 1:-1] * fx + 0.5 * transport[1:-1, None] * fk
-    return PhaseSpaceGrid(xs[1:-1], ks[1:-1], res, g.epsilon)
+
+
+def _transport_residual(profile: RefractionProfile1D, xs: np.ndarray, ks: np.ndarray,
+                        values: np.ndarray) -> np.ndarray:
+    """The residual's array core: k df/dx + (1/2) (eta^2)'(x) df/dk at the
+    interior nodes of values on the (xs, ks) grid, with no closure probe."""
+    fx = _central_difference(values[:, 1:-1], xs)
+    fk = _central_difference(values[1:-1].T, ks).T
+    transport = np.broadcast_to(profile.eta_squared_prime(xs), xs.shape)
+    return ks[None, 1:-1] * fx + 0.5 * transport[1:-1, None] * fk
 
 
 def _central_difference(f: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -215,15 +215,16 @@ def wigner_numeric(
     # raised cosine over the outer taper_fraction of the window |sigma| <= sigma_max
     t = np.clip(((j + 0.5) / j.size - 1.0) / q.taper_fraction + 1.0, 0.0, 1.0)
     taper = 0.5 * (1.0 + np.cos(np.pi * t))
+    # 2 k_m sigma_j/eps = (dsigma/eps)(2 k_0 (j + 1/2) + dk (m^2 + m + j^2 - (m - j)^2))
+    kernel = 2.0 * k0 * (j + 0.5) + dk * j * j
     live = np.flatnonzero(sigma_max > 0.0)
     chunk = max(1, _CHUNK_ELEMENTS // length)
     for rows in (live[i : i + chunk] for i in range(0, live.size, chunk)):
         x, d_sigma = xs[rows, None], (2.0 * sigma_max[rows] / n)[:, None]
         sigma = (j + 0.5) * d_sigma
         g = _sample(psi.value, x + sigma) * np.conj(_sample(psi.value, x - sigma)) * taper
-        # 2 k_m sigma_j/eps = (dsigma/eps)(2 k_0 (j + 1/2) + dk (m^2 + m + j^2 - (m - j)^2))
         rate = d_sigma / eps
-        a = g * np.exp(-1j * (rate * (2.0 * k0 * (j + 0.5) + dk * j * j)))
+        a = g * np.exp(-1j * (rate * kernel))
         chirp = np.exp(1j * ((rate * dk) * lag2))
         conv = np.fft.ifft(np.fft.fft(a, length) * np.fft.fft(chirp), axis=-1)[:, :nk]
         grid.values[rows] = (2.0 * rate / math.pi) * np.real(

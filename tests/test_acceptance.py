@@ -33,6 +33,7 @@ from foldoptics.cli import (
     check_surgery_identity,
     check_wkb_convergence,
 )
+from foldoptics.rays import RefractionProfile1D
 from foldoptics.specfun import airy
 from foldoptics.stphase import CfuCoefficients, cfu_eval
 from foldoptics.wigner import wigner_exact_airy
@@ -359,6 +360,19 @@ def test_criterion_09_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2**20, peak
+
+
+def test_criterion_09_refuses_a_profile_outside_the_transport_closure(monkeypatch):
+    # eta^2 = x + x^3 has (eta^2)''' = 6: the criterion probes the profile once,
+    # before any slab, and run_validation reports the refusal as a crash of 09
+    cubic = RefractionProfile1D(lambda x: x + x**3, lambda x: 1.0 + 3.0 * x * x, (0.0, math.inf))
+    monkeypatch.setattr(cli, "airy_profile", lambda: cubic)
+    with pytest.raises(ValueError, match="unsupported profile"):
+        check_liouville_order()
+    liouville = cli.run_validation()[8]
+    assert liouville.id == 9 and not liouville.passed
+    assert [leg.name for leg in liouville.legs] == ["error"]
+    assert liouville.detail.startswith("error: unsupported profile")
 
 
 def test_criterion_10_rays():

@@ -76,6 +76,8 @@ KEPT = {
     "StationaryTable.n_real": "the count the export's n_stationary column is tested against",
     "diagonal_asymptotics": "the surgery's diagonal leg, which no criterion sums yet",
     "offdiagonal_asymptotics": "the surgery's cross-term leg, which no criterion sums yet",
+    "stationary_wigner_residual": "the residual grid that library callers and tests read; "
+                                  "criterion 09 calls its array core slab by slab",
     "TruncationWarning": "the category of the k-moments' boundary-mass warning",
     "source_amplitude": "the WKB amplitude at the source that the fields share",
 }

@@ -648,6 +648,19 @@ def test_diagonal_array_with_an_interior_cell_raises():
         diagonal_asymptotics(1, [1.0, 1.0, 1.0], [0.8, 0.5, 1.2], EPS, X0)
 
 
+def test_diagonal_scalar_call_keeps_the_bits_of_the_array_call():
+    # Exterior and Between cells; a scalar call runs as a 1-element array, as
+    # numpy's complex scalar division can round apart from its array loop
+    rng = np.random.default_rng(1)
+    xs, ks = rng.uniform(0.05, 1.9, 400), np.abs(rng.uniform(-1.6, 1.6, 400)) + 0.01
+    xs = np.minimum(xs, 0.999 * 2.0 * ks**2)
+    for index, sign in ((1, 1.0), (2, -1.0)):
+        whole = diagonal_asymptotics(index, xs, sign * ks, EPS, X0)
+        cells = [diagonal_asymptotics(index, x, sign * k, EPS, X0) for x, k in zip(xs, ks)]
+        assert all(type(c) is float for c in cells)
+        assert np.array(cells).tobytes() == whole.tobytes()
+
+
 def test_offdiagonal_array_warns_once_for_its_conjugate_cells():
     k = np.array([0.8, 0.9, 0.3, 1.3])
     x = np.array([2.0 * 0.8**2, 2.0 * 0.9**2, 1.5, 1.0])
@@ -769,6 +782,10 @@ def test_residual_stencil_is_np_gradient_bit_for_bit(n):
         airy_profile(), PhaseSpaceGrid(g.xs[i:i + 50], g.ks, g.values[i:i + 50], g.epsilon)).values
         for i in range(0, n - 2, 48)]
     assert np.concatenate(slabs).tobytes() == whole.tobytes()
+    # the array core, slab by slab as criterion 09 calls it
+    cores = [surgery._transport_residual(airy_profile(), g.xs[i:i + 50], g.ks, g.values[i:i + 50])
+             for i in range(0, n - 2, 48)]
+    assert np.concatenate(cores).tobytes() == whole.tobytes()
 
 
 def test_residual_stencil_matches_np_gradient_on_an_even_grid():
