@@ -778,18 +778,18 @@ _BRACKETS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1)
 
 
 def _verify_by_root_finding(a, b, x, k, sigma):
-    """Independently confirm tabulated stationary points: bracket the
-    phase gradient around each, bisect, and return the residual at each
-    located root (inf where the root drifts off the table value); (a, b) is
-    the sign pair of the points' branch.  Brackets grow through the
-    _BRACKETS levels inside the window [-x, x], each level on the points
-    still unbracketed, whose new brackets are bisected as a group.
-    Points left without a bracket report the residual at the table value.
-    Where one double moves F_sigma by a step above the bound (|F_sigmasigma|
-    spacing(sigma), next to the window edge, where F_sigma has a
-    sqrt(x - sigma) term), |F_sigma| is scaled by the bound over the step."""
+    """Independently confirm tabulated stationary points: bracket the phase gradient
+    around each, bisect, and return the residual at each located root (inf where the
+    root drifts off the table value); (a, b) is the sign pair of the points' branch.
+    Brackets grow through the _BRACKETS levels inside the window [-x, x], each level on
+    the points still unbracketed, whose new brackets are bisected as a group.  Points
+    left without a bracket report the residual at the table value.  Where one double
+    moves F_sigma by a step above the bound (|F_sigmasigma| spacing(sigma), next to the
+    window edge, where F_sigma has a sqrt(x - sigma) term), |F_sigma| is scaled by the
+    bound over the step.  The limit: sigma is bisected in doubles, so a root within a
+    double of the edge is not resolved, and a bisection ending on the edge reads 0."""
     def gradient(at):  # F_sigma of the points `at`, as a function of their sigma
-        return functools.partial(_phase_s, a, b, x=x[at], k=k[at])
+        return lambda s, x=x[at], k=k[at]: _phase_s(a, b, x + s, x - s, k)
 
     scale = np.maximum(1.0, np.abs(sigma))
     point = sigma.copy()
@@ -807,8 +807,9 @@ def _verify_by_root_finding(a, b, x, k, sigma):
         point[at] = root
         drift[at] = np.abs(root - sigma[at]) > 1e-7 * scale[at]
         left = left[~new]
-    step = np.abs(_phase_ss(a, b, point, x, k)) * np.spacing(np.abs(point))
-    residual = np.abs(_phase_s(a, b, point, x, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
+    window = x + point, x - point
+    step = np.abs(_phase_ss(a, b, *window, k)) * np.spacing(np.abs(point))
+    residual = np.abs(_phase_s(a, b, *window, k)) / np.maximum(1.0, step / _ROOT_RESIDUAL)
     return np.where(drift, np.inf, residual)
 
 

@@ -14,8 +14,8 @@ residual stencil for the transport equation the limit object solves.
 The classification table has one array core, `stationary_table`: it
 takes broadcast branch indices and (x, k) and returns region codes, the
 number of real points, and up to two points per cell with their
-curvatures, NaN-padded, after one vectorised pass that polishes the real
-points and checks every point against the phase gradient.
+curvatures and edge distances, NaN-padded, after one vectorised pass that
+checks every point against the phase gradient.
 `diagonal_asymptotics` matches its Between pairs.
 
 Unfolding-parameter and sign conventions, frozen once:
@@ -86,22 +86,28 @@ class SingularCurvatureWarning(UserWarning):
     """Stationary-point curvature diverges on the conjugate parabola."""
 
 
-def _phase(a, b, sigma, x, k):
-    cubic = a * (x + sigma) ** 1.5 - b * (x - sigma) ** 1.5
-    return (2.0 / 3.0) * cubic - 2.0 * k * sigma
+# a branch's phase F and its sigma-derivatives, of p = x + sigma and q = x - sigma
+def _phase(a, b, p, q, k):
+    return (2.0 / 3.0) * (a * p ** 1.5 - b * q ** 1.5) - k * (p - q)
 
 
-def _phase_s(a, b, sigma, x, k):
+def _phase_s(a, b, p, q, k):
     # also the complex-capable gradient of the residual check
-    return a * np.sqrt(x + sigma) + b * np.sqrt(x - sigma) - 2.0 * k
+    return a * np.sqrt(p) + b * np.sqrt(q) - 2.0 * k
 
 
-def _phase_ss(a, b, sigma, x, k):
-    return 0.5 * (a * (x + sigma) ** -0.5 - b * (x - sigma) ** -0.5)
+def _phase_ss(a, b, p, q, k):
+    return 0.5 * (a * p ** -0.5 - b * q ** -0.5)
 
 
-def _diagonal_amplitude(sigma, x, x0):
-    return 0.25 / math.sqrt(x0) * (x * x - sigma * sigma) ** -0.25
+def _diagonal_amplitude(p, q, x0):
+    return 0.25 / math.sqrt(x0) * (p * q) ** -0.25
+
+
+def _window(sigma, u, x):
+    # (p, q) of real points sigma with edge distance u = x - |sigma|: u on the near side
+    far = x + np.abs(sigma)
+    return np.where(sigma < 0.0, u, far), np.where(sigma < 0.0, far, u)
 
 
 def _region_codes(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -137,13 +143,15 @@ class StationaryTable:
     axis, NaN in unused slots.  A curvature of 0 marks the double fold
     point, +/-inf the window-edge points on the conjugate parabola, and
     an imaginary point carries the magnitude of its purely imaginary
-    curvature.
+    curvature.  edges holds each real point's edge distance x - |sigma|
+    from its closed form, not from the rounded sigma; NaN in other slots.
     """
 
     region: np.ndarray
     n_real: np.ndarray
     locations: np.ndarray
     curvatures: np.ndarray
+    edges: np.ndarray
 
 
 def _curvature(x, k):
@@ -155,30 +163,33 @@ def _curvature(x, k):
 
 def _imaginary_pair(a, x, k):
     chord, c = _half_chord(x, k), _curvature(x, k)
-    return 1j * chord, -1j * chord, c, c
+    return 1j * chord, -1j * chord, c, c, np.nan, np.nan
 
 
 def _real_pair(a, x, k):
-    # the closed form can round past the window edge, where no root lies
-    sigma0, c = np.minimum(_half_chord(x, k), x), _curvature(x, k)
-    return sigma0, -sigma0, -a * c, a * c
+    # x^2 - sigma0^2 = (x - 2k^2)^2: the edge distance u = x - sigma0 without cancellation
+    sigma0, c = _half_chord(x, k), _curvature(x, k)
+    u = (x - 2.0 * k * k) ** 2 / (x + sigma0)
+    return sigma0, -sigma0, -a * c, a * c, u, u
 
 
 def _cross_point(a, x, k):
-    sigma0, _, c, _ = _real_pair(a, x, k)
-    return a * np.copysign(sigma0, k), np.nan, c, np.nan
+    sigma0, _, c, _, u, _ = _real_pair(a, x, k)
+    return a * np.copysign(sigma0, k), np.nan, c, np.nan, u, np.nan
 
 
 # The table, one row per (branch pair, region): its number of real points and a
 # function of its cells' (a, x, k), a the sign of sqrt(x + sigma) in F_sigma, that gives
-# (slot-0 point, slot-1 point, slot-0 curvature, slot-1 curvature); None: no points.
+# (slot-0 point, slot-1 point, slot-0 curvature, slot-1 curvature, slot-0 edge
+# distance, slot-1 edge distance); None: no points.
 _ROWS = (
     (0, _imaginary_pair),  # F1/F2 Exterior
-    (1, lambda a, x, k: (0.0, np.nan, 0.0, np.nan)),  # F1/F2 OnManifold: double fold point
+    (1, lambda a, x, k: (0.0, np.nan, 0.0, np.nan, x, np.nan)),  # F1/F2 OnManifold: fold point
     (2, _real_pair),  # F1/F2 Between
-    (2, lambda a, x, k: (x, -x, -a * math.inf, a * math.inf)),  # F1/F2 OnConjugate: window edges
+    (2, lambda a, x, k: (x, -x, -a * math.inf, a * math.inf, 0.0, 0.0)),  # F1/F2 OnConjugate
     *[(0, None)] * 4,  # F1/F2 Interior; F3/F4 Exterior, OnManifold, Between
-    (1, lambda a, x, k: (a * np.copysign(x, k), np.nan, a * math.inf, np.nan)),  # F3/F4 OnConjugate
+    # F3/F4 OnConjugate
+    (1, lambda a, x, k: (a * np.copysign(x, k), np.nan, a * math.inf, np.nan, 0.0, np.nan)),
     (1, _cross_point),  # F3/F4 Interior
     (0, None),  # F1/F2 with the wrong sign of k
 )
@@ -191,14 +202,16 @@ def _row_codes(index, k, region):
 
 
 def _closed_forms(row, a, x, k):
-    """Unverified points and curvatures of the flat cells in rows `row` of _ROWS, two
-    slots each and NaN in unused ones; each row is evaluated on its own cells."""
-    loc, curv = np.full((row.size, 2), np.nan, dtype=complex), np.full((row.size, 2), np.nan)
+    """Unverified points, curvatures and edge distances of the flat cells in rows `row` of
+    _ROWS, two slots each, NaN in unused ones; each row is evaluated on its own cells."""
+    loc = np.full((row.size, 2), np.nan, dtype=complex)
+    curv, edge = np.full((row.size, 2), np.nan), np.full((row.size, 2), np.nan)
     for r in np.flatnonzero(np.bincount(row, minlength=len(_ROWS))):  # the rows that occur
         if _ROWS[r][1] is not None:
             at = np.flatnonzero(row == r)
-            loc[at, 0], loc[at, 1], curv[at, 0], curv[at, 1] = _ROWS[r][1](a[at], x[at], k[at])
-    return loc, curv
+            (loc[at, 0], loc[at, 1], curv[at, 0], curv[at, 1],
+             edge[at, 0], edge[at, 1]) = _ROWS[r][1](a[at], x[at], k[at])
+    return loc, curv, edge
 
 
 def _branch_cells(index, x, k, branches, message):
@@ -215,42 +228,28 @@ def stationary_table(index, x, k) -> StationaryTable:
     in/array out, each point re-verified against the phase gradient.
 
     Each row of the table is evaluated on the cells where it occurs, and
-    only occupied slots are polished and checked.  Real simple points get
-    one Newton step; then every point must satisfy
-    |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|), widened for real simple
-    points by |F_sigmasigma| * spacing(sigma), the residual that rounding
-    sigma to a double alone can leave where the curvature is large (next
-    to the conjugate parabola).  The double fold point and the window-edge
-    points are allowed the largest |F_sigma| they leave inside their
-    REGION_TOL bands, 2 REGION_TOL max(1, x) over sqrt(x) + |k| and
-    sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The first failing point,
-    in broadcast order, raises RuntimeError.
+    only occupied slots are checked, real points at their closed-form
+    edge distances: every point must satisfy
+    |F_sigma| <= 1e-10 * max(1, sqrt(x) + |k|).  The double fold point and
+    the window-edge points are allowed the largest |F_sigma| they leave
+    inside their REGION_TOL bands, 2 REGION_TOL max(1, x) over
+    sqrt(x) + |k| and sqrt(2x) + 2|k| (beyond 1e-10 at small x).  The
+    first failing point, in broadcast order, raises RuntimeError.
     """
     index, x, k = _branch_cells(index, x, k, (1, 2, 3, 4), "branch index must be 1, 2, 3 or 4")
     region = _region_codes(x, k)
     shape, index, x, k = region.shape, index.ravel(), x.ravel(), k.ravel()
-    a, b = np.array(_SIGNS)[index.astype(np.intp) - 1].T
-    loc, curv = _closed_forms(_row_codes(index, k, region.ravel()), a, x, k)
+    a, b = np.array(_SIGNS).T.take(index.astype(np.intp) - 1, axis=1)
+    loc, curv, edge = _closed_forms(_row_codes(index, k, region.ravel()), a, x, k)
 
     # the occupied slots as flat arrays, each with its cell's index, a, b, x, k
     slots = np.flatnonzero(~np.isnan(loc))
-    point, c = loc.flat[slots], curv.flat[slots]
+    point, c, u = loc.flat[slots], curv.flat[slots], edge.flat[slots]
     index, a, b, x, k = (v[slots // 2] for v in (index, a, b, x, k))
-    scale = np.maximum(1.0, np.sqrt(x) + np.abs(k))
-    sigma = point.real
-    real = point.imag == 0.0
-    simple = real & np.isfinite(c) & (c != 0.0)
-    polished = sigma - _phase_s(a, b, sigma, x, k) / np.where(simple, c, 1.0)
-    polish = (
-        simple
-        & (np.abs(sigma) < x)
-        & (np.abs(polished) < x)
-        & (np.abs(polished - sigma) < 1e-6 * scale)
-    )
-    point = np.where(polish, polished, point)
-
-    residual = np.abs(_phase_s(a, b, point, x, k))
-    rounding = np.where(simple, np.abs(c), 0.0) * np.spacing(np.abs(point.real))
+    real = ~np.isnan(u)
+    residual = np.abs(_phase_s(a, b, *_window(point.real, u, x), k))  # NaN off the real slots
+    im = np.flatnonzero(~real)  # the imaginary points, in complex arithmetic
+    residual[im] = np.abs(_phase_s(a[im], b[im], x[im] + point[im], x[im] - point[im], k[im]))
     # the fold point 0 and the window-edge points +-x stand for their whole
     # bands, where they leave |F_sigma| = 2|x - k^2| / (sqrt(x) + |k|) and
     # 2|x - 2k^2| / (sqrt(2x) + 2|k|)
@@ -258,16 +257,15 @@ def stationary_table(index, x, k) -> StationaryTable:
         [real & (c == 0.0), real & np.isinf(c)],
         [np.sqrt(x) + np.abs(k), np.sqrt(2.0 * x) + 2.0 * np.abs(k)], np.inf,
     )
-    failed = residual > _ROOT_TOL * scale + rounding + band
+    failed = residual > _ROOT_TOL * np.maximum(1.0, np.sqrt(x) + np.abs(k)) + band
     if failed.any():
         at = np.argmax(failed)
         raise RuntimeError(
             f"stationary point {complex(point[at])} of branch {int(index[at])} "
             f"fails the gradient check: |F_sigma| = {residual[at]:.3e}"
         )
-    loc.flat[slots] = point
     n_real = np.bincount(slots[real] // 2, minlength=region.size).reshape(shape)
-    return StationaryTable(region, n_real, loc.reshape(shape + (2,)), curv.reshape(shape + (2,)))
+    return StationaryTable(region, n_real, *(v.reshape(shape + (2,)) for v in (loc, curv, edge)))
 
 
 def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
@@ -303,13 +301,14 @@ def diagonal_asymptotics(index, x, k, epsilon: float, x0: float):
             stacklevel=2,
         )
     between = live & (table.region == _BETWEEN)
-    # the Between pair as (maximum, minimum), by the sign of its table curvature
+    # the Between pair as (maximum, minimum), by the sign of its table curvature,
+    # at its window distances (both points lie u from their edges)
     sigma = table.locations.real[between]
     pair = np.where(table.curvatures[between][:, :1] < 0.0, sigma, sigma[:, ::-1])
     a = np.where(index[between] == 1, 1.0, -1.0)[:, None]
-    xb, kb = x[between][:, None], k[between][:, None]
-    F, F_ss = (f(a, a, pair, xb, kb) for f in (_phase, _phase_ss))
-    D = _diagonal_amplitude(pair, xb, x0)
+    p, q = _window(pair, table.edges[between], x[between][:, None])
+    F, F_ss = (f(a, a, p, q, k[between][:, None]) for f in (_phase, _phase_ss))
+    D = _diagonal_amplitude(p, q, x0)
     c = cfu_match(F[:, 0], F[:, 1], D[:, 0], D[:, 1], F_ss[:, 0], F_ss[:, 1])
     # on and outside the manifold: the canonical data of the fold pair
     phi0 = np.zeros(x.shape)

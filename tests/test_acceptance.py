@@ -141,7 +141,7 @@ def test_criterion_05_stationary_point_tables():
 
 def test_criterion_05_fails_on_perturbed_closed_form(monkeypatch):
     # the closed form 2|k| sqrt|x - k^2| behind the real points, off by 1e-6:
-    # the table refuses points its Newton step cannot repair
+    # the table refuses the points, checked at their closed-form edge distances
     half_chord = surgery._half_chord
     monkeypatch.setattr(
         surgery, "_half_chord", lambda x, k: half_chord(x, k) * (1.0 + 1e-6)

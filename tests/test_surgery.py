@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +26,8 @@ from foldoptics.wkb import airy_inner_approx
 
 X0 = 2.0
 EPS = 0.05
-# branch i's phase F and its sigma-derivatives are these at the sign pair _SIGNS[i - 1]
+# branch i's phase F and its sigma-derivatives are these at the sign pair _SIGNS[i - 1];
+# they take the window distances (x + sigma, x - sigma)
 PHASES = (surgery._phase, surgery._phase_s, surgery._phase_ss)
 SIGNS = surgery._SIGNS
 
@@ -64,7 +64,7 @@ def test_classify_requires_illuminated_zone():
 
 def test_phase_values_at_origin():
     x, k = 1.3, 0.4
-    f, fs, fss = (g(*SIGNS[0], 0.0, x, k) for g in PHASES)
+    f, fs, fss = (g(*SIGNS[0], x, x, k) for g in PHASES)
     assert f == 0.0
     assert fs == pytest.approx(2.0 * math.sqrt(x) - 2.0 * k, rel=1e-15)
     assert fss == 0.0
@@ -78,7 +78,7 @@ def test_phase_derivatives_consistent(idx):
         x = rng.uniform(0.5, 3.0)
         k = rng.uniform(-1.5, 1.5)
         sigma = rng.uniform(-0.4, 0.4) * x
-        f_p, f_m, f_0 = ([g(*SIGNS[idx], s, x, k) for g in PHASES]
+        f_p, f_m, f_0 = ([g(*SIGNS[idx], x + s, x - s, k) for g in PHASES]
                          for s in (sigma + h, sigma - h, sigma))
         assert (f_p[0] - f_m[0]) / (2 * h) == pytest.approx(f_0[1], rel=1e-7, abs=1e-7)
         assert (f_p[1] - f_m[1]) / (2 * h) == pytest.approx(f_0[2], rel=1e-6, abs=1e-6)
@@ -86,7 +86,10 @@ def test_phase_derivatives_consistent(idx):
 
 def test_mirror_phase_relations():
     rng = np.random.default_rng(RNG_SEED)
-    f1, f2, f3, f4 = (partial(surgery._phase, *signs) for signs in SIGNS)
+    f1, f2, f3, f4 = (
+        lambda sigma, x, k, signs=signs: surgery._phase(*signs, x + sigma, x - sigma, k)
+        for signs in SIGNS
+    )
     for _ in range(25):
         x = rng.uniform(0.3, 3.0)
         k = rng.uniform(-1.5, 1.5)
@@ -98,16 +101,17 @@ def test_mirror_phase_relations():
 
 
 def test_amplitudes():
-    # the diagonal branches' amplitude D(sigma, x)
+    # the diagonal branches' amplitude D(sigma, x), of the window distances
     x, sigma = 1.4, 0.6
-    d = surgery._diagonal_amplitude(sigma, x, X0)
+    d = surgery._diagonal_amplitude(x + sigma, x - sigma, X0)
     assert d == pytest.approx(0.25 / math.sqrt(X0) * (x * x - sigma * sigma) ** -0.25)
     # array in, array out
     sigmas, xs = np.array([0.1, 0.2]), np.array([1.0, 1.0])
-    got = surgery._diagonal_amplitude(sigmas, xs, X0)
+    got = surgery._diagonal_amplitude(xs + sigmas, xs - sigmas, X0)
     assert got.shape == (2,)
     np.testing.assert_allclose(
-        got, [surgery._diagonal_amplitude(s, x, X0) for s, x in zip(sigmas, xs)], rtol=1e-15
+        got, [surgery._diagonal_amplitude(x + s, x - s, X0) for s, x in zip(sigmas, xs)],
+        rtol=1e-15,
     )
 
 
@@ -116,9 +120,9 @@ def test_fold_pair_closed_forms():
     x, k = 1.0, 0.8
     sigma0 = 2.0 * k * math.sqrt(x - k * k)
     assert math.sqrt(x + sigma0) + math.sqrt(x - sigma0) == pytest.approx(2.0 * k)
-    f0 = surgery._phase(*SIGNS[0], sigma0, x, k)
+    f0 = surgery._phase(*SIGNS[0], x + sigma0, x - sigma0, k)
     assert f0 == pytest.approx((4.0 / 3.0) * (x - k * k) ** 1.5, rel=1e-13)
-    fss = surgery._phase_ss(*SIGNS[0], sigma0, x, k)
+    fss = surgery._phase_ss(*SIGNS[0], x + sigma0, x - sigma0, k)
     assert fss == pytest.approx(-math.sqrt(x - k * k) / (2.0 * k * k - x), rel=1e-12)
     assert x * x - sigma0 * sigma0 == pytest.approx((x - 2.0 * k * k) ** 2, rel=1e-12)
 
@@ -171,7 +175,8 @@ def test_stationary_tables_random_sweep():
             assert table.n_real[i] == np.count_nonzero(loc.imag == 0.0)
             assert np.all(loc.imag == 0.0) == real or count == 0
             assert _multiplicities(curv) == mults
-            res = surgery._phase_s(*SIGNS[index - 1], loc[loc.imag == 0.0].real, x, k)
+            sigma = loc[loc.imag == 0.0].real
+            res = surgery._phase_s(*SIGNS[index - 1], x + sigma, x - sigma, k)
             assert np.all(np.abs(res) <= 1e-10 * max(1.0, abs(k) + math.sqrt(x)))
 
 
@@ -258,6 +263,7 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
             assert scalar.region == table.region[i] and scalar.n_real == table.n_real[i]
             np.testing.assert_array_equal(scalar.locations, table.locations[i])
             np.testing.assert_array_equal(scalar.curvatures, table.curvatures[i])
+            np.testing.assert_array_equal(scalar.edges, table.edges[i])
             loc, curv = _cell(table, i)
             region = REGIONS[codes[i]]
             scale = max(1.0, math.sqrt(x) + abs(k))
@@ -284,7 +290,7 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
                 if region is RegionLabel.EXTERIOR:
                     size, want, n_real = np.abs(loc.imag), chord[i], 0
                 else:
-                    size, want, n_real = np.abs(loc.real), min(chord[i], x), n
+                    size, want, n_real = np.abs(loc.real), chord[i], n
                 # next to the fold, rounding F_sigma by a few spacings moves the
                 # root by that over the curvature
                 slack = 1e-12 * want + 8.0 * np.spacing(scale) / np.abs(curv)
@@ -292,17 +298,17 @@ def test_array_table_matches_scalar_calls_on_the_parabolas():
                 assert table.n_real[i] == n_real
             else:
                 assert loc.size == 0
-            # simple real points meet the plain tolerance up to the rounding of sigma
+            # simple real points meet the plain tolerance at their edge distances
             simple = (loc.imag == 0.0) & np.isfinite(curv) & (curv != 0.0)
-            sigma, c = loc.real[simple], curv[simple]
-            res = np.abs(surgery._phase_s(*SIGNS[index - 1], sigma, x, k))
-            assert np.all(res <= 1e-10 * scale + np.abs(c) * np.spacing(np.abs(sigma)))
+            u = table.edges[i][~np.isnan(table.locations[i])][simple]
+            p, q = surgery._window(loc.real[simple], u, x)
+            assert np.all(np.abs(surgery._phase_s(*SIGNS[index - 1], p, q, k)) <= 1e-10 * scale)
 
 
 def _reference_table(index, x, k):
     """stationary_table with every expression of the 11-row table built over
-    all cells before np.choose picks one row per cell, and the Newton polish
-    and gradient check run over every slot, empty ones included."""
+    all cells before np.choose picks one row per cell, and the gradient check
+    run over every slot, empty ones included."""
     index, x, k = np.broadcast_arrays(
         np.asarray(index), np.asarray(x, dtype=float), np.asarray(k, dtype=float)
     )
@@ -315,49 +321,45 @@ def _reference_table(index, x, k):
     kk = k * k
     gap = np.where(region == 3, 1.0, 2.0 * kk - x)
     c = np.sqrt(np.abs(x - kk)) / gap
-    chord = surgery._half_chord(x, k)
-    sigma0 = np.minimum(chord, x)
+    sigma0 = surgery._half_chord(x, k)
+    # x - sigma0 in closed form: x^2 - sigma0^2 = (x - 2k^2)^2
+    u = (x - 2.0 * kk) ** 2 / (x + sigma0)
     edge = a * math.inf
     nan = np.nan
-    none = (nan, nan, nan, nan)
+    none = (nan, nan, nan, nan, nan, nan)
     table = (
-        (1j * chord, -1j * chord, c, c),  # F1/F2 Exterior: imaginary pair
-        (0.0, nan, 0.0, nan),  # F1/F2 OnManifold: double fold point
-        (sigma0, -sigma0, -a * c, a * c),  # F1/F2 Between: real pair
-        (x, -x, -edge, edge),  # F1/F2 OnConjugate: window-edge pair
+        (1j * sigma0, -1j * sigma0, c, c, nan, nan),  # F1/F2 Exterior: imaginary pair
+        (0.0, nan, 0.0, nan, x, nan),  # F1/F2 OnManifold: double fold point
+        (sigma0, -sigma0, -a * c, a * c, u, u),  # F1/F2 Between: real pair
+        (x, -x, -edge, edge, 0.0, 0.0),  # F1/F2 OnConjugate: window-edge pair
         none,  # F1/F2 Interior
         none,  # F3/F4 Exterior
         none,  # F3/F4 OnManifold
         none,  # F3/F4 Between
-        (a * np.copysign(x, k), nan, edge, nan),  # F3/F4 OnConjugate
-        (a * np.copysign(sigma0, k), nan, -a * c, nan),  # F3/F4 Interior
+        (a * np.copysign(x, k), nan, edge, nan, 0.0, nan),  # F3/F4 OnConjugate
+        (a * np.copysign(sigma0, k), nan, -a * c, nan, u, nan),  # F3/F4 Interior
         none,  # F1/F2 with the wrong sign of k
     )
     slots = [np.choose(row, column) for column in zip(*table)]
     loc = np.stack(slots[:2], axis=-1).astype(complex)
-    curv = np.stack(slots[2:], axis=-1)
+    curv = np.stack(slots[2:4], axis=-1)
+    edges = np.stack(slots[4:], axis=-1)
 
     a, b, x, k = (v[..., None] for v in (a, b, x, k))
     scale = np.maximum(1.0, np.sqrt(x) + np.abs(k))
-    sigma = loc.real
-    real = (loc.imag == 0.0) & ~np.isnan(sigma)
-    simple = real & np.isfinite(curv) & (curv != 0.0)
-    polished = sigma - surgery._phase_s(a, b, sigma, x, k) / np.where(simple, curv, 1.0)
-    polish = (
-        simple
-        & (np.abs(sigma) < x)
-        & (np.abs(polished) < x)
-        & (np.abs(polished - sigma) < 1e-6 * scale)
-    )
-    loc = np.where(polish, polished, loc)
-    residual = np.abs(surgery._phase_s(a, b, loc, x, k))
-    rounding = np.where(simple, np.abs(curv), 0.0) * np.spacing(np.abs(loc.real))
+    real = ~np.isnan(edges)
+    # the window distances: u on the side nearer the edge, x + |sigma| on the other
+    far = x + np.abs(loc.real)
+    near_left = loc.real < 0.0
+    p = np.where(real, np.where(near_left, edges, far), x + loc)
+    q = np.where(real, np.where(near_left, far, edges), x - loc)
+    residual = np.abs(surgery._phase_s(a, b, p, q, k))
     band = 2.0 * REGION_TOL * np.maximum(1.0, x) / np.select(
         [real & (curv == 0.0), real & np.isinf(curv)],
         [np.sqrt(x) + np.abs(k), np.sqrt(2.0 * x) + 2.0 * np.abs(k)], np.inf,
     )
-    assert not np.any(residual > 1e-10 * scale + rounding + band)
-    return region, np.count_nonzero(real, axis=-1), loc, curv
+    assert not np.any(residual > 1e-10 * scale + band)
+    return region, np.count_nonzero(real, axis=-1), loc, curv, edges
 
 
 def _criterion_draws():
@@ -395,7 +397,7 @@ def test_table_equals_the_np_choose_reference_bit_for_bit(inputs):
     index, xs, ks = inputs()
     got = stationary_table(index, xs, ks)
     want = _reference_table(index, xs, ks)
-    for name, w in zip(("region", "n_real", "locations", "curvatures"), want):
+    for name, w in zip(("region", "n_real", "locations", "curvatures", "edges"), want):
         g = getattr(got, name)
         assert g.dtype == w.dtype and g.shape == w.shape, name
         # the bytes: NaN equals NaN, and 0.0 differs from -0.0
@@ -450,8 +452,10 @@ def test_table_evaluates_rows_on_their_cells_and_checks_occupied_slots(monkeypat
         monkeypatch.setattr(surgery, name, counting)
     stationary_table(index, xs, ks)
     assert sum(calls["_half_chord"]) == np.count_nonzero(chord_rows & sign_ok)
-    # one Newton polish and one residual, each over the occupied slots only
-    assert calls["_phase_s"] == [occupied, occupied]
+    # one residual over the occupied slots, in float, and one over the imaginary
+    # points among them, in complex arithmetic
+    imaginary = occupied - int(table.n_real.sum())
+    assert calls["_phase_s"] == [occupied, imaginary]
     assert occupied < 0.3 * 2 * index.size * xs.size
 
 
@@ -464,16 +468,18 @@ EDGE_DRAW = (0.9450085363356805, 0.6873894511528946)
 @pytest.mark.parametrize("idx", [2, 3])
 def test_interior_point_at_the_window_edge_passes(idx):
     x, k = EDGE_DRAW
-    (loc,), (c,) = _cell(stationary_table(idx + 1, x, k))
-    sigma = loc.real
+    table = stationary_table(idx + 1, x, k)
+    (loc,), _ = _cell(table)
+    sigma, u = loc.real, table.edges[0]
     assert 0.0 < x - abs(sigma) <= 2.0 * np.spacing(x)
-    # rounding sigma alone leaves more than the plain tolerance ...
-    residual = abs(surgery._phase_s(*SIGNS[idx], sigma, x, k))
+    # the closed-form edge distance is x - |sigma| up to the rounding of sigma ...
+    assert abs(u - (x - abs(sigma))) <= np.spacing(x)
+    # ... where the rounded sigma alone leaves more than the plain tolerance ...
     scale = max(1.0, math.sqrt(x) + abs(k))
-    assert residual > 1e-10 * scale
-    # ... and no more than the curvature times one spacing of sigma
-    rounding = abs(c) * np.spacing(abs(sigma))
-    assert residual <= 1e-10 * scale + rounding
+    assert abs(surgery._phase_s(*SIGNS[idx], x + sigma, x - sigma, k)) > 1e-10 * scale
+    # ... and the window distances built from u meet it
+    p, q = surgery._window(sigma, u, x)
+    assert abs(surgery._phase_s(*SIGNS[idx], p, q, k)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
@@ -492,17 +498,47 @@ def test_interior_point_off_the_window_edge_fails(monkeypatch, shift):
 
 
 # a Between cell with 2 k^2 - x = 1.6e-8, far outside the OnConjugate band:
-# the clamp min(2|k| sqrt(x - k^2), x) rounds sigma0 onto the window edge x,
-# 1.2 doubles above the root, and the Newton polish needs |sigma| < x
+# sigma0 rounds onto the window edge x, 1.2 doubles above the root
 BETWEEN_EDGE_CELL = (0.9498410655537542, 0.6891447894597181)
+# an Interior cell with x - 2 k^2 = 1.9e-8: the cross point rounds onto x too
+INTERIOR_EDGE_CELL = (1.3422471820888748, 0.8192213263737265)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="the clamped Between pair is refused next to x = 2k^2")
 def test_between_point_next_to_the_conjugate_parabola_passes():
     x, k = BETWEEN_EDGE_CELL
     table = stationary_table([1, 2], x, [k, -k])
     assert np.all(table.region == 2) and np.all(table.n_real == 2)
+    assert np.all(table.edges > 0.0)
+
+
+def test_interior_point_next_to_the_conjugate_parabola_passes():
+    x, k = INTERIOR_EDGE_CELL
+    table = stationary_table([3, 4], x, k)
+    assert np.all(table.region == 4) and np.all(table.n_real == 1)
+    assert np.all(table.edges[:, 0] > 0.0)
+
+
+# stratified draws of |1 - x/curve| next to x = k^2 (0) and x = 2 k^2 (1)
+_DECADES = np.arange(-16, -3)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("curve", [0, 1], ids=["manifold", "conjugate"])
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_tables_accept_stratified_cells_next_to_the_parabolas(index, curve, side):
+    # 60 cells per decade of |1 - x/curve| from 1e-16 to 1e-3, one array call
+    rng = np.random.default_rng(5)
+    gap = 10.0 ** (np.repeat(_DECADES, 60) + rng.random(_DECADES.size * 60))
+    k = rng.uniform(0.1, 1.4, gap.size) * rng.choice([-1.0, 1.0], gap.size)
+    if index < 3:  # the diagonal branches' points lie on k > 0 (1) and k < 0 (2)
+        k = np.abs(k) if index == 1 else -np.abs(k)
+    x = (1.0 + curve) * k * k * (1.0 + side * gap)
+    table = stationary_table(index, x, k)  # raises on a refused cell
+    # each real point lies its closed-form edge distance inside the window edge,
+    # up to the rounding of sigma
+    assert not np.any(table.edges < 0.0)
+    off = table.edges - (x[:, None] - np.abs(table.locations.real))
+    assert not np.any(np.abs(off) > 4.0 * np.spacing(x)[:, None])
 
 
 @pytest.mark.parametrize(
@@ -623,13 +659,18 @@ def test_diagonal_between_cells_match_exact_transform():
     # branch 1 carries k > 0, branch 2 k < 0
     got = diagonal_asymptotics(np.where(ks > 0.0, 1, 2), xs, ks, EPS, X0)
     err = np.abs(got - wigner_exact_airy(xs, ks, EPS, X0)) / PEAK
-    # next to x = 2 k^2 the pair sits at sigma0 ~ x - (2k^2 - x)^2/(2x), so
-    # rounding sigma0 to a double perturbs x - sigma0, and with it the
-    # amplitudes and curvatures, by up to 1e-8 relative: one draw with
-    # 2k^2 - x = 1.5e-4 is off by 2.6e-10 of the peak
-    near = 2.0 * ks**2 - xs < 1e-2
-    assert np.max(err[~near]) <= 4e-12
-    assert np.max(err[near]) <= 1e-9
+    assert np.max(err) <= 4e-12
+
+
+@pytest.mark.parametrize("gap", [1e-1, 1e-3, 3e-4, 1e-4, 1e-6, 1e-8])
+def test_diagonal_between_cells_next_to_the_conjugate_parabola(gap):
+    # 41 k per gap 2k^2 - x at x = 1, on both diagonal branches: the pair is
+    # matched at its closed-form edge distance, not at x - sigma0 of the
+    # rounded sigma0
+    k = np.sqrt((1.0 + gap * np.linspace(1.0, 1.5, 41)) / 2.0)
+    index, k = np.repeat([1, 2], k.size), np.concatenate((k, -k))
+    got = diagonal_asymptotics(index, 1.0, k, EPS, X0)
+    assert np.max(np.abs(got - wigner_exact_airy(1.0, k, EPS, X0))) <= 1e-13 * PEAK
 
 
 def test_diagonal_array_zeroes_only_its_wrong_sign_cell():
